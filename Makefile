@@ -50,9 +50,9 @@ bench:
 bench-baseline:
 	$(GO) run ./cmd/benchdiff -out BENCH_$(DATE).json
 
-# Re-run the suite and fail on >10% ns/op or >0.1% allocs/op regression
-# against the newest committed baseline. This is what CI's bench-regress
-# job runs.
+# Re-run the suite and fail on >10% ns/op, >10% B/op or >0.1% allocs/op
+# regression against the newest committed baseline. This is what CI's
+# bench-regress job runs.
 bench-check:
 	@test -n "$(BASELINE)" || { echo "no BENCH_*.json baseline found"; exit 1; }
 	$(GO) run ./cmd/benchdiff -check -baseline $(BASELINE) -out /tmp/bench_check.json
@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChecksumPatchChain -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzPacketPoolZeroed -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzFlowSlab -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzEventSlab -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzReorderBuffer -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalDigest -fuzztime 10s ./internal/scenario
 
@@ -102,7 +103,8 @@ chaos: build
 server-e2e:
 	$(GO) test -race ./internal/server/...
 
-# Pool-poisoning build: released packets are scribbled with sentinels, so
-# any use-after-release flips a digest or an assertion.
+# Pool-poisoning build: released packets and engine event slots are
+# scribbled with sentinels, so any use-after-release flips a digest, an
+# assertion or panics.
 poison:
-	$(GO) test -tags poolpoison ./internal/netem ./internal/tcp ./internal/core ./internal/experiments
+	$(GO) test -tags poolpoison ./internal/sim ./internal/netem ./internal/tcp ./internal/core ./internal/experiments

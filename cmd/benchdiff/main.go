@@ -13,18 +13,25 @@
 // Suites: "main" is the figure + micro benchmarks; "ladder" is the scale
 // ladder (1x/10x/100x dumbbells and the 10k-flow incast storms), recorded
 // as BENCH_LADDER_<date>.json so the two baselines evolve independently.
-// Explicit -bench / -packages override the suite's presets.
+// A suite is one or more `go test` invocations: whole-figure benchmarks run
+// once per count (-benchtime 1x, seconds each), micro-benchmarks run for a
+// real benchtime so their numbers are data, not timer noise. Explicit
+// -bench / -packages / -benchtime override the presets in every invocation
+// of the suite.
 //
 // Regression policy: allocs/op may not grow beyond -alloc-threshold
 // (default 0.1% — sync.Pool refills under GC make figure-scale counts
 // jitter by a few allocs, while any real regression is orders of magnitude
 // larger; zero-alloc benchmarks stay exact because 0×anything is 0).
-// ns/op is compared on the fastest of -count runs (the standard
-// noise-robust statistic) and may regress up to -ns-threshold (default
-// 10%). Because CI measures with -benchtime=1x, sub-millisecond benchmarks
-// carry too much timer noise for wall-clock comparison, so ns/op is only
-// enforced where the baseline op cost is at least -ns-floor (default 1ms);
-// allocs/op is enforced everywhere.
+// B/op may not grow beyond -bytes-threshold (default 10%): allocation
+// counts alone hid a slab that carved 84 bytes per simulated event in a
+// handful of large chunks. Growth under bytesSlack is ignored — it is
+// amortised warm-up moving with the iteration count, and a new per-op
+// allocation trips allocs/op anyway. ns/op is compared on the fastest of
+// -count runs (the standard noise-robust statistic) and may regress up to
+// -ns-threshold (default 10%), enforced only where the baseline op cost is
+// at least -ns-floor (default 1ms): below that, shared CI runners are too
+// noisy for a wall-clock gate.
 package main
 
 import (
@@ -35,6 +42,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,7 +78,7 @@ func main() {
 		out       = flag.String("out", "", "write results to this JSON file (default BENCH_<date>.json when running)")
 		suite     = flag.String("suite", "main", "benchmark suite preset: main|ladder")
 		benchRe   = flag.String("bench", "", "go test -bench regex (default from -suite)")
-		benchtime = flag.String("benchtime", "1x", "go test -benchtime")
+		benchtime = flag.String("benchtime", "", "go test -benchtime (default from -suite)")
 		count     = flag.Int("count", 5, "go test -count")
 		pkgList   = flag.String("packages", "", "space-separated packages to benchmark (default from -suite)")
 		compare   = flag.Bool("compare", false, "compare -baseline against -new instead of running")
@@ -80,63 +88,122 @@ func main() {
 		nsThresh  = flag.Float64("ns-threshold", 0.10, "allowed fractional ns/op regression")
 		nsFloor   = flag.Float64("ns-floor", 1e6, "ns/op compared only when baseline >= this (ns)")
 		alThresh  = flag.Float64("alloc-threshold", 0.001, "allowed fractional allocs/op growth (absorbs pool/GC jitter)")
+		byThresh  = flag.Float64("bytes-threshold", 0.10, "allowed fractional B/op growth")
 		subset    = flag.Bool("subset", false, "allow the new run to cover only part of the baseline (partial-suite checks, e.g. the affordable ladder rungs in CI)")
 	)
 	flag.Parse()
 
+	th := thresholds{ns: *nsThresh, nsFloor: *nsFloor, allocs: *alThresh, bytes: *byThresh}
 	if *compare {
 		old := load(*baseline)
 		cur := load(*newFile)
-		os.Exit(diff(old, cur, *nsThresh, *nsFloor, *alThresh, *subset))
+		os.Exit(diff(old, cur, th, *subset))
 	}
 
-	prefix := "BENCH_"
-	switch *suite {
-	case "main":
-		if *benchRe == "" {
-			*benchRe = mainBench
-		}
-		if *pkgList == "" {
-			*pkgList = mainPkgs
-		}
-	case "ladder":
-		prefix = "BENCH_LADDER_"
-		if *benchRe == "" {
-			*benchRe = ladderBench
-		}
-		if *pkgList == "" {
-			*pkgList = ladderPkgs
-		}
-	default:
+	st, ok := suites[*suite]
+	if !ok {
 		fatal(fmt.Errorf("unknown -suite %q (want main or ladder)", *suite))
 	}
+	invs := slices.Clone(st.invocations)
+	for i := range invs {
+		if *benchRe != "" {
+			invs[i].bench = *benchRe
+		}
+		if *pkgList != "" {
+			invs[i].pkgs = *pkgList
+		}
+		if *benchtime != "" {
+			invs[i].benchtime = *benchtime
+		}
+	}
 
-	rec := run(*benchRe, *benchtime, *count, strings.Fields(*pkgList))
+	rec := run(invs, *count)
 	path := *out
 	if path == "" {
-		path = prefix + rec.Date + ".json"
+		path = st.prefix + rec.Date + ".json"
 	}
 	save(path, rec)
 	fmt.Printf("recorded %d benchmarks -> %s\n", len(rec.Benchmarks), path)
 
 	if *check {
 		old := load(*baseline)
-		os.Exit(diff(old, rec, *nsThresh, *nsFloor, *alThresh, *subset))
+		os.Exit(diff(old, rec, th, *subset))
 	}
 }
 
-const (
-	mainBench = "BenchmarkFig8$|BenchmarkScheme|BenchmarkEngineSchedule$|BenchmarkEngineScheduleCancel$|BenchmarkEngineHeapOracle$|BenchmarkPortForward$|BenchmarkPortThroughput$|BenchmarkHostFilterChain$|BenchmarkShimTransfer$|BenchmarkShimRewrite$|BenchmarkChecksum|BenchmarkGCSweep$|BenchmarkFlowTableChurn$"
-	mainPkgs  = ". ./internal/sim ./internal/netem ./internal/core"
+// invocation is one `go test -bench` run: a benchmark regexp, the packages
+// it is looked up in, and how long each benchmark runs.
+type invocation struct{ bench, pkgs, benchtime string }
 
-	ladderBench = "BenchmarkLadder|BenchmarkStorm"
-	ladderPkgs  = "."
-)
+var suites = map[string]struct {
+	prefix      string
+	invocations []invocation
+}{
+	"main": {"BENCH_", []invocation{
+		{"BenchmarkFig8$|BenchmarkScheme", ".", "1x"},
+		{"BenchmarkEngineSchedule$|BenchmarkEngineScheduleCancel$|BenchmarkEngineHeapOracle$|BenchmarkPortForward$|BenchmarkPortThroughput$|BenchmarkHostFilterChain$|BenchmarkShimTransfer$|BenchmarkShimRewrite$|BenchmarkChecksum|BenchmarkGCSweep$|BenchmarkFlowTableChurn$",
+			"./internal/sim ./internal/netem ./internal/core", "200ms"},
+	}},
+	"ladder": {"BENCH_LADDER_", []invocation{
+		{"BenchmarkLadder|BenchmarkStorm", ".", "1x"},
+	}},
+}
 
-func run(benchRe, benchtime string, count int, pkgs []string) Record {
-	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem",
-		"-benchtime", benchtime, "-count", strconv.Itoa(count), "-timeout", "60m"}
-	args = append(args, pkgs...)
+// thresholds are the regression gates diff applies.
+type thresholds struct{ ns, nsFloor, allocs, bytes float64 }
+
+// bytesSlack is the B/op growth diff ignores whatever the threshold: less
+// than the smallest real allocation, so it can only be amortised warm-up.
+const bytesSlack = 16
+
+// agg collects one benchmark's per-run samples.
+type agg struct {
+	ns, bytes []float64
+	allocs    []int64
+	metrics   map[string][]float64
+}
+
+func run(invs []invocation, count int) Record {
+	aggs := map[string]*agg{}
+	var benches, benchtimes, pkgs []string
+	for _, inv := range invs {
+		benches = append(benches, inv.bench)
+		benchtimes = append(benchtimes, inv.benchtime)
+		pkgs = append(pkgs, strings.Fields(inv.pkgs)...)
+		runInvocation(inv, count, aggs)
+	}
+
+	rec := Record{
+		Date: time.Now().Format("2006-01-02"), GoVersion: runtime.Version(),
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
+		Bench: strings.Join(benches, " ; "), Benchtime: strings.Join(benchtimes, " ; "),
+		Count: count, Packages: pkgs,
+		Benchmarks: map[string]Result{},
+	}
+	for key, a := range aggs {
+		r := Result{Runs: len(a.ns), NsPerOp: mean(a.ns), MinNsOp: min64(a.ns), BytesOp: mean(a.bytes)}
+		for _, n := range a.allocs {
+			if n > r.AllocsOp {
+				r.AllocsOp = n
+			}
+		}
+		if len(a.metrics) > 0 {
+			r.Metrics = map[string]float64{}
+			for unit, vs := range a.metrics {
+				r.Metrics[unit] = mean(vs)
+			}
+		}
+		rec.Benchmarks[key] = r
+	}
+	return rec
+}
+
+// runInvocation runs one `go test -bench` command, echoing its output and
+// folding every benchmark line into aggs.
+func runInvocation(inv invocation, count int, aggs map[string]*agg) {
+	args := []string{"test", "-run", "^$", "-bench", inv.bench, "-benchmem",
+		"-benchtime", inv.benchtime, "-count", strconv.Itoa(count), "-timeout", "60m"}
+	args = append(args, strings.Fields(inv.pkgs)...)
 	fmt.Fprintf(os.Stderr, "benchdiff: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -148,12 +215,6 @@ func run(benchRe, benchtime string, count int, pkgs []string) Record {
 		fatal(err)
 	}
 
-	type agg struct {
-		ns, bytes []float64
-		allocs    []int64
-		metrics   map[string][]float64
-	}
-	aggs := map[string]*agg{}
 	pkg := ""
 	sc := bufio.NewScanner(outPipe)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -190,29 +251,6 @@ func run(benchRe, benchtime string, count int, pkgs []string) Record {
 	if err := cmd.Wait(); err != nil {
 		fatal(fmt.Errorf("go test -bench failed: %w", err))
 	}
-
-	rec := Record{
-		Date: time.Now().Format("2006-01-02"), GoVersion: runtime.Version(),
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Bench: benchRe, Benchtime: benchtime, Count: count, Packages: pkgs,
-		Benchmarks: map[string]Result{},
-	}
-	for key, a := range aggs {
-		r := Result{Runs: len(a.ns), NsPerOp: mean(a.ns), MinNsOp: min64(a.ns), BytesOp: mean(a.bytes)}
-		for _, n := range a.allocs {
-			if n > r.AllocsOp {
-				r.AllocsOp = n
-			}
-		}
-		if len(a.metrics) > 0 {
-			r.Metrics = map[string]float64{}
-			for unit, vs := range a.metrics {
-				r.Metrics[unit] = mean(vs)
-			}
-		}
-		rec.Benchmarks[key] = r
-	}
-	return rec
 }
 
 // parseBenchLine handles "BenchmarkName-8  3  123 ns/op  4 B/op  5 allocs/op
@@ -242,7 +280,7 @@ func parseBenchLine(line string) (string, map[string]float64, bool) {
 	return name, vals, len(vals) > 0
 }
 
-func diff(old, cur Record, nsThresh, nsFloor, alThresh float64, subset bool) int {
+func diff(old, cur Record, th thresholds, subset bool) int {
 	keys := make([]string, 0, len(old.Benchmarks))
 	for k := range old.Benchmarks {
 		keys = append(keys, k)
@@ -250,7 +288,7 @@ func diff(old, cur Record, nsThresh, nsFloor, alThresh float64, subset bool) int
 	sort.Strings(keys)
 
 	regressions := 0
-	fmt.Printf("%-60s %14s %14s %8s\n", "benchmark (vs "+old.Date+")", "ns/op", "allocs/op", "verdict")
+	fmt.Printf("%-60s %22s %24s %14s %8s\n", "benchmark (vs "+old.Date+")", "ns/op", "B/op", "allocs/op", "verdict")
 	for _, k := range keys {
 		o := old.Benchmarks[k]
 		c, ok := cur.Benchmarks[k]
@@ -270,15 +308,20 @@ func diff(old, cur Record, nsThresh, nsFloor, alThresh float64, subset bool) int
 		}
 		verdict := "ok"
 		nsDelta := pct(oNs, cNs)
-		if oNs >= nsFloor && cNs > oNs*(1+nsThresh) {
+		if oNs >= th.nsFloor && cNs > oNs*(1+th.ns) {
 			verdict = "NS-REGRESS"
 			regressions++
 		}
-		if float64(c.AllocsOp) > float64(o.AllocsOp)*(1+alThresh) {
+		if c.BytesOp > o.BytesOp*(1+th.bytes) && c.BytesOp-o.BytesOp >= bytesSlack {
+			verdict = "BYTES-REGRESS"
+			regressions++
+		}
+		if float64(c.AllocsOp) > float64(o.AllocsOp)*(1+th.allocs) {
 			verdict = "ALLOC-REGRESS"
 			regressions++
 		}
-		fmt.Printf("%-60s %13.0f%s %8d->%-5d %8s\n", k, cNs, nsDelta, o.AllocsOp, c.AllocsOp, verdict)
+		fmt.Printf("%-60s %13.0f%-9s %14.0f%-10s %8d->%-5d %8s\n", k, cNs, nsDelta,
+			c.BytesOp, pct(o.BytesOp, c.BytesOp), o.AllocsOp, c.AllocsOp, verdict)
 	}
 	for k := range cur.Benchmarks {
 		if _, ok := old.Benchmarks[k]; !ok {
@@ -294,6 +337,9 @@ func diff(old, cur Record, nsThresh, nsFloor, alThresh float64, subset bool) int
 }
 
 func pct(old, cur float64) string {
+	if old == cur {
+		return " (+0.0%)" // also the zero-byte benchmarks, where old is 0
+	}
 	if old <= 0 {
 		return " (new)"
 	}

@@ -48,7 +48,7 @@ type flowEntry struct {
 	marked      int
 	cleanEpochs int // consecutive epochs without a mark
 	wndSegs     int // current clamp; <0 until established
-	epoch       *sim.Event
+	epoch       sim.Handle
 
 	lastActive int64 // last packet seen, for idle GC
 	closed     bool

@@ -165,9 +165,7 @@ func (s *Shim) Crash() {
 			continue
 		}
 		e.closed = true
-		if e.epoch != nil {
-			e.epoch.Cancel()
-		}
+		e.epoch.Cancel()
 	}
 	// The replacement table continues the generation counter, so linger
 	// handles already in flight against the wiped table can never resolve
@@ -511,8 +509,8 @@ func (s *Shim) startEpoch(e *flowEntry) {
 // closeEpochArg adapts closeEpoch to the cached ScheduleArg callback
 // shape. The event carries the entry's handle, not the pointer: if the row
 // was removed or its slot recycled since the epoch was armed, resolve
-// returns nil and the stale timer is inert (the same contract the event
-// slab gives stale *sim.Event handles).
+// returns nil and the stale timer is inert (the same generation-check
+// contract sim.Handle gives a handle whose event slot was recycled).
 func (s *Shim) closeEpochArg(a any) {
 	if e := s.table.resolve(a.(flowHandle)); e != nil {
 		s.closeEpoch(e)
@@ -583,9 +581,7 @@ func (s *Shim) expire(e *flowEntry) {
 		return
 	}
 	e.closed = true
-	if e.epoch != nil {
-		e.epoch.Cancel()
-	}
+	e.epoch.Cancel()
 	linger := 4 * s.cfg.BaseRTT
 	if linger <= 0 {
 		linger = sim.Millisecond

@@ -14,14 +14,19 @@
 // in a sorted agenda so the (Time, sched, rank, seq) total order — and
 // therefore every golden digest — is identical to the plain-heap scheduler,
 // which remains available via Options.NoWheel as the test oracle.
+//
+// Events occupy per-engine slots that are recycled as soon as their event
+// fires or is cancelled, so a steady-state run allocates nothing per event.
+// Model code holds a Handle (slot + generation), never the slot: a handle
+// kept past its event's life is inert, whatever the slot carries by then.
+// Options.NoSlab keeps a never-reusing store as the oracle for that too.
 package sim
 
 import (
-	"fmt"
-	"sort"
-	"sync/atomic"
-
 	"container/heap"
+	"fmt"
+	"slices"
+	"sync/atomic"
 )
 
 // Common durations, in nanoseconds.
@@ -50,19 +55,16 @@ const (
 // check is the hook's only cost in the engine benchmarks.
 const pollEvery = 4096
 
-// Event index states. idx >= 0 means the event lives in the overflow heap
-// at that position (removal on Cancel is eager, so far-future timers never
-// leak queue slots). idxLazy marks wheel/agenda residency, where Cancel is
-// lazy: the callback is nilled and the shell is skipped at drain time.
-const (
-	idxNone = -1
-	idxLazy = -2
-)
+// idx >= 0 means the event lives in the overflow heap at that position;
+// Cancel removes it eagerly, so far-future timers never hold queue entries
+// or slots. idxStaged marks wheel/agenda residency, where Cancel is lazy:
+// the callback is nilled and the shell is dropped at drain time.
+const idxStaged = -1
 
-// Event is a scheduled callback. The zero value is invalid; events are
-// created by Engine.Schedule and Engine.At and may be cancelled with
-// Event.Cancel (or Engine.Cancel) before they fire.
-type Event struct {
+// event is one slot of the engine's event store: the identity and callback
+// of the scheduled event currently occupying it. Model code never sees a
+// slot, only a Handle to one occupancy of it.
+type event struct {
 	Time int64 // absolute firing time, ns
 	// sched is the clock value at scheduling time. Same-instant events fire
 	// oldest-cause first: an event armed earlier (a port's tx-completion, a
@@ -82,8 +84,15 @@ type Event struct {
 	seq  uint64
 	fn   func(any)
 	arg  any
-	eng  *Engine
+	eng  *Engine // owning engine; fixed for the slot's lifetime
 	idx  int
+	// gen counts the slot's occupancies. Firing or cancelling the occupant
+	// bumps it, which is what turns every outstanding Handle stale before
+	// the slot can be handed out again.
+	gen uint64
+	// next links vacant slots into the engine's free list; it is stale
+	// while the slot is occupied.
+	next *event
 }
 
 // callFunc adapts a plain func() to the internal func(any) representation.
@@ -91,31 +100,50 @@ type Event struct {
 // allocate.
 func callFunc(a any) { a.(func())() }
 
-// Cancelled reports whether the event was cancelled before firing (fired
-// events also read as cancelled).
-func (e *Event) Cancelled() bool { return e.fn == nil }
+// Handle names one scheduled event: a slot of the owning engine's event
+// store plus the slot's generation at scheduling time. Slots are recycled,
+// so a handle is live only until its event fires or is cancelled; after
+// that — even once the slot carries an unrelated later event — Cancel,
+// Pending and Time see the generation mismatch and do nothing. The zero
+// Handle is never live. Handles are small values: copy them freely.
+type Handle struct {
+	ev  *event
+	gen uint64
+}
+
+// Pending reports whether the event is still scheduled: not yet fired and
+// not cancelled.
+func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
+
+// Time returns the event's absolute firing time, or -1 once it is no
+// longer pending.
+func (h Handle) Time() int64 {
+	if !h.Pending() {
+		return -1
+	}
+	return h.ev.Time
+}
 
 // Cancel prevents the event from firing. Far-future events are removed from
-// the overflow heap immediately; near-future events are dropped lazily when
-// their tick drains (at most ~1 ms of simulated time later). Either way
-// Pending stays accurate. Cancelling an already-fired or already-cancelled
-// event is a no-op: the fire path clears eng and idx, so a late Cancel on a
-// recycled handle can never remove a live queue entry.
-func (e *Event) Cancel() {
-	if e.fn == nil {
+// the overflow heap and their slot is reusable immediately; near-future
+// events stay staged as an empty shell until their tick drains (at most
+// ~1 ms of simulated time later). Either way Engine.Pending stays exact.
+// Cancelling a fired, cancelled or zero handle is a no-op, whatever the
+// slot has been reused for since.
+func (h Handle) Cancel() {
+	if !h.Pending() {
 		return
 	}
-	e.fn = nil
-	e.arg = nil
-	eng := e.eng
-	e.eng = nil
-	if eng != nil {
-		eng.live--
-		if e.idx >= 0 {
-			heap.Remove(&eng.pq, e.idx)
-		}
+	ev := h.ev
+	ev.gen++
+	ev.fn = nil
+	ev.arg = nil
+	e := ev.eng
+	e.live--
+	if ev.idx >= 0 {
+		heap.Remove(&e.pq, ev.idx)
+		e.release(ev)
 	}
-	e.idx = idxNone
 }
 
 // Options tunes engine internals. The zero value is the production
@@ -125,9 +153,10 @@ type Options struct {
 	// implementation). It is kept as the oracle for equivalence tests and
 	// as an escape hatch; event ordering is identical either way.
 	NoWheel bool
-	// NoSlab allocates every Event individually instead of carving them
-	// from slabs. Slabs are never recycled, so this only trades allocation
-	// rate for identical semantics.
+	// NoSlab allocates every event individually and never reuses one,
+	// instead of recycling slots carved from slabs. Handles behave
+	// identically either way; the equivalence tests use it as the oracle
+	// for the recycling store.
 	NoSlab bool
 }
 
@@ -169,12 +198,12 @@ type Engine struct {
 	// curTick is the tick whose events are staged in due; -1 until the
 	// first drain. due[dueIdx:] is the sorted agenda for that tick.
 	curTick int64
-	due     []*Event
+	due     []*event
 	dueIdx  int
 
 	// slots hold events for ticks in (curTick, curTick+numSlots], one
 	// tick per slot; occupied is a bitmap over slot indices.
-	slots      [numSlots][]*Event
+	slots      [numSlots][]*event
 	occupied   [numSlots / 64]uint64
 	wheelCount int
 
@@ -190,8 +219,14 @@ type Engine struct {
 	dispatchBase uint64
 	dispatchIdx  uint64
 
-	slab    []Event
+	// Event store: slots are carved from slab in slabSize chunks and
+	// recycled LIFO through the free list, so the slot an event just
+	// vacated is the one its callback's first Schedule gets back, still
+	// cache-hot. minted counts slots ever carved.
+	slab    []event
 	slabIdx int
+	free    *event
+	minted  int
 
 	// Sharding (nil group for a standalone engine; see shard.go). shard is
 	// this engine's index in the group, outbox stages cross-shard messages
@@ -225,7 +260,7 @@ func (e *Engine) Now() int64 { return e.now }
 
 // Schedule runs fn after delay nanoseconds. A negative delay is an error in
 // the model and panics. It returns a handle usable to cancel the event.
-func (e *Engine) Schedule(delay int64, fn func()) *Event {
+func (e *Engine) Schedule(delay int64, fn func()) Handle {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
@@ -239,7 +274,7 @@ func (e *Engine) Schedule(delay int64, fn func()) *Event {
 // allocation-free form of Schedule for hot paths: fn is typically a bound
 // method value cached at construction time, so no closure is built per
 // event.
-func (e *Engine) ScheduleArg(delay int64, fn func(any), arg any) *Event {
+func (e *Engine) ScheduleArg(delay int64, fn func(any), arg any) Handle {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
@@ -250,7 +285,7 @@ func (e *Engine) ScheduleArg(delay int64, fn func(any), arg any) *Event {
 }
 
 // At runs fn at absolute time t (ns). Scheduling in the past panics.
-func (e *Engine) At(t int64, fn func()) *Event {
+func (e *Engine) At(t int64, fn func()) Handle {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
@@ -258,14 +293,14 @@ func (e *Engine) At(t int64, fn func()) *Event {
 }
 
 // AtArg runs fn(arg) at absolute time t (ns); see ScheduleArg.
-func (e *Engine) AtArg(t int64, fn func(any), arg any) *Event {
+func (e *Engine) AtArg(t int64, fn func(any), arg any) Handle {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
 	return e.at(t, fn, arg)
 }
 
-func (e *Engine) at(t int64, fn func(any), arg any) *Event {
+func (e *Engine) at(t int64, fn func(any), arg any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
@@ -276,10 +311,9 @@ func (e *Engine) at(t int64, fn func(any), arg any) *Event {
 	ev.rank = e.nextRank(ev.seq)
 	ev.fn = fn
 	ev.arg = arg
-	ev.eng = e
 	e.live++
 	e.insert(ev)
-	return ev
+	return Handle{ev, ev.gen}
 }
 
 // mix64 is the splitmix64 finalizer: the stateless hash that chains event
@@ -375,7 +409,6 @@ func (e *Engine) insertRemote(t, sched int64, rank, seq uint64, fn func(any), ar
 	ev.seq = seq
 	ev.fn = fn
 	ev.arg = arg
-	ev.eng = e
 	e.live++
 	e.insert(ev)
 }
@@ -409,24 +442,46 @@ func (e *Engine) PeekTime() int64 {
 	return t
 }
 
-// newEvent hands out events from append-only slabs. Slabs are deliberately
-// never recycled: model code holds stale *Event handles across fire time
-// (e.g. cancelling an epoch timer that already expired), and reusing the
-// memory would let such a late Cancel hit an unrelated live event.
-func (e *Engine) newEvent() *Event {
+// newEvent hands out a vacant slot: the most recently released one if any,
+// else a fresh one carved from the current slab. Recycling is safe because
+// model code holds Handles, never slot pointers — a handle kept across fire
+// time (e.g. an epoch timer cancelled after it already expired) fails its
+// generation check instead of reaching the slot's next occupant. NoSlab
+// engines allocate every event and recycle nothing.
+func (e *Engine) newEvent() *event {
+	if ev := e.free; ev != nil {
+		e.free = ev.next
+		resetOnAlloc(ev)
+		return ev
+	}
+	e.minted++
 	if e.noSlab {
-		return &Event{}
+		return &event{eng: e}
 	}
 	if e.slabIdx == len(e.slab) {
-		e.slab = make([]Event, slabSize)
+		e.slab = make([]event, slabSize)
 		e.slabIdx = 0
 	}
 	ev := &e.slab[e.slabIdx]
 	e.slabIdx++
+	ev.eng = e
 	return ev
 }
 
-func (e *Engine) insert(ev *Event) {
+// release returns a vacated slot — fired, or cancelled and no longer staged
+// anywhere — to the free list. Only the owning engine releases its slots,
+// and cross-shard events are allocated on the destination engine during
+// the single-threaded merge, so the free list needs no lock.
+func (e *Engine) release(ev *event) {
+	if e.noSlab {
+		return
+	}
+	scrubOnRelease(ev)
+	ev.next = e.free
+	e.free = ev
+}
+
+func (e *Engine) insert(ev *event) {
 	if e.noWheel {
 		heap.Push(&e.pq, ev)
 		return
@@ -437,10 +492,10 @@ func (e *Engine) insert(ev *Event) {
 		// The tick being drained, or earlier (legal after RunUntil left
 		// now at a horizon before the staged agenda): merge into due in
 		// (Time, seq) position.
-		ev.idx = idxLazy
+		ev.idx = idxStaged
 		e.dueInsert(ev)
 	case tick <= e.curTick+numSlots:
-		ev.idx = idxLazy
+		ev.idx = idxStaged
 		s := int(tick & slotMask)
 		e.slots[s] = append(e.slots[s], ev)
 		e.occupied[s>>6] |= 1 << uint(s&63)
@@ -456,7 +511,7 @@ func (e *Engine) insert(ev *Event) {
 // therefore every digest, is too. seq (globally unique across a group) is
 // the fallback for the astronomically rare rank collision, and keeps the
 // order total.
-func eventBefore(a, b *Event) bool {
+func eventBefore(a, b *event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
@@ -469,9 +524,21 @@ func eventBefore(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// eventCompare is eventBefore as a three-way comparison, for slices.SortFunc.
+// The order is total, so 0 only ever means a == b.
+func eventCompare(a, b *event) int {
+	if eventBefore(a, b) {
+		return -1
+	}
+	if eventBefore(b, a) {
+		return 1
+	}
+	return 0
+}
+
 // dueInsert places ev into the unconsumed agenda suffix, keeping it sorted
 // by (Time, sched, rank, seq).
-func (e *Engine) dueInsert(ev *Event) {
+func (e *Engine) dueInsert(ev *event) {
 	lo, hi := e.dueIdx, len(e.due)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -523,8 +590,8 @@ func (e *Engine) refillDue(horizon int64) bool {
 	// Promote: after this loop the heap only holds ticks beyond the new
 	// window, which keeps the slot scan above sufficient on later refills.
 	for len(e.pq) > 0 && e.pq[0].Time>>tickBits <= e.curTick+numSlots {
-		ev := heap.Pop(&e.pq).(*Event)
-		ev.idx = idxLazy
+		ev := heap.Pop(&e.pq).(*event)
+		ev.idx = idxStaged
 		tick := ev.Time >> tickBits
 		if tick == e.curTick {
 			e.due = append(e.due, ev)
@@ -558,9 +625,9 @@ func (e *Engine) nextOccupiedTick() int64 {
 // sortEvents orders the agenda by (Time, sched, rank, seq). Slot contents arrive
 // almost sorted (insertion order tracks seq; times within one tick
 // cluster), so a binary-insertion pass wins for the common small case.
-func sortEvents(evs []*Event) {
+func sortEvents(evs []*event) {
 	if len(evs) > 48 {
-		sort.Slice(evs, func(i, j int) bool { return eventBefore(evs[i], evs[j]) })
+		slices.SortFunc(evs, eventCompare)
 		return
 	}
 	for i := 1; i < len(evs); i++ {
@@ -571,13 +638,6 @@ func sortEvents(evs []*Event) {
 			j--
 		}
 		evs[j+1] = ev
-	}
-}
-
-// Cancel cancels ev. Safe to call with a fired or nil event.
-func (e *Engine) Cancel(ev *Event) {
-	if ev != nil {
-		ev.Cancel()
 	}
 }
 
@@ -650,7 +710,8 @@ func (e *Engine) runWheel(horizon int64) {
 		e.due[e.dueIdx] = nil
 		e.dueIdx++
 		if ev.fn == nil {
-			continue // cancelled while staged
+			e.release(ev) // cancelled while staged
+			continue
 		}
 		e.fire(ev)
 		if e.poll != nil {
@@ -666,9 +727,6 @@ func (e *Engine) runHeap(horizon int64) {
 			return
 		}
 		heap.Pop(&e.pq)
-		if ev.fn == nil {
-			continue // cancelled
-		}
 		e.fire(ev)
 		if e.poll != nil {
 			e.pollTick()
@@ -676,21 +734,21 @@ func (e *Engine) runHeap(horizon int64) {
 	}
 }
 
-// fire runs ev's callback, first detaching the event completely so a stale
-// handle kept by model code is inert: fn/arg are cleared (fired events read
-// as cancelled), and eng/idx are nilled so a late Cancel can never reach
-// into the queue and remove a live entry.
-func (e *Engine) fire(ev *Event) {
+// fire runs ev's callback. The slot is vacated first — generation bumped,
+// so every handle to the event is already stale inside its own callback,
+// and released, so the callback's first Schedule reuses it while it is
+// still in cache.
+func (e *Engine) fire(ev *event) {
 	e.now = ev.Time
 	fn, arg := ev.fn, ev.arg
 	e.dispatchBase = mix64(ev.rank)
 	e.dispatchIdx = 0
 	e.inDispatch = true
+	ev.gen++
 	ev.fn = nil
 	ev.arg = nil
-	ev.eng = nil
-	ev.idx = idxNone
 	e.live--
+	e.release(ev)
 	fn(arg)
 	e.inDispatch = false
 	e.Processed++
@@ -698,7 +756,7 @@ func (e *Engine) fire(ev *Event) {
 
 // eventHeap orders by (Time, sched, rank, seq): earliest first,
 // oldest-cause then causal rank within an instant.
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int           { return len(h) }
 func (h eventHeap) Less(i, j int) bool { return eventBefore(h[i], h[j]) }
@@ -708,7 +766,7 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].idx = j
 }
 func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
+	ev := x.(*event)
 	ev.idx = len(*h)
 	*h = append(*h, ev)
 }
@@ -717,7 +775,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.idx = idxNone
+	ev.idx = idxStaged
 	*h = old[:n-1]
 	return ev
 }

@@ -49,12 +49,12 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if ev.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
-	// Double-cancel and cancelling fired events must not panic.
+	// Double-cancel and cancelling the zero handle must not panic.
 	ev.Cancel()
-	e.Cancel(nil)
+	Handle{}.Cancel()
 }
 
 func TestCancelRemovesEagerly(t *testing.T) {
@@ -74,7 +74,7 @@ func TestCancelRemovesEagerly(t *testing.T) {
 		t.Fatalf("Pending = %d after double cancel, want 1", e.Pending())
 	}
 	e.Run()
-	if keep.Cancelled() != true { // fired events read as cancelled
+	if keep.Pending() {
 		t.Fatal("surviving event did not fire")
 	}
 	if e.Pending() != 0 {
@@ -108,7 +108,7 @@ func TestDeterministicOrderUnderCancel(t *testing.T) {
 				rng := rand.New(rand.NewSource(tc.seed))
 				e := New()
 				var order []int
-				var evs []*Event
+				var evs []Handle
 				for i := 0; i < tc.ops; i++ {
 					id := i
 					// Coarse time grid so many events collide on the
@@ -246,7 +246,7 @@ func TestPropertyCancelSoundness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := New()
 		type rec struct {
-			ev        *Event
+			ev        Handle
 			cancelled bool
 			fired     bool
 		}

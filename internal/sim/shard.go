@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // seqShardSpan partitions the uint64 sequence space between shards: shard
 // i's runtime events draw from [(i+1)<<48, (i+2)<<48), while the group's
@@ -21,6 +24,17 @@ type remoteMsg struct {
 	seq   uint64
 	fn    func(any)
 	arg   any
+}
+
+// remoteCompare orders messages by the engine's (time, sched, rank, seq)
+// event order.
+func remoteCompare(a, b remoteMsg) int {
+	return cmp.Or(
+		cmp.Compare(a.time, b.time),
+		cmp.Compare(a.sched, b.sched),
+		cmp.Compare(a.rank, b.rank),
+		cmp.Compare(a.seq, b.seq),
+	)
 }
 
 // Group runs n engines as the shards of one conservative-lookahead
@@ -223,19 +237,7 @@ func (g *Group) merge() {
 		}
 		e.outbox = e.outbox[:0]
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		a, b := &msgs[i], &msgs[j]
-		if a.time != b.time {
-			return a.time < b.time
-		}
-		if a.sched != b.sched {
-			return a.sched < b.sched
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(msgs, remoteCompare)
 	for i := range msgs {
 		m := &msgs[i]
 		g.engines[m.dst].insertRemote(m.time, m.sched, m.rank, m.seq, m.fn, m.arg)

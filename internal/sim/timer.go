@@ -5,7 +5,7 @@ package sim
 // callback supplied at construction fires when it expires.
 type Timer struct {
 	eng *Engine
-	ev  *Event
+	ev  Handle
 	fn  func()
 }
 
@@ -18,39 +18,26 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 }
 
 // timerExpire is the shared func(any) trampoline for all timers, so
-// Reset never builds a per-arm closure.
-func timerExpire(a any) { a.(*Timer).expire() }
+// Reset never builds a per-arm closure. The expiry's handle went stale
+// when it fired, so the timer already reads as disarmed.
+func timerExpire(a any) { a.(*Timer).fn() }
 
 // Reset (re-)arms the timer to fire after d nanoseconds, cancelling any
 // previously armed expiry.
 func (t *Timer) Reset(d int64) {
-	t.Stop()
+	t.ev.Cancel()
 	t.ev = t.eng.ScheduleArg(d, timerExpire, t)
 }
 
 // Stop disarms the timer. Reports whether a pending expiry was cancelled.
 func (t *Timer) Stop() bool {
-	if t.ev != nil && !t.ev.Cancelled() {
-		t.ev.Cancel()
-		t.ev = nil
-		return true
-	}
-	t.ev = nil
-	return false
+	armed := t.ev.Pending()
+	t.ev.Cancel()
+	return armed
 }
 
 // Armed reports whether the timer is currently pending.
-func (t *Timer) Armed() bool { return t.ev != nil && !t.ev.Cancelled() }
+func (t *Timer) Armed() bool { return t.ev.Pending() }
 
 // Deadline returns the absolute expiry time, or -1 if disarmed.
-func (t *Timer) Deadline() int64 {
-	if !t.Armed() {
-		return -1
-	}
-	return t.ev.Time
-}
-
-func (t *Timer) expire() {
-	t.ev = nil
-	t.fn()
-}
+func (t *Timer) Deadline() int64 { return t.ev.Time() }
