@@ -21,9 +21,10 @@ test:
 # Static-analysis gate: formatting, the stock vet suite, and the repo's
 # own hwatchvet analyzers (detrand, pktown, schedclosure, lockscope,
 # hookpure, ctxflow, directive plus the curated vendored passes, including
-# the SSA-backed nilness and unusedwrite). A stale //hwatchvet:allow is a
-# diagnostic, so a clean run also proves zero stale allows. CI's
-# static-analysis job runs exactly this.
+# the SSA-backed nilness and unusedwrite). ctxflow carries the twin check:
+# a non-test package that declares both X and XContext fails the gate. A
+# stale //hwatchvet:allow is a diagnostic, so a clean run also proves zero
+# stale allows. CI's static-analysis job runs exactly this.
 lint:
 	@test -z "$$(gofmt -l . | grep -v '^vendor/')" || { gofmt -l . | grep -v '^vendor/'; echo "gofmt: files need formatting"; exit 1; }
 	$(GO) vet ./...

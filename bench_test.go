@@ -7,6 +7,7 @@ package hwatch
 // `go run ./cmd/figgen`.
 
 import (
+	"context"
 	"testing"
 
 	"hwatch/internal/sim"
@@ -14,13 +15,35 @@ import (
 
 const benchScale = 0.2
 
+// benchFig regenerates one figure of the table and returns its runs keyed
+// by the table's curve keys.
+func benchFig(b *testing.B, name string, scale float64) map[string]*Run {
+	b.Helper()
+	for _, f := range Figures() {
+		if f.Name != name {
+			continue
+		}
+		runs, err := f.Run(context.Background(), scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := map[string]*Run{}
+		for i, k := range f.Keys {
+			out[k] = runs[i]
+		}
+		return out
+	}
+	b.Fatalf("no figure %q in the table", name)
+	return nil
+}
+
 // BenchmarkFig1 regenerates the DCTCP initial-window study (Fig. 1a-d) and
 // reports the mean short-flow FCT at the default ICW of 10.
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := Fig1(benchScale)
-		b.ReportMetric(res.Runs[10].ShortFCTms.Mean(), "fct-ms@icw10")
-		b.ReportMetric(float64(res.Runs[10].Drops), "drops@icw10")
+		res := benchFig(b, "fig1", benchScale)
+		b.ReportMetric(res["icw10"].ShortFCTms.Mean(), "fct-ms@icw10")
+		b.ReportMetric(float64(res["icw10"].Drops), "drops@icw10")
 	}
 }
 
@@ -28,11 +51,11 @@ func BenchmarkFig1(b *testing.B) {
 // the MIX/DCTCP variance inflation.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := Fig2(benchScale)
-		if v := res.DCTCP.ShortFCTms.Var(); v > 0 {
-			b.ReportMetric(res.Mix.ShortFCTms.Var()/v, "var-inflation")
+		res := benchFig(b, "fig2", benchScale)
+		if v := res["dctcp"].ShortFCTms.Var(); v > 0 {
+			b.ReportMetric(res["mix"].ShortFCTms.Var()/v, "var-inflation")
 		}
-		b.ReportMetric(res.Mix.QueuePkts.Mean(), "mix-queue-pkts")
+		b.ReportMetric(res["mix"].QueuePkts.Mean(), "mix-queue-pkts")
 	}
 }
 
@@ -40,9 +63,9 @@ func BenchmarkFig2(b *testing.B) {
 // reports HWatch's mean FCT and its improvement over DropTail.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := Fig8(benchScale)
-		hw := res.Runs[HWatch]
-		dt := res.Runs[DropTail]
+		res := benchFig(b, "fig8", benchScale)
+		hw := res["tcp-hwatch"]
+		dt := res["tcp-droptail"]
 		b.ReportMetric(hw.ShortFCTms.Mean(), "hwatch-fct-ms")
 		if m := hw.ShortFCTms.Mean(); m > 0 {
 			b.ReportMetric(dt.ShortFCTms.Mean()/m, "speedup-vs-droptail")
@@ -54,8 +77,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates the 100-source scalability rerun (Fig. 9a-d).
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := Fig9(benchScale)
-		hw := res.Runs[HWatch]
+		hw := benchFig(b, "fig9", benchScale)["tcp-hwatch"]
 		b.ReportMetric(hw.ShortFCTms.Quantile(0.99), "hwatch-fct-p99-ms")
 		b.ReportMetric(float64(hw.Timeouts), "hwatch-rtos")
 	}
@@ -65,11 +87,11 @@ func BenchmarkFig9(b *testing.B) {
 // reports the TCP->HWatch response-time improvement factor.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := Fig11(0.5)
-		if m := res.HWatch.ShortFCTms.Mean(); m > 0 {
-			b.ReportMetric(res.TCP.ShortFCTms.Mean()/m, "speedup")
+		res := benchFig(b, "fig11", 0.5)
+		if m := res["hwatch"].ShortFCTms.Mean(); m > 0 {
+			b.ReportMetric(res["tcp"].ShortFCTms.Mean()/m, "speedup")
 		}
-		b.ReportMetric(res.HWatch.LongGoodputBps.Mean()/1e6, "elephant-Mbps")
+		b.ReportMetric(res["hwatch"].LongGoodputBps.Mean()/1e6, "elephant-Mbps")
 	}
 }
 
@@ -80,7 +102,7 @@ func BenchmarkFig11(b *testing.B) {
 func benchRung(b *testing.B, name string, scale float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		run, err := RunRung(name, scale)
+		run, err := RunRung(context.Background(), name, scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +152,9 @@ func BenchmarkSchemeHWatch(b *testing.B) {
 	p.ByteBuffers = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunDumbbell(HWatch, p)
+		if _, err := RunDumbbell(context.Background(), HWatch, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -144,6 +168,8 @@ func BenchmarkSchemeDCTCP(b *testing.B) {
 	p.ByteBuffers = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunDumbbell(DCTCP, p)
+		if _, err := RunDumbbell(context.Background(), DCTCP, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

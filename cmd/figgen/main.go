@@ -8,7 +8,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"hwatch"
@@ -28,6 +31,9 @@ func main() {
 		serverURL = flag.String("server", "", "run figures via a hwatchd instance (e.g. http://127.0.0.1:8080) instead of locally")
 	)
 	flag.Parse()
+	// Ctrl-C cancels the figure in flight instead of killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	hwatch.SetParallel(*parallel)
 	hwatch.SetInvariantChecks(*check)
 
@@ -37,90 +43,71 @@ func main() {
 			want[strings.TrimSpace(f)] = true
 		}
 	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
 
+	// A figure's runs come from the local simulator or, with -server, from
+	// a hwatchd instance; everything after that is the same. Server
+	// results arrive in wire form and client.Runs re-verifies every run
+	// digest, so the CSVs are bit-equivalent to a local regeneration on
+	// the same code version.
+	fetch := func(fig hwatch.Figure) (runs []*hwatch.Run, via string, err error) {
+		runs, err = fig.Run(ctx, *scale)
+		return runs, "", err
+	}
 	if *serverURL != "" {
 		if *check {
 			log.Fatal("-check runs locally; it cannot be combined with -server")
 		}
-		viaServer(*serverURL, *outDir, *scale, selected)
-		return
+		cl := client.New(*serverURL, nil)
+		fetch = func(fig hwatch.Figure) ([]*hwatch.Run, string, error) {
+			res, err := cl.Submit(ctx, &server.JobRequest{Kind: "fig", Name: fig.Name, Scale: *scale})
+			if err != nil {
+				return nil, "", err
+			}
+			origin := "computed"
+			if res.Cached {
+				origin = "cache hit"
+			}
+			runs, err := client.Runs(res)
+			return runs, fmt.Sprintf("via %s (%s, version %s)", *serverURL, origin, res.Version), err
+		}
 	}
 
 	violations := 0
-	save := func(prefix string, r *hwatch.Run) {
-		for _, v := range r.InvariantViolations {
-			violations++
-			fmt.Printf("!! invariant violation [%s]: %s\n", r.Label, v)
-		}
-		if err := hwatch.SaveRun(*outDir, prefix, r); err != nil {
-			log.Fatalf("saving %s: %v", prefix, err)
-		}
-	}
-	section := func(name, caption string) {
-		fmt.Printf("\n== %s — %s ==\n", name, caption)
-	}
-	plots := func(fig string, labels, prefixes []string) {
-		if err := hwatch.WriteFigurePlots(*outDir, fig, labels, prefixes); err != nil {
-			log.Fatalf("plot scripts for %s: %v", fig, err)
-		}
-	}
-
 	start := time.Now()
-	if selected("fig1") {
-		section("Figure 1", "DCTCP vs initial congestion window")
-		res := hwatch.Fig1(*scale)
-		var runs []*hwatch.Run
-		var labels, prefixes []string
-		for _, icw := range res.ICWs {
-			runs = append(runs, res.Runs[icw])
-			prefix := fmt.Sprintf("fig1_icw%d", icw)
-			save(prefix, res.Runs[icw])
-			labels = append(labels, res.Runs[icw].Label)
-			prefixes = append(prefixes, prefix)
+	for _, fig := range hwatch.Figures() {
+		if len(want) > 0 && !want[fig.Name] {
+			continue
+		}
+		runs, via, err := fetch(fig)
+		if err != nil {
+			log.Fatalf("%s: %v", fig.Name, err)
+		}
+		if len(runs) != len(fig.Keys) {
+			log.Fatalf("%s: %d runs for %d curves", fig.Name, len(runs), len(fig.Keys))
+		}
+		fmt.Printf("\n== Figure %s — %s ==\n", strings.TrimPrefix(fig.Name, "fig"), fig.Caption)
+		if via != "" {
+			fmt.Println(via)
 		}
 		fmt.Print(hwatch.Table(runs))
-		plots("fig1", labels, prefixes)
-	}
-	if selected("fig2") {
-		section("Figure 2", "DCTCP alone vs coexistence MIX")
-		res := hwatch.Fig2(*scale)
-		fmt.Print(hwatch.Table([]*hwatch.Run{res.DCTCP, res.Mix, res.MixHWatch}))
-		fmt.Printf("FCT variance: DCTCP=%.1f ms^2, MIX=%.1f ms^2, MIX+HWatch=%.1f ms^2\n",
-			res.DCTCP.ShortFCTms.Var(), res.Mix.ShortFCTms.Var(), res.MixHWatch.ShortFCTms.Var())
-		save("fig2_dctcp", res.DCTCP)
-		save("fig2_mix", res.Mix)
-		save("fig2_mix_hwatch", res.MixHWatch)
-		plots("fig2", []string{"DCTCP", "MIX", "MIX+HWatch"},
-			[]string{"fig2_dctcp", "fig2_mix", "fig2_mix_hwatch"})
-	}
-	schemeFig := func(name, caption string, res *hwatch.Fig8Result) {
-		section(name, caption)
-		var runs []*hwatch.Run
-		var labels, prefixes []string
-		for _, s := range res.Order {
-			runs = append(runs, res.Runs[s])
-			prefix := strings.ToLower(name) + "_" + strings.ToLower(s.String())
-			save(prefix, res.Runs[s])
-			labels = append(labels, s.String())
+		var labels, prefixes, variances []string
+		for i, r := range runs {
+			for _, v := range r.InvariantViolations {
+				violations++
+				fmt.Printf("!! invariant violation [%s]: %s\n", r.Label, v)
+			}
+			prefix := csvPrefix(fig.Name, fig.Keys[i])
+			if err := hwatch.SaveRun(*outDir, prefix, r); err != nil {
+				log.Fatalf("saving %s: %v", prefix, err)
+			}
+			labels = append(labels, r.Label)
 			prefixes = append(prefixes, prefix)
+			variances = append(variances, fmt.Sprintf("%s=%.1f ms^2", r.Label, r.ShortFCTms.Var()))
 		}
-		fmt.Print(hwatch.Table(runs))
-		plots(strings.ToLower(name), labels, prefixes)
-	}
-	if selected("fig8") {
-		schemeFig("Fig8", "50 sources: DropTail / RED / HWatch / DCTCP", hwatch.Fig8(*scale))
-	}
-	if selected("fig9") {
-		schemeFig("Fig9", "100 sources (scalability)", hwatch.Fig9(*scale))
-	}
-	if selected("fig11") {
-		section("Figure 11", "testbed: TCP vs TCP-HWatch")
-		res := hwatch.Fig11(*scale)
-		fmt.Print(hwatch.Table([]*hwatch.Run{res.TCP, res.HWatch}))
-		save("fig11_tcp", res.TCP)
-		save("fig11_hwatch", res.HWatch)
-		plots("fig11", []string{"TCP", "TCP-HWatch"}, []string{"fig11_tcp", "fig11_hwatch"})
+		fmt.Printf("FCT variance: %s\n", strings.Join(variances, ", "))
+		if err := hwatch.WriteFigurePlots(*outDir, fig.Name, labels, prefixes); err != nil {
+			log.Fatalf("plot scripts for %s: %v", fig.Name, err)
+		}
 	}
 	fmt.Printf("\nall selected figures regenerated in %v; curves under %s/\n",
 		time.Since(start).Round(time.Millisecond), *outDir)
@@ -129,58 +116,8 @@ func main() {
 	}
 }
 
-// viaServer fetches each selected figure from a hwatchd instance. Results
-// arrive in wire form; client.Runs re-verifies every run digest, so the
-// CSVs written here are bit-equivalent to a local regeneration on the
-// same code version.
-func viaServer(base, outDir string, scale float64, selected func(string) bool) {
-	cl := client.New(base, nil)
-	ctx := context.Background()
-	start := time.Now()
-	for _, fig := range hwatch.FigNames() {
-		if !selected(fig) {
-			continue
-		}
-		res, err := cl.Submit(ctx, &server.JobRequest{Kind: "fig", Name: fig, Scale: scale})
-		if err != nil {
-			log.Fatalf("%s via %s: %v", fig, base, err)
-		}
-		runs, err := client.Runs(res)
-		if err != nil {
-			log.Fatalf("%s: %v", fig, err)
-		}
-		origin := "computed"
-		if res.Cached {
-			origin = "cache hit"
-		}
-		fmt.Printf("\n== %s — via %s (%s, version %s) ==\n", fig, base, origin, res.Version)
-		fmt.Print(hwatch.Table(runs))
-		var labels, prefixes []string
-		for _, r := range runs {
-			prefix := fig + "_" + sanitize(r.Label)
-			if err := hwatch.SaveRun(outDir, prefix, r); err != nil {
-				log.Fatalf("saving %s: %v", prefix, err)
-			}
-			labels = append(labels, r.Label)
-			prefixes = append(prefixes, prefix)
-		}
-		if err := hwatch.WriteFigurePlots(outDir, fig, labels, prefixes); err != nil {
-			log.Fatalf("plot scripts for %s: %v", fig, err)
-		}
-	}
-	fmt.Printf("\nall selected figures fetched in %v; curves under %s/\n",
-		time.Since(start).Round(time.Millisecond), outDir)
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		default:
-			return '_'
-		}
-	}, s)
+// csvPrefix names one curve's CSV files: the figure, then the curve key
+// with '+' (as in "mix+hwatch") made file-name friendly.
+func csvPrefix(fig, key string) string {
+	return fig + "_" + strings.ReplaceAll(key, "+", "_")
 }

@@ -14,11 +14,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"hwatch"
 	"hwatch/internal/netem"
@@ -52,6 +55,9 @@ func main() {
 		noWheel     = flag.Bool("nowheel", false, "schedule on the plain binary heap instead of the timer wheel")
 	)
 	flag.Parse()
+	// Ctrl-C cancels the run in flight instead of killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	hwatch.SetParallel(*parallel)
 	hwatch.SetShards(*shards)
 	hwatch.SetInvariantChecks(*check)
@@ -116,27 +122,6 @@ func main() {
 
 	var runs []*hwatch.Run
 	switch *exp {
-	case "fig1":
-		res := hwatch.Fig1(*scale)
-		for _, icw := range res.ICWs {
-			runs = append(runs, res.Runs[icw])
-		}
-	case "fig2":
-		res := hwatch.Fig2(*scale)
-		runs = []*hwatch.Run{res.DCTCP, res.Mix}
-	case "fig8":
-		res := hwatch.Fig8(*scale)
-		for _, s := range res.Order {
-			runs = append(runs, res.Runs[s])
-		}
-	case "fig9":
-		res := hwatch.Fig9(*scale)
-		for _, s := range res.Order {
-			runs = append(runs, res.Runs[s])
-		}
-	case "fig11":
-		res := hwatch.Fig11(*scale)
-		runs = []*hwatch.Run{res.TCP, res.HWatch}
 	case "scheme":
 		name := strings.ToLower(*scheme)
 		if _, ok := hwatch.LookupScheme(name); !ok {
@@ -156,7 +141,7 @@ func main() {
 			Dumbbell: p,
 			Faults:   sched,
 		}
-		run, err := sc.Run()
+		run, err := sc.RunContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -175,7 +160,7 @@ func main() {
 			}
 		}
 		for _, name := range names {
-			run, err := hwatch.RunRung(name, *scale)
+			run, err := hwatch.RunRung(ctx, name, *scale)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -194,13 +179,17 @@ func main() {
 			// -faults overrides the file's own schedule.
 			sc.Faults = sched
 		}
-		run, err := sc.Run()
+		run, err := sc.RunContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
 		runs = []*hwatch.Run{run}
 	default:
-		log.Fatalf("unknown experiment %q", *exp)
+		// Anything else names a row of the figure table.
+		var err error
+		if runs, err = hwatch.FigRuns(ctx, *exp, *scale); err != nil {
+			log.Fatalf("-exp %s: %v (or scheme, spec, ladder)", *exp, err)
+		}
 	}
 
 	if *check {

@@ -1,5 +1,5 @@
-// Command sweep runs the ablation studies over HWatch's design choices on
-// the Fig. 8 scenario (see DESIGN.md §5).
+// Command sweep runs the extension studies and the ablation studies over
+// HWatch's design choices on the Fig. 9 scenario (see DESIGN.md §5).
 package main
 
 import (
@@ -7,7 +7,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"hwatch"
 	"hwatch/internal/server"
@@ -26,17 +29,13 @@ func main() {
 		serverURL = flag.String("server", "", "run sweeps via a hwatchd instance (e.g. http://127.0.0.1:8080) instead of locally")
 	)
 	flag.Parse()
+	// Ctrl-C cancels the cells in flight; the sweep then exits non-zero.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	hwatch.SetParallel(*parallel)
 	hwatch.SetInvariantChecks(*check)
 
-	if *serverURL != "" {
-		if *check {
-			log.Fatal("-check runs locally; it cannot be combined with -server")
-		}
-		viaServer(*serverURL, *what, *scale, *schemes)
-		return
-	}
-
+	var names []string // nil = the paper's four, here and on the server
 	set := hwatch.AllSchemes()
 	if *schemes != "" {
 		set = nil
@@ -46,126 +45,74 @@ func main() {
 				log.Fatalf("unknown scheme %q: registered schemes are %s",
 					name, strings.Join(hwatch.SchemeNames(), ", "))
 			}
+			names = append(names, name)
 			set = append(set, hwatch.Scheme(name))
 		}
 	}
 
-	if *what == "empirical" || *what == "all" {
-		fmt.Println("\n== empirical — web-search Poisson workload (extension) ==")
-		p := hwatch.DefaultEmpirical()
-		for _, r := range hwatch.RunEmpirical(set, p) {
-			fmt.Println(r)
-		}
-		if *what == "empirical" {
-			return
-		}
-	}
-	if *what == "coflow" || *what == "all" {
-		fmt.Println("\n== coflow — job completion times, 16-wide jobs (extension) ==")
-		for _, r := range hwatch.RunCoflow(set, hwatch.DefaultCoflow()) {
-			fmt.Println(r)
-		}
-		if *what == "coflow" {
-			return
-		}
-	}
-	if *what == "incast" || *what == "all" {
-		fmt.Println("\n== incast — latency cliff vs synchronized senders (extension) ==")
-		for _, r := range hwatch.RunIncastSweep(set, hwatch.DefaultIncastSweep()) {
-			fmt.Println(r)
-		}
-		if *what == "incast" {
-			return
-		}
-	}
-
-	sweeps := []struct {
-		name    string
-		caption string
-		run     func(float64) []hwatch.AblationPoint
-	}{
-		{"probes", "probe count per connection setup", hwatch.AblationProbes},
-		{"k", "ECN marking threshold (fraction of buffer)", hwatch.AblationThreshold},
-		{"icw", "initial-window policy (probe credit)", hwatch.AblationStartWindow},
-		{"batch", "Rule 1 batch merge and growth cadence", hwatch.AblationBatches},
-		{"pacing", "SYN-ACK token-bucket pacing", hwatch.AblationPacing},
-		{"guests", "guest stack agnosticism (R3)", hwatch.AblationGuestStacks},
-	}
-
-	found := false
-	for _, s := range sweeps {
-		if *what != "all" && *what != s.name {
-			continue
-		}
-		found = true
-		fmt.Printf("\n== ablation %s — %s ==\n", s.name, s.caption)
-		for _, pt := range s.run(*scale) {
-			fmt.Println(pt)
-		}
-	}
-	if !found {
-		log.Fatalf("unknown ablation %q", *what)
-	}
-}
-
-// viaServer runs the selected sweeps as hwatchd jobs and prints the rows
-// the server computed (or had cached).
-func viaServer(base, what string, scale float64, schemes string) {
-	cl := client.New(base, nil)
-	ctx := context.Background()
-	var schemeList []string
-	if schemes != "" {
-		for _, name := range strings.Split(schemes, ",") {
-			schemeList = append(schemeList, strings.ToLower(strings.TrimSpace(name)))
-		}
-	}
+	// Every selected table row is one cell: a hwatchd job with -server, the
+	// row's own Run otherwise. Selection and printing are shared.
 	type cell struct {
-		req     server.JobRequest
-		caption string
+		title, caption string
+		req            server.JobRequest
+		local          func() ([]string, error)
 	}
 	var cells []cell
-	study := func(name, caption string) {
-		cells = append(cells, cell{server.JobRequest{Kind: "study", Name: name, Schemes: schemeList}, caption})
+	selected := func(name string) bool { return *what == "all" || *what == name }
+	for _, st := range hwatch.Studies() {
+		if st := st; selected(st.Name) {
+			cells = append(cells, cell{st.Name, st.Caption,
+				server.JobRequest{Kind: "study", Name: st.Name, Schemes: names},
+				func() ([]string, error) { return st.Run(ctx, set) }})
+		}
 	}
-	ablation := func(name, caption string) {
-		cells = append(cells, cell{server.JobRequest{Kind: "ablation", Name: name, Scale: scale}, caption})
-	}
-	all := what == "all"
-	if all || what == "empirical" {
-		study("empirical", "web-search Poisson workload (extension)")
-	}
-	if all || what == "coflow" {
-		study("coflow", "job completion times, 16-wide jobs (extension)")
-	}
-	if all || what == "incast" {
-		study("incast", "latency cliff vs synchronized senders (extension)")
-	}
-	for _, a := range [][2]string{
-		{"probes", "probe count per connection setup"},
-		{"k", "ECN marking threshold (fraction of buffer)"},
-		{"icw", "initial-window policy (probe credit)"},
-		{"batch", "Rule 1 batch merge and growth cadence"},
-		{"pacing", "SYN-ACK token-bucket pacing"},
-		{"guests", "guest stack agnosticism (R3)"},
-	} {
-		if all || what == a[0] {
-			ablation(a[0], a[1])
+	for _, ab := range hwatch.Ablations() {
+		if ab := ab; selected(ab.Name) {
+			cells = append(cells, cell{"ablation " + ab.Name, ab.Caption,
+				server.JobRequest{Kind: "ablation", Name: ab.Name, Scale: *scale},
+				func() ([]string, error) {
+					pts, err := ab.Run(ctx, *scale)
+					rows := make([]string, len(pts))
+					for i, pt := range pts {
+						rows[i] = pt.String()
+					}
+					return rows, err
+				}})
 		}
 	}
 	if len(cells) == 0 {
-		log.Fatalf("unknown ablation %q", what)
+		log.Fatalf("unknown sweep %q: see -what", *what)
+	}
+
+	var cl *client.Client
+	if *serverURL != "" {
+		if *check {
+			log.Fatal("-check runs locally; it cannot be combined with -server")
+		}
+		cl = client.New(*serverURL, nil)
 	}
 	for _, c := range cells {
-		res, err := cl.Submit(ctx, &c.req)
+		fmt.Printf("\n== %s — %s ==\n", c.title, c.caption)
+		var rows []string
+		var err error
+		if cl != nil {
+			var res *server.Result
+			if res, err = cl.Submit(ctx, &c.req); err == nil {
+				origin := "computed"
+				if res.Cached {
+					origin = "cache hit"
+				}
+				fmt.Printf("(via %s, %s)\n", *serverURL, origin)
+				rows = res.Rows
+			}
+		} else {
+			rows, err = c.local()
+		}
 		if err != nil {
-			log.Fatalf("%s %s via %s: %v", c.req.Kind, c.req.Name, base, err)
+			// A failed or cancelled sweep is an error, not an empty table.
+			log.Fatalf("%s: %v", c.title, err)
 		}
-		origin := "computed"
-		if res.Cached {
-			origin = "cache hit"
-		}
-		fmt.Printf("\n== %s %s — %s (via %s, %s) ==\n", c.req.Kind, c.req.Name, c.caption, base, origin)
-		for _, row := range res.Rows {
+		for _, row := range rows {
 			fmt.Println(row)
 		}
 	}

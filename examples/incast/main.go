@@ -6,19 +6,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
+	"os/signal"
 
 	"hwatch"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	fmt.Println("Incast cliff: mean short-flow FCT (ms) vs number of synchronized senders")
 	fmt.Println("(10 KB flows into one 10 Gb/s port with a 250-packet buffer; '-' = flows unfinished)")
 	fmt.Println()
 
 	p := hwatch.DefaultIncastSweep()
 	schemes := []hwatch.Scheme{hwatch.DropTail, hwatch.DCTCP, hwatch.HWatch}
-	points := hwatch.RunIncastSweep(schemes, p)
+	points, err := hwatch.RunIncastSweep(ctx, schemes, p)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-14s", "senders")
 	for _, d := range p.Degrees {

@@ -4,24 +4,34 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
+	"os/signal"
 
 	"hwatch"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	fmt.Println("HWatch quickstart: 50-source scheme comparison at 40% scale")
 	fmt.Println("(use cmd/figgen for the full paper-scale regeneration)")
 	fmt.Println()
 
-	res := hwatch.Fig8(0.4)
-	var runs []*hwatch.Run
-	for _, s := range res.Order {
-		runs = append(runs, res.Runs[s])
+	runs, err := hwatch.FigRuns(ctx, "fig8", 0.4)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Print(hwatch.Table(runs))
 
-	hw := res.Runs[hwatch.HWatch]
+	var hw *hwatch.Run
+	for _, r := range runs {
+		if r.Label == hwatch.HWatch.String() {
+			hw = r
+		}
+	}
 	fmt.Println()
 	fmt.Printf("HWatch finished %d/%d short flows with %d timeouts and %d drops.\n",
 		hw.ShortDone, hw.ShortAll, hw.Timeouts, hw.Drops)

@@ -6,12 +6,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
+	"os/signal"
 
 	"hwatch"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	fmt.Println("Leaf-spine testbed (Fig. 11 scenario, reduced web load for a quick run)")
 	fmt.Println()
 
@@ -20,9 +26,15 @@ func main() {
 	p.Epochs = 3
 	p.Duration = p.FirstEpoch + int64(p.Epochs)*p.EpochInterval
 
-	tcpRun := hwatch.RunTestbed(false, p)
+	tcpRun, err := hwatch.RunTestbed(ctx, false, p)
+	if err != nil {
+		log.Fatal(err)
+	}
 	tcpRun.Label = "TCP"
-	hwRun := hwatch.RunTestbed(true, p)
+	hwRun, err := hwatch.RunTestbed(ctx, true, p)
+	if err != nil {
+		log.Fatal(err)
+	}
 	hwRun.Label = "TCP-HWatch"
 
 	fmt.Print(hwatch.Table([]*hwatch.Run{tcpRun, hwRun}))

@@ -10,16 +10,20 @@
 // statistics and steers unmodified guests by rewriting TCP receive
 // windows and pacing connection setup.
 //
-// The package surface mirrors the paper's evaluation: Fig1 through Fig11
-// regenerate each data figure, RunDumbbell/RunTestbed run single scenarios,
-// and the Ablation functions quantify the design choices. All runs are
-// deterministic in their Seed.
+// The package surface mirrors the paper's evaluation, one table per kind
+// of name: Figures lists each data figure (FigRuns runs one by name),
+// Ablations the sweeps over the design choices, Studies the extension
+// studies; RunDumbbell/RunTestbed run single scenarios and a Scenario
+// describes any other. Every entry point takes a context first and
+// returns an error — cancelling the context stops a run mid-flight; the
+// root context belongs to main (signal.NotifyContext, so Ctrl-C cancels).
+// All runs are deterministic in their Seed.
 //
-//	res := hwatch.Fig8(1.0) // the 50-source scheme comparison
-//	fmt.Print(hwatch.Table([]*hwatch.Run{
-//	    res.Runs[hwatch.DropTail], res.Runs[hwatch.RED],
-//	    res.Runs[hwatch.HWatch], res.Runs[hwatch.DCTCP],
-//	}))
+//	runs, err := hwatch.FigRuns(ctx, "fig8", 1.0) // the 50-source scheme comparison
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
+//	fmt.Print(hwatch.Table(runs)) // DropTail, RED, HWatch, DCTCP
 package hwatch
 
 import (
@@ -35,10 +39,10 @@ import (
 )
 
 // SetParallel bounds how many scenario runs execute concurrently across
-// every figure, ablation and sweep (n <= 0 restores the default,
+// every figure, ablation and study (n <= 0 restores the default,
 // GOMAXPROCS). Parallelism never affects results: every run owns its
 // simulation engine and seeded RNG, so the same spec and seed digest
-// identically at any setting.
+// identically at any setting. Process-wide, like SetShards.
 func SetParallel(n int) { experiments.SetParallel(n) }
 
 // SetShards sets how many engine shards every subsequent run partitions
@@ -53,7 +57,7 @@ func SetShards(n int) { scenario.SetDefaultShards(n) }
 // conservation at the bottleneck, TCP sequence monotonicity, cwnd/rwnd
 // floors) on every subsequent run; findings land in
 // Run.InvariantViolations.
-func SetInvariantChecks(on bool) { experiments.SetInvariantChecks(on) }
+func SetInvariantChecks(on bool) { scenario.SetInvariantChecks(on) }
 
 // SeedFor derives a deterministic per-run seed from a spec identity string
 // and a base seed (FNV-64a of the spec, mixed with the base through one
@@ -63,14 +67,14 @@ func SeedFor(spec string, base int64) int64 { return harness.SeedFor(spec, base)
 // Scheme names one of the registered end-to-end systems. The value is
 // the registry key ("dctcp", "hwatch", ...); String renders the display
 // label the figures print.
-type Scheme = experiments.Scheme
+type Scheme = scenario.Scheme
 
 // The paper's four schemes (Figs. 8-9).
 const (
-	DropTail = experiments.SchemeDropTail
-	RED      = experiments.SchemeRED
-	DCTCP    = experiments.SchemeDCTCP
-	HWatch   = experiments.SchemeHWatch
+	DropTail = scenario.DropTail
+	RED      = scenario.RED
+	DCTCP    = scenario.DCTCP
+	HWatch   = scenario.HWatch
 )
 
 // Extension schemes registered out of the box.
@@ -83,7 +87,7 @@ const (
 )
 
 // AllSchemes lists the comparison set in the paper's order.
-func AllSchemes() []Scheme { return experiments.AllSchemes() }
+func AllSchemes() []Scheme { return scenario.AllSchemes() }
 
 // SchemeDef is one registered scheme: display label plus factories for
 // the guest stack, the bottleneck queue discipline and an optional
@@ -114,8 +118,8 @@ func LookupScheme(name string) (SchemeDef, bool) { return scenario.Lookup(name) 
 
 // Scenario is the declarative description the unified run path executes:
 // a topology kind, one or more registered schemes (more than one = mixed
-// tenancy), a workload and observers. The figure entry points are thin
-// wrappers over it.
+// tenancy), a workload and observers; Scenario.RunContext(ctx) runs it.
+// Every figure, ablation and study is a list of these.
 type Scenario = scenario.Spec
 
 // SchemeShare assigns a scheme a relative host share in a mixed-tenancy
@@ -164,13 +168,13 @@ type RecoveryObserver = scenario.RecoveryObserver
 // Run is one scenario's measured outcome: the exact series the paper's
 // figures plot (FCT CDFs, goodput CDFs, queue and utilization time series)
 // plus drop/mark/timeout totals.
-type Run = experiments.Run
+type Run = scenario.Run
 
 // DumbbellParams parameterizes the ns-2-style scenarios (Figs. 1, 2, 8, 9).
-type DumbbellParams = experiments.DumbbellParams
+type DumbbellParams = scenario.DumbbellParams
 
 // TestbedParams parameterizes the leaf-spine testbed scenario (Fig. 11).
-type TestbedParams = experiments.TestbedParams
+type TestbedParams = scenario.TestbedParams
 
 // ShimConfig is the HWatch hypervisor-module configuration (probe train,
 // window policy, SYN-ACK pacing, ECT dyeing).
@@ -192,11 +196,11 @@ type AblationPoint = experiments.AblationPoint
 // RTT, 250-packet buffer, 20% marking, minRTO 200 ms) for the given
 // long/short source split.
 func PaperDumbbell(longN, shortN int) DumbbellParams {
-	return experiments.PaperDumbbell(longN, shortN)
+	return scenario.PaperDumbbell(longN, shortN)
 }
 
 // PaperTestbed returns the paper's 4-rack 84-host testbed parameters.
-func PaperTestbed() TestbedParams { return experiments.PaperTestbed() }
+func PaperTestbed() TestbedParams { return scenario.PaperTestbed() }
 
 // DefaultShimConfig returns the paper's HWatch deployment parameters for a
 // fabric with the given base RTT (ns).
@@ -209,60 +213,47 @@ func DefaultTCPConfig() TCPConfig { return tcp.DefaultConfig() }
 // DCTCPTCPConfig returns the DCTCP guest configuration.
 func DCTCPTCPConfig() TCPConfig { return tcp.DCTCPConfig() }
 
-// RunDumbbell executes one scheme on the dumbbell scenario.
-func RunDumbbell(s Scheme, p DumbbellParams) *Run { return experiments.RunDumbbell(s, p) }
-
-// RunTestbed executes the leaf-spine scenario with or without HWatch.
-func RunTestbed(withHWatch bool, p TestbedParams) *Run {
-	return experiments.RunTestbed(withHWatch, p)
+// RunDumbbell executes one scheme on the dumbbell scenario under ctx.
+func RunDumbbell(ctx context.Context, s Scheme, p DumbbellParams) (*Run, error) {
+	return scenario.RunDumbbell(ctx, s, p)
 }
 
-// Figure results.
-type (
-	Fig1Result  = experiments.Fig1Result
-	Fig2Result  = experiments.Fig2Result
-	Fig8Result  = experiments.Fig8Result
-	Fig11Result = experiments.Fig11Result
-)
+// RunTestbed executes the leaf-spine scenario with or without HWatch.
+func RunTestbed(ctx context.Context, withHWatch bool, p TestbedParams) (*Run, error) {
+	return scenario.RunTestbed(ctx, withHWatch, p)
+}
 
-// Fig1 regenerates the DCTCP initial-window study (Fig. 1a-d).
-// scale in (0,1] shrinks sources/duration for quick runs; 1.0 is the
-// paper's scale.
-func Fig1(scale float64) *Fig1Result { return experiments.Fig1(scale) }
+// Figure is one row of the figure table: name ("fig8"), caption, one key
+// per curve, and Run(ctx, scale), which regenerates the figure's runs in
+// curve order. scale in (0,1] shrinks sources/duration for quick runs;
+// 1.0 is the paper's scale.
+type Figure = experiments.Figure
 
-// Fig2 regenerates the congestion-controller coexistence study (Fig. 2a-d).
-func Fig2(scale float64) *Fig2Result { return experiments.Fig2(scale) }
-
-// Fig8 regenerates the 50-source scheme comparison (Fig. 8a-d).
-func Fig8(scale float64) *Fig8Result { return experiments.Fig8(scale) }
-
-// Fig9 regenerates the 100-source scalability comparison (Fig. 9a-d).
-func Fig9(scale float64) *Fig8Result { return experiments.Fig9(scale) }
-
-// Fig11 regenerates the testbed experiment (Fig. 11a-b).
-func Fig11(scale float64) *Fig11Result { return experiments.Fig11(scale) }
-
-// FigNames lists the figures FigRuns (and the hwatchd "fig" job kind) can
-// execute, in paper order.
-func FigNames() []string { return experiments.FigNames() }
+// Figures lists the paper's data figures (Figs. 1, 2, 8, 9, 11) in paper
+// order; the CLIs and the hwatchd "fig" job kind read this table.
+func Figures() []Figure { return experiments.Figures() }
 
 // FigRuns executes one named figure under ctx and returns its runs in the
-// figure's canonical order; it is the service-facing flat entry point.
+// figure's curve order; an unknown name errors, listing the table.
 func FigRuns(ctx context.Context, name string, scale float64) ([]*Run, error) {
 	return experiments.FigRuns(ctx, name, scale)
 }
 
-// Ablations (see DESIGN.md §5).
-func AblationProbes(scale float64) []AblationPoint    { return experiments.AblationProbes(scale) }
-func AblationThreshold(scale float64) []AblationPoint { return experiments.AblationThreshold(scale) }
-func AblationStartWindow(scale float64) []AblationPoint {
-	return experiments.AblationStartWindow(scale)
-}
-func AblationBatches(scale float64) []AblationPoint { return experiments.AblationBatches(scale) }
-func AblationPacing(scale float64) []AblationPoint  { return experiments.AblationPacing(scale) }
-func AblationGuestStacks(scale float64) []AblationPoint {
-	return experiments.AblationGuestStacks(scale)
-}
+// Ablation is one row of the ablation table (see DESIGN.md §5): name,
+// caption and Run(ctx, scale), which returns one AblationPoint per case.
+type Ablation = experiments.Ablation
+
+// Ablations lists the sweeps over HWatch's design choices: probes, k,
+// icw, batch, pacing, guests.
+func Ablations() []Ablation { return experiments.Ablations() }
+
+// Study is one row of the extension-study table: name, caption and
+// Run(ctx, schemes), which runs the study at its default parameters and
+// returns one printable row per cell.
+type Study = experiments.Study
+
+// Studies lists the extension studies: empirical, coflow, incast.
+func Studies() []Study { return experiments.Studies() }
 
 // EmpiricalParams and EmpiricalResult belong to the trace-driven extension
 // study (web-search / data-mining flow sizes under Poisson load).
@@ -276,8 +267,8 @@ type (
 func DefaultEmpirical() EmpiricalParams { return experiments.DefaultEmpirical() }
 
 // RunEmpirical executes the trace-driven study for the given schemes.
-func RunEmpirical(schemes []Scheme, p EmpiricalParams) []EmpiricalResult {
-	return experiments.RunEmpirical(schemes, p)
+func RunEmpirical(ctx context.Context, schemes []Scheme, p EmpiricalParams) ([]EmpiricalResult, error) {
+	return experiments.RunEmpirical(ctx, schemes, p)
 }
 
 // CoflowParams and CoflowResult belong to the job-completion extension
@@ -292,8 +283,8 @@ type (
 func DefaultCoflow() CoflowParams { return experiments.DefaultCoflow() }
 
 // RunCoflow executes the job-completion study for the given schemes.
-func RunCoflow(schemes []Scheme, p CoflowParams) []CoflowResult {
-	return experiments.RunCoflow(schemes, p)
+func RunCoflow(ctx context.Context, schemes []Scheme, p CoflowParams) ([]CoflowResult, error) {
+	return experiments.RunCoflow(ctx, schemes, p)
 }
 
 // IncastSweepParams and IncastPoint belong to the incast-cliff sweep: FCT
@@ -307,8 +298,8 @@ type (
 func DefaultIncastSweep() IncastSweepParams { return experiments.DefaultIncastSweep() }
 
 // RunIncastSweep executes the cliff sweep for the given schemes.
-func RunIncastSweep(schemes []Scheme, p IncastSweepParams) []IncastPoint {
-	return experiments.RunIncastSweep(schemes, p)
+func RunIncastSweep(ctx context.Context, schemes []Scheme, p IncastSweepParams) ([]IncastPoint, error) {
+	return experiments.RunIncastSweep(ctx, schemes, p)
 }
 
 // Rung is one step of the benchmark scale ladder: a named scenario at a
@@ -329,7 +320,9 @@ func LookupRung(name string) (Rung, bool) { return scenario.LookupRung(name) }
 
 // RunRung executes a registered ladder rung at the given scale (1 = the
 // full rung; smaller values shrink sources/flows proportionally).
-func RunRung(name string, scale float64) (*Run, error) { return scenario.RunRung(name, scale) }
+func RunRung(ctx context.Context, name string, scale float64) (*Run, error) {
+	return scenario.RunRung(ctx, name, scale)
+}
 
 // RegisterRung adds a rung to the ladder registry; it becomes available
 // to RunRung, `hwatchsim -exp ladder` and the bench-ladder tooling.
@@ -337,14 +330,14 @@ func RunRung(name string, scale float64) (*Run, error) { return scenario.RunRung
 func RegisterRung(r Rung) { scenario.RegisterRung(r) }
 
 // Spec is a JSON-file description of a runnable scenario (cmd/hwatchsim
-// -exp spec -spec file.json).
-type Spec = experiments.Spec
+// -exp spec -spec file.json); Spec.Scenario() converts it to a Scenario.
+type Spec = scenario.FileSpec
 
 // LoadSpec reads and validates a scenario spec from a JSON file.
-func LoadSpec(path string) (*Spec, error) { return experiments.LoadSpec(path) }
+func LoadSpec(path string) (*Spec, error) { return scenario.LoadSpec(path) }
 
 // ParseSpec validates a scenario spec from JSON bytes.
-func ParseSpec(raw []byte) (*Spec, error) { return experiments.ParseSpec(raw) }
+func ParseSpec(raw []byte) (*Spec, error) { return scenario.ParseSpec(raw) }
 
 // Table renders runs as an aligned comparison table.
 func Table(runs []*Run) string { return experiments.Table(runs) }

@@ -1,6 +1,7 @@
 package hwatch
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,10 @@ func TestFacadeRunDumbbell(t *testing.T) {
 	p.Epochs = 1
 	p.FirstEpoch = 20 * sim.Millisecond
 	p.ByteBuffers = true
-	r := RunDumbbell(HWatch, p)
+	r, err := RunDumbbell(context.Background(), HWatch, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.ShortDone != r.ShortAll || r.ShortAll != 3 {
 		t.Fatalf("short flows %d/%d", r.ShortDone, r.ShortAll)
 	}
@@ -56,7 +60,10 @@ func TestFacadeTableAndSave(t *testing.T) {
 	p.Duration = 500 * sim.Millisecond // room for RTO recovery of the shorts
 	p.Epochs = 1
 	p.FirstEpoch = 10 * sim.Millisecond
-	r := RunDumbbell(DropTail, p)
+	r, err := RunDumbbell(context.Background(), DropTail, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.ShortFCTms.N() == 0 {
 		t.Fatal("no short flow completed; cannot exercise CSV output")
 	}

@@ -10,16 +10,18 @@
 // Exemptions:
 //   - package main (the process root legitimately creates the root
 //     context) and _test.go files;
-//   - compatibility wrappers: a function with no context.Context
-//     parameter whose Background()/TODO() value is passed directly to a
-//     callee whose name ends in "Context" (the `Run` → `RunContext`
-//     pattern keeps old call sites compiling while new code threads);
 //   - justified //hwatchvet:allow ctxflow sites (e.g. a documented
 //     nil-context default at an API boundary).
+//
+// There is no exemption for a ctx-less wrapper handing a fresh root to
+// its own *Context variant: the tree keeps no such wrappers, and the
+// analyzer also reports any package that declares both X and XContext
+// (same receiver), so the doubled API cannot grow back.
 package ctxflow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"reflect"
 	"regexp"
@@ -35,13 +37,13 @@ import (
 
 // DefaultScope matches every first-party package; package main is
 // exempted by name, not by path.
-const DefaultScope = `^hwatch/`
+const DefaultScope = `^hwatch(/|$)`
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "forbid context.Background()/TODO() outside package main, tests, " +
-		"compat wrappers delegating to a *Context variant, and justified " +
-		"//hwatchvet:allow sites — cancellation must thread end to end",
+	Doc: "forbid context.Background()/TODO() outside package main, tests " +
+		"and justified //hwatchvet:allow sites — cancellation must thread " +
+		"end to end",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: usedType,
 	Run:        run,
@@ -66,27 +68,53 @@ func run(pass *analysis.Pass) (any, error) {
 	set := allowdir.Collect(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
-	nodeFilter := []ast.Node{(*ast.CallExpr)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
+	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
-			return false
+			return
 		}
 		call := n.(*ast.CallExpr)
-		name := freshContextCall(pass.TypesInfo, call)
-		if name == "" {
-			return true
+		if name := freshContextCall(pass.TypesInfo, call); name != "" {
+			allowdir.Report(pass, set, used, "ctxflow", call.Pos(),
+				"context.%s mints a fresh root: cancellation stops here — thread the caller's context instead (add a ctx parameter)", name)
 		}
-		if isCompatWrapper(pass.TypesInfo, call, stack) {
-			return true
-		}
-		allowdir.Report(pass, set, used, "ctxflow", call.Pos(),
-			"context.%s mints a fresh root: cancellation stops here — thread the caller's context instead (add a ctx parameter, or delegate through a *Context variant)", name)
-		return true
 	})
+	reportTwins(pass, set, used)
 	return used, nil
+}
+
+// reportTwins flags a function or method X declared next to XContext in
+// the same package: every entry point has one form, context first.
+func reportTwins(pass *analysis.Pass, set *allowdir.Set, used allowdir.Used) {
+	type decl struct {
+		key string
+		pos token.Pos
+	}
+	var decls []decl
+	declared := map[string]bool{}
+	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			key := fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				recv := types.ExprString(ast.Unparen(fd.Recv.List[0].Type))
+				key = strings.TrimPrefix(recv, "*") + "." + key
+			}
+			declared[key] = true
+			decls = append(decls, decl{key, fd.Name.Pos()})
+		}
+	}
+	for _, d := range decls {
+		if declared[d.key+"Context"] {
+			allowdir.Report(pass, set, used, "ctxflow", d.pos,
+				"%s is declared next to %sContext: keep one entry point, context first", d.key, d.key)
+		}
+	}
 }
 
 // freshContextCall returns "Background" or "TODO" when the call is
@@ -100,95 +128,6 @@ func freshContextCall(info *types.Info, call *ast.CallExpr) string {
 		return fn.Name()
 	}
 	return ""
-}
-
-// isCompatWrapper reports whether this Background()/TODO() is the
-// sanctioned compatibility-wrapper shape: the enclosing function has no
-// context.Context parameter (so there is nothing to thread) and the
-// fresh context flows directly into a call whose callee name ends in
-// "Context".
-func isCompatWrapper(info *types.Info, call *ast.CallExpr, stack []ast.Node) bool {
-	enclosing := enclosingFunc(stack)
-	if enclosing == nil || hasContextParam(info, enclosing) {
-		return false
-	}
-	// Walk outward: the parent node must be (an argument of) a call to a
-	// *Context-named callee, possibly through parens.
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch parent := stack[i].(type) {
-		case *ast.ParenExpr:
-			continue
-		case *ast.CallExpr:
-			for _, arg := range parent.Args {
-				if ast.Unparen(arg) == ast.Node(call) {
-					return calleeNameEndsInContext(info, parent)
-				}
-			}
-			return false
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-func calleeNameEndsInContext(info *types.Info, call *ast.CallExpr) bool {
-	if fn, ok := typeutil.Callee(info, call).(*types.Func); ok {
-		return strings.HasSuffix(fn.Name(), "Context")
-	}
-	// Dynamic callee: fall back to the syntactic name.
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return strings.HasSuffix(fun.Name, "Context")
-	case *ast.SelectorExpr:
-		return strings.HasSuffix(fun.Sel.Name, "Context")
-	}
-	return false
-}
-
-// enclosingFunc returns the innermost FuncDecl or FuncLit on the stack.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
-		}
-	}
-	return nil
-}
-
-// hasContextParam reports whether the function (or, for a literal, any
-// enclosing declared function would be checked by its own visit) takes
-// a context.Context parameter.
-func hasContextParam(info *types.Info, fn ast.Node) bool {
-	var ft *ast.FuncType
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		ft = fn.Type
-	case *ast.FuncLit:
-		ft = fn.Type
-	}
-	if ft == nil || ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		if isContextType(info.TypeOf(field.Type)) {
-			return true
-		}
-	}
-	return false
-}
-
-func isContextType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 var usedType = reflect.TypeOf(allowdir.Used{})

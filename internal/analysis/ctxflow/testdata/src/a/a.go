@@ -8,18 +8,14 @@ import (
 	"time"
 )
 
-// RunContext is the threaded entry point the compat wrappers delegate to.
+// RunContext is a threaded entry point.
 func RunContext(ctx context.Context) error { return ctx.Err() }
 
-// Run is the sanctioned compat-wrapper shape: no context parameter, and
-// the fresh root flows directly into a *Context-named callee.
-func Run() error {
-	return RunContext(context.Background())
-}
-
-// RunParen still matches through parentheses.
-func RunParen() error {
-	return RunContext((context.Background()))
+// Run is the ctx-less twin the tree no longer keeps: handing a fresh
+// root to the *Context variant is where cancellation used to stop, and
+// declaring both forms is itself a finding.
+func Run() error { // want `Run is declared next to RunContext`
+	return RunContext(context.Background()) // want `context\.Background mints a fresh root`
 }
 
 func mintsRoot() {
@@ -32,15 +28,12 @@ func mintsTODO() {
 	_ = ctx
 }
 
-// hasCtxButMints has a caller context to thread, so delegating to a
-// *Context callee does not excuse the fresh root.
+// hasCtxButMints has a caller context to thread and drops it.
 func hasCtxButMints(ctx context.Context) error {
 	return RunContext(context.Background()) // want `context\.Background mints a fresh root`
 }
 
-// withTimeout derives from a fresh root instead of the caller's context;
-// WithTimeout is not a *Context-named delegate, so the wrapper exemption
-// does not apply.
+// withTimeout derives from a fresh root instead of the caller's context.
 func withTimeout() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second) // want `context\.Background mints a fresh root`
 	defer cancel()
@@ -57,3 +50,17 @@ func suppressed() {
 	ctx := context.Background()
 	_ = ctx
 }
+
+// Methods are twins per receiver: job.Wait beside job.WaitContext is one,
+// pool.Wait with no pool.WaitContext is not.
+type job struct{}
+
+func (j *job) Wait() error { // want `job\.Wait is declared next to job\.WaitContext`
+	return nil
+}
+
+func (j job) WaitContext(ctx context.Context) error { return ctx.Err() }
+
+type pool struct{}
+
+func (pool) Wait() {}

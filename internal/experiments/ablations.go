@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hwatch/internal/core"
-	"hwatch/internal/harness"
 	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 	"hwatch/internal/tcp"
@@ -28,7 +27,7 @@ type AblationPoint struct {
 	SetupDelay int64 // probe span (connection-setup cost), ns
 }
 
-func point(label string, r *Run, setupDelay int64) AblationPoint {
+func point(label string, r *scenario.Run, setupDelay int64) AblationPoint {
 	return AblationPoint{
 		Label:      label,
 		MeanFCTms:  r.ShortFCTms.Mean(),
@@ -48,8 +47,8 @@ func (p AblationPoint) String() string {
 		p.Label, p.MeanFCTms, p.P99FCTms, p.Timeouts, p.Drops, p.Goodput/1e9, p.Done, p.All)
 }
 
-func ablationBase(scale float64) DumbbellParams {
-	p := scaled(PaperDumbbell(50, 50), scale)
+func ablationBase(scale float64) scenario.DumbbellParams {
+	p := scaled(scenario.PaperDumbbell(50, 50), scale)
 	p.ByteBuffers = true
 	return p
 }
@@ -59,59 +58,73 @@ func ablationBase(scale float64) DumbbellParams {
 // R3 agnosticism study instead of the scheme's default).
 type ablationCase struct {
 	label string
-	prep  func(*DumbbellParams)
+	prep  func(*scenario.DumbbellParams)
 	guest *tcp.Config
 }
 
-// runAblation executes the cases through the harness pool, preserving
-// case order in the output (the classic entry point).
-func runAblation(scale float64, cases []ablationCase) []AblationPoint {
-	out, _ := runAblationContext(context.Background(), scale, cases)
-	return out
+// Ablation is one row of the ablation table: a named sweep over one of
+// HWatch's design choices.
+type Ablation struct {
+	// Name is what sweep -what and hwatchd "ablation" jobs call the sweep.
+	Name    string
+	Caption string
+	cases   func() []ablationCase
 }
 
-// runAblationContext executes the cases under ctx: cancellation skips
-// queued cases, interrupts running ones through the engine poll hook,
-// and returns ctx.Err with the rows completed so far.
-func runAblationContext(ctx context.Context, scale float64, cases []ablationCase) ([]AblationPoint, error) {
-	return harness.Map(ctx, ParallelN(), cases,
-		func(cctx context.Context, c ablationCase) (AblationPoint, error) {
-			p := ablationBase(scale)
-			if c.prep != nil {
-				c.prep(&p)
-			}
-			var r *Run
-			var err error
-			if c.guest != nil {
-				r, err = runHWatchWithGuest(cctx, p, *c.guest)
-			} else {
-				r, err = RunDumbbellContext(cctx, SchemeHWatch, p)
-			}
-			if err != nil {
-				return AblationPoint{}, err
-			}
-			return point(c.label, r, 0), nil
-		})
+// Run executes the sweep's cases under ctx and returns one point per case
+// in case order; a failed or cancelled case returns the error and no rows.
+func (a Ablation) Run(ctx context.Context, scale float64) ([]AblationPoint, error) {
+	cases := a.cases()
+	specs := make([]*scenario.Spec, len(cases))
+	for i, c := range cases {
+		p := ablationBase(scale)
+		if c.prep != nil {
+			c.prep(&p)
+		}
+		// An explicit guest replaces the scheme's default stack; the shims
+		// keep the scheme's default guest view, as a hypervisor module
+		// would: it cannot know what stack the tenant boots.
+		specs[i] = dumbbellSpec(scenario.HWatch, p)
+		specs[i].Guest = c.guest
+	}
+	runs, err := runSpecs(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationPoint, len(runs))
+	for i, r := range runs {
+		out[i] = point(cases[i].label, r, 0)
+	}
+	return out, nil
 }
 
-// AblationProbes sweeps the probe count and compares uniform vs.
-// non-uniform spacing (the paper argues for 10 probes, jittered).
-func AblationProbes(scale float64) []AblationPoint {
-	return runAblation(scale, probesCases())
+var ablations = []Ablation{
+	{"probes", "probe count per connection setup", probesCases},
+	{"k", "ECN marking threshold (fraction of buffer)", thresholdCases},
+	{"icw", "initial-window policy (probe credit)", startWindowCases},
+	{"batch", "Rule 1 batch merge and growth cadence", batchesCases},
+	{"pacing", "SYN-ACK token-bucket pacing", pacingCases},
+	{"guests", "guest stack agnosticism (R3)", guestStackCases},
 }
 
-// AblationProbesContext is AblationProbes under a context.
-func AblationProbesContext(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	return runAblationContext(ctx, scale, probesCases())
+// Ablations lists the ablation sweeps in the order sweep -what all runs
+// them (DESIGN.md §5).
+func Ablations() []Ablation { return append([]Ablation(nil), ablations...) }
+
+// LookupAblation finds an ablation by name.
+func LookupAblation(name string) (Ablation, error) {
+	return find("ablation", ablations, func(a Ablation) string { return a.Name }, name)
 }
 
+// probesCases sweeps the probe count and compares uniform vs. non-uniform
+// spacing (the paper argues for 10 probes, jittered).
 func probesCases() []ablationCase {
 	var cases []ablationCase
 	for _, n := range []int{0, 2, 5, 10, 20} {
 		n := n
 		cases = append(cases, ablationCase{
 			label: fmt.Sprintf("probes=%d", n),
-			prep: func(p *DumbbellParams) {
+			prep: func(p *scenario.DumbbellParams) {
 				p.ShimTweak = func(c *core.Config) { c.ProbeCount = n }
 			},
 		})
@@ -119,49 +132,31 @@ func probesCases() []ablationCase {
 	// Spacing comparison at the paper's probe count.
 	cases = append(cases, ablationCase{
 		label: "probes=10 uniform",
-		prep: func(p *DumbbellParams) {
+		prep: func(p *scenario.DumbbellParams) {
 			p.ShimTweak = func(c *core.Config) { c.UniformProbeSpacing = true }
 		},
 	})
 	return cases
 }
 
-// AblationThreshold sweeps the ECN marking threshold as a fraction of the
+// thresholdCases sweeps the ECN marking threshold as a fraction of the
 // buffer (the paper fixes 20%).
-func AblationThreshold(scale float64) []AblationPoint {
-	return runAblation(scale, thresholdCases())
-}
-
-// AblationThresholdContext is AblationThreshold under a context.
-func AblationThresholdContext(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	return runAblationContext(ctx, scale, thresholdCases())
-}
-
 func thresholdCases() []ablationCase {
 	var cases []ablationCase
 	for _, frac := range []float64{0.05, 0.10, 0.20, 0.35, 0.50} {
 		frac := frac
 		cases = append(cases, ablationCase{
 			label: fmt.Sprintf("K=%.0f%%", frac*100),
-			prep:  func(p *DumbbellParams) { p.MarkFrac = frac },
+			prep:  func(p *scenario.DumbbellParams) { p.MarkFrac = frac },
 		})
 	}
 	return cases
 }
 
-// AblationStartWindow compares initial-window policies: the cautious
+// startWindowCases compares initial-window policies: the cautious
 // default (marked probes earn nothing), the Corollary IV.2.2 credit
 // (marked probes earn half), full credit (probing only confirms
 // reachability), and probing disabled (stock ICW always).
-func AblationStartWindow(scale float64) []AblationPoint {
-	return runAblation(scale, startWindowCases())
-}
-
-// AblationStartWindowContext is AblationStartWindow under a context.
-func AblationStartWindowContext(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	return runAblationContext(ctx, scale, startWindowCases())
-}
-
 func startWindowCases() []ablationCase {
 	cases := []struct {
 		label  string
@@ -178,7 +173,7 @@ func startWindowCases() []ablationCase {
 		c := c
 		rows = append(rows, ablationCase{
 			label: c.label,
-			prep: func(p *DumbbellParams) {
+			prep: func(p *scenario.DumbbellParams) {
 				p.ShimTweak = func(cc *core.Config) {
 					cc.StartMarkedCredit = c.credit
 					cc.ProbeCount = c.probes
@@ -189,18 +184,9 @@ func startWindowCases() []ablationCase {
 	return rows
 }
 
-// AblationBatches compares Rule 1 batch policies: merged first+second
+// batchesCases compares Rule 1 batch policies: merged first+second
 // batches (Cor IV.2.2) vs. the strict three-batch split, and the growth
 // cadence.
-func AblationBatches(scale float64) []AblationPoint {
-	return runAblation(scale, batchesCases())
-}
-
-// AblationBatchesContext is AblationBatches under a context.
-func AblationBatchesContext(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	return runAblationContext(ctx, scale, batchesCases())
-}
-
 func batchesCases() []ablationCase {
 	cases := []struct {
 		label string
@@ -217,7 +203,7 @@ func batchesCases() []ablationCase {
 		c := c
 		rows = append(rows, ablationCase{
 			label: c.label,
-			prep: func(p *DumbbellParams) {
+			prep: func(p *scenario.DumbbellParams) {
 				p.ShimTweak = func(cc *core.Config) {
 					cc.MergeBatch1 = c.merge
 					cc.GrowthEvery = c.every
@@ -228,16 +214,7 @@ func batchesCases() []ablationCase {
 	return rows
 }
 
-// AblationPacing toggles the SYN-ACK token bucket.
-func AblationPacing(scale float64) []AblationPoint {
-	return runAblation(scale, pacingCases())
-}
-
-// AblationPacingContext is AblationPacing under a context.
-func AblationPacingContext(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	return runAblationContext(ctx, scale, pacingCases())
-}
-
+// pacingCases toggles the SYN-ACK token bucket.
 func pacingCases() []ablationCase {
 	cases := []struct {
 		label string
@@ -253,7 +230,7 @@ func pacingCases() []ablationCase {
 		c := c
 		rows = append(rows, ablationCase{
 			label: c.label,
-			prep: func(p *DumbbellParams) {
+			prep: func(p *scenario.DumbbellParams) {
 				p.ShimTweak = func(cc *core.Config) {
 					cc.SynAckBurst = c.burst
 					if c.every > 0 {
@@ -266,19 +243,10 @@ func pacingCases() []ablationCase {
 	return rows
 }
 
-// AblationGuestStacks quantifies requirement R3 (VM autonomy): HWatch must
+// guestStackCases quantifies requirement R3 (VM autonomy): HWatch must
 // deliver its guarantee regardless of what the unmodified guest stack
 // happens to be. Each variant runs the 100-source scenario with a
 // different guest flavour under the same shims.
-func AblationGuestStacks(scale float64) []AblationPoint {
-	return runAblation(scale, guestStackCases())
-}
-
-// AblationGuestStacksContext is AblationGuestStacks under a context.
-func AblationGuestStacksContext(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	return runAblationContext(ctx, scale, guestStackCases())
-}
-
 func guestStackCases() []ablationCase {
 	newReno := tcp.DefaultConfig()
 	sack := tcp.DefaultConfig()
@@ -301,20 +269,4 @@ func guestStackCases() []ablationCase {
 		rows = append(rows, ablationCase{label: c.label, guest: &cfg})
 	}
 	return rows
-}
-
-// runHWatchWithGuest is RunDumbbellContext(SchemeHWatch, ...) with an
-// explicit guest stack configuration instead of the scheme's default.
-// The shims keep the scheme's default guest view, as a hypervisor module
-// would: it cannot know what stack the tenant boots.
-func runHWatchWithGuest(ctx context.Context, p DumbbellParams, guest tcp.Config) (*Run, error) {
-	p.ByteBuffers = true
-	spec := &scenario.Spec{
-		Kind:     scenario.KindDumbbell,
-		Schemes:  []scenario.Share{{Scheme: scenario.HWatch}},
-		Label:    "TCP-HWATCH/" + guest.Variant.String(),
-		Guest:    &guest,
-		Dumbbell: p,
-	}
-	return spec.RunContext(ctx)
 }

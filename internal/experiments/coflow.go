@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hwatch/internal/harness"
 	"hwatch/internal/netem"
 	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
@@ -17,7 +16,7 @@ import (
 // level metric the paper's introduction motivates (a job of parallel flows
 // finishes with its slowest flow; one RTO victim delays the whole job).
 type CoflowResult struct {
-	Scheme    Scheme
+	Scheme    scenario.Scheme
 	JCTms     stats.Sample // job completion times
 	Straggler stats.Sample // JCT / median constituent FCT, per job
 	JobsDone  int
@@ -58,89 +57,74 @@ func DefaultCoflow() CoflowParams {
 	}
 }
 
-// RunCoflow executes the study for the given schemes through the harness
-// pool (the classic entry point; see RunCoflowContext for the
-// cancellable form).
-func RunCoflow(schemes []Scheme, p CoflowParams) []CoflowResult {
-	out, _ := RunCoflowContext(context.Background(), schemes, p)
-	return out
-}
-
-// RunCoflowContext executes the study under ctx: cancellation skips
-// queued cells and returns ctx.Err with the rows completed so far; every
-// scheme sees the same seed and hence the same job arrivals.
-func RunCoflowContext(ctx context.Context, schemes []Scheme, p CoflowParams) ([]CoflowResult, error) {
-	return harness.Map(ctx, ParallelN(), schemes,
-		func(_ context.Context, sc Scheme) (CoflowResult, error) {
-			return runCoflowCell(sc, p), nil
-		})
-}
-
-func runCoflowCell(sc Scheme, p CoflowParams) CoflowResult {
-	rng := sim.NewRNG(p.Seed)
-	dp := PaperDumbbell(p.LongSources, p.ShortSources)
+// RunCoflow executes the study for the given schemes under ctx; every
+// scheme sees the same seed and hence the same job arrivals. A failed or
+// cancelled cell returns the error and no rows.
+func RunCoflow(ctx context.Context, schemes []scenario.Scheme, p CoflowParams) ([]CoflowResult, error) {
+	if p.Width <= 0 || p.Width > p.ShortSources {
+		return nil, fmt.Errorf("coflow width %d: want 1..%d (the short sources)", p.Width, p.ShortSources)
+	}
+	dp := scenario.PaperDumbbell(p.LongSources, p.ShortSources)
 	dp.ByteBuffers = true
 	dp.Duration = p.Duration
-	meanPkt := int64(netem.DefaultMTU) * 8 * sim.Second / dp.BottleneckBps
-	baseRTT := 4 * dp.LinkDelay
-	markK := int(float64(dp.BufferPkts) * dp.MarkFrac)
-
-	var eng func() int64
-	clock := func() int64 {
-		if eng == nil {
-			return 0
-		}
-		return eng()
+	dp.SampleEvery = 0 // the study reads job times, not bottleneck telemetry
+	dp.Seed = p.Seed
+	specs := make([]*scenario.Spec, len(schemes))
+	jobs := make([]*coflowTraffic, len(schemes))
+	for i, sc := range schemes {
+		jobs[i] = &coflowTraffic{p: p, res: CoflowResult{Scheme: sc}}
+		specs[i] = dumbbellSpec(sc, dp)
+		specs[i].Workload = jobs[i]
+		// workload.RunCoflows schedules every arrival on one engine.
+		specs[i].Shards = 1
 	}
-	mat, err := scenario.Materialize(sc, scenario.Env{
-		BufferPkts:  dp.BufferPkts,
-		MarkPkts:    markK,
-		MeanPktTime: meanPkt,
-		BaseRTT:     baseRTT,
-		ByteBuffers: true,
-		Rng:         rng,
-		Clock:       clock,
-	})
-	if err != nil {
-		panic("experiments: " + err.Error())
+	if _, err := runSpecs(ctx, specs); err != nil {
+		return nil, err
 	}
-	d := scenario.DumbbellFabric(mat.BottleneckQ, dp)
-	eng = d.Net.Eng.Now
-	if mat.Attach != nil {
-		hosts := make([]*netem.Host, 0, len(d.Senders)+1)
-		hosts = append(hosts, d.Senders...)
-		mat.Attach(append(hosts, d.Receiver))
+	out := make([]CoflowResult, len(schemes))
+	for i, job := range jobs {
+		out[i] = job.res
 	}
+	return out, nil
+}
 
-	tcfg := mat.TCPConfig
-	d.Receiver.Listen(svcPort, tcp.NewListener(d.Receiver, tcfg, nil))
+// coflowTraffic is the study's scenario.Workload: background elephants
+// from the first LongSources hosts, jobs of parallel flows from the rest.
+type coflowTraffic struct {
+	p   CoflowParams
+	co  *workload.Coflows
+	res CoflowResult
+}
 
-	// Background elephants from the first LongSources hosts.
+func (w *coflowTraffic) Wire(rc *scenario.RunContext, _ *scenario.Run) {
+	d, dp, p := rc.Dumbbell, rc.DumbbellP, w.p
+	tcfg := rc.ConfigFor(d.Senders[0])
+	d.Receiver.Listen(scenario.DefaultPort, tcp.NewListener(d.Receiver, tcfg, nil))
+
 	workload.StartLongLived(d.Senders[:p.LongSources], d.Receiver.ID, tcfg,
-		workload.LongLivedConfig{Port: svcPort, Jitter: dp.LinkDelay, Rng: rng.Fork()})
+		workload.LongLivedConfig{Port: scenario.DefaultPort, Jitter: dp.LinkDelay, Rng: rc.Rng.Fork()})
 
-	res := CoflowResult{Scheme: sc}
 	segTime := int64(netem.DefaultMTU) * 8 * sim.Second / dp.BottleneckBps
-	co := workload.RunCoflows(d.Senders[p.LongSources:], d.Receiver.ID, tcfg,
+	w.co = workload.RunCoflows(d.Senders[p.LongSources:], d.Receiver.ID, tcfg,
 		workload.CoflowConfig{
-			Port:     svcPort,
+			Port:     scenario.DefaultPort,
 			Width:    p.Width,
 			FlowSize: p.FlowSize,
 			Jobs:     p.Jobs,
 			FirstJob: 100 * sim.Millisecond,
 			JobEvery: p.JobEvery,
 			Jitter:   segTime,
-			Rng:      rng.Fork(),
+			Rng:      rc.Rng.Fork(),
 		}, nil)
+}
 
-	d.Net.Eng.RunUntil(p.Duration)
-	res.JobsAll = p.Jobs
-	res.JobsDone = co.JobsCompleted
-	for _, j := range co.JCTs {
-		res.JCTms.Add(float64(j) / float64(sim.Millisecond))
+func (w *coflowTraffic) Finish(*scenario.RunContext, *scenario.Run) {
+	w.res.JobsAll = w.p.Jobs
+	w.res.JobsDone = w.co.JobsCompleted
+	for _, j := range w.co.JCTs {
+		w.res.JCTms.Add(float64(j) / float64(sim.Millisecond))
 	}
-	for _, r := range co.StragglerRatio {
-		res.Straggler.Add(r)
+	for _, r := range w.co.StragglerRatio {
+		w.res.Straggler.Add(r)
 	}
-	return res
 }

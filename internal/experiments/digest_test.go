@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"hwatch/internal/faults"
@@ -19,21 +19,20 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.j
 const goldenPath = "testdata/golden_digests.json"
 
 // goldenRuns executes the small-scale Fig. 2, Fig. 8 and Fig. 11
-// scenarios and returns their digests keyed by figure/label.
-func goldenRuns() map[string]string {
+// scenarios and returns their digests keyed by the table's figure/curve
+// keys.
+func goldenRuns(t testing.TB) map[string]string {
+	t.Helper()
 	got := map[string]string{}
-	f2 := Fig2(0.1)
-	got["fig2/dctcp"] = f2.DCTCP.DigestHex()
-	got["fig2/mix"] = f2.Mix.DigestHex()
-	got["fig2/mix+hwatch"] = f2.MixHWatch.DigestHex()
-	f8 := Fig8(0.1)
-	for _, s := range f8.Order {
-		got["fig8/"+strings.ToLower(s.String())] = f8.Runs[s].DigestHex()
+	for _, g := range []struct {
+		fig   string
+		scale float64
+	}{{"fig2", 0.1}, {"fig8", 0.1}, {"fig11", 0.2}} {
+		for key, r := range mustFig(t, g.fig, g.scale) {
+			got[g.fig+"/"+key] = r.DigestHex()
+		}
 	}
-	f11 := Fig11(0.2)
-	got["fig11/tcp"] = f11.TCP.DigestHex()
-	got["fig11/hwatch"] = f11.HWatch.DigestHex()
-	for k, v := range faultGoldenRuns() {
+	for k, v := range faultGoldenRuns(t) {
 		got[k] = v
 	}
 	return got
@@ -42,9 +41,10 @@ func goldenRuns() map[string]string {
 // faultGoldenRuns locks two chaos scenarios into the golden set: the
 // fault injector is part of the determinism contract, so a schedule's
 // effect on the run must be as reproducible as the run itself.
-func faultGoldenRuns() map[string]string {
+func faultGoldenRuns(t testing.TB) map[string]string {
+	t.Helper()
 	params := func(seed int64) scenario.DumbbellParams {
-		p := PaperDumbbell(5, 5)
+		p := scenario.PaperDumbbell(5, 5)
 		p.Seed = seed
 		p.ByteBuffers = true
 		p.Duration = 400 * sim.Millisecond
@@ -96,16 +96,9 @@ func faultGoldenRuns() map[string]string {
 			Impair: faults.ImpairParams{Dist: "normal", Delay: 150 * sim.Microsecond, Jitter: 50 * sim.Microsecond, Egress: true}},
 	}
 	run := func(sched faults.Schedule, seed int64) string {
-		r, err := (&scenario.Spec{
-			Kind:     scenario.KindDumbbell,
-			Schemes:  []scenario.Share{{Scheme: SchemeHWatch}},
-			Dumbbell: params(seed),
-			Faults:   sched,
-		}).Run()
-		if err != nil {
-			panic("fault golden: " + err.Error())
-		}
-		return r.DigestHex()
+		spec := dumbbellSpec(scenario.HWatch, params(seed))
+		spec.Faults = sched
+		return mustRun(t, spec).DigestHex()
 	}
 	return map[string]string{
 		"faults/linkflap":  run(linkflap, 7),
@@ -125,7 +118,7 @@ func faultGoldenRuns() map[string]string {
 //
 //	go test ./internal/experiments -run TestGoldenDigests -args -update
 func TestGoldenDigests(t *testing.T) {
-	got := goldenRuns()
+	got := goldenRuns(t)
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
@@ -162,7 +155,7 @@ func TestGoldenDigests(t *testing.T) {
 	}
 
 	// Same seed twice => identical digests, independent of golden state.
-	again := goldenRuns()
+	again := goldenRuns(t)
 	for k, g := range got {
 		if again[k] != g {
 			t.Errorf("%s: rerun digest %s != first run %s — nondeterminism", k, again[k], g)
@@ -173,15 +166,14 @@ func TestGoldenDigests(t *testing.T) {
 // TestDigestParallelInvariance proves the determinism contract the harness
 // documents: the worker count must never leak into results.
 func TestDigestParallelInvariance(t *testing.T) {
+	defer SetParallel(0)
 	SetParallel(1)
-	one := Fig8(0.1)
+	one := mustFig(t, "fig8", 0.1)
 	SetParallel(8)
-	eight := Fig8(0.1)
-	SetParallel(0)
-	for _, s := range one.Order {
-		a, b := one.Runs[s].DigestHex(), eight.Runs[s].DigestHex()
-		if a != b {
-			t.Errorf("%v: digest %s at -parallel 1, %s at -parallel 8", s, a, b)
+	eight := mustFig(t, "fig8", 0.1)
+	for k, r := range one {
+		if a, b := r.DigestHex(), eight[k].DigestHex(); a != b {
+			t.Errorf("%v: digest %s at -parallel 1, %s at -parallel 8", k, a, b)
 		}
 	}
 }
@@ -189,11 +181,11 @@ func TestDigestParallelInvariance(t *testing.T) {
 // TestRunWithInvariantChecks runs every scheme with the checker armed: a
 // sound simulator reports nothing, and the runs carry execution metadata.
 func TestRunWithInvariantChecks(t *testing.T) {
-	for _, sc := range AllSchemes() {
-		p := scaled(PaperDumbbell(25, 25), 0.1)
+	for _, sc := range scenario.AllSchemes() {
+		p := scaled(scenario.PaperDumbbell(25, 25), 0.1)
 		p.ByteBuffers = true
 		p.Check = true
-		r := RunDumbbell(sc, p)
+		r := mustRun(t, dumbbellSpec(sc, p))
 		for _, v := range r.InvariantViolations {
 			t.Errorf("%v: %s", sc, v)
 		}
@@ -202,7 +194,7 @@ func TestRunWithInvariantChecks(t *testing.T) {
 		}
 	}
 
-	tp := PaperTestbed()
+	tp := scenario.PaperTestbed()
 	tp.LongPerRack = 2
 	tp.WebServers = 1
 	tp.WebClients = 1
@@ -211,7 +203,10 @@ func TestRunWithInvariantChecks(t *testing.T) {
 	tp.Duration = tp.FirstEpoch + tp.EpochInterval
 	tp.Check = true
 	for _, hwatch := range []bool{false, true} {
-		r := RunTestbed(hwatch, tp)
+		r, err := scenario.RunTestbed(context.Background(), hwatch, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, v := range r.InvariantViolations {
 			t.Errorf("testbed hwatch=%v: %s", hwatch, v)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hwatch/internal/harness"
-	"hwatch/internal/netem"
 	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 	"hwatch/internal/stats"
@@ -17,7 +16,7 @@ import (
 // study: FCT statistics split by flow size, the standard data-center
 // evaluation the paper's related work uses.
 type EmpiricalResult struct {
-	Scheme    Scheme
+	Scheme    scenario.Scheme
 	Load      float64
 	SmallFCT  stats.Sample // flows < 100 KB, ms
 	LargeFCT  stats.Sample // flows >= 1 MB, ms
@@ -64,85 +63,65 @@ func DefaultEmpirical() EmpiricalParams {
 	}
 }
 
-// RunEmpirical executes the study for the given schemes through the
-// harness pool (the classic entry point; see RunEmpiricalContext for the
-// cancellable form).
-func RunEmpirical(schemes []Scheme, p EmpiricalParams) []EmpiricalResult {
-	out, _ := RunEmpiricalContext(context.Background(), schemes, p)
-	return out
-}
-
-// RunEmpiricalContext executes the study under ctx: cancellation skips
-// queued cells and returns ctx.Err with the rows completed so far. Cells
+// RunEmpirical executes the study for the given schemes under ctx. Cells
 // at one load level share a load-derived seed, so the schemes compare
-// against identical arrival processes.
-func RunEmpiricalContext(ctx context.Context, schemes []Scheme, p EmpiricalParams) ([]EmpiricalResult, error) {
-	type cell struct {
-		sc   Scheme
-		load float64
-	}
-	var cells []cell
+// against identical arrival processes. A failed or cancelled cell returns
+// the error and no rows.
+func RunEmpirical(ctx context.Context, schemes []scenario.Scheme, p EmpiricalParams) ([]EmpiricalResult, error) {
+	var specs []*scenario.Spec
+	var cells []*poissonTraffic
 	for _, load := range p.Loads {
 		for _, sc := range schemes {
-			cells = append(cells, cell{sc, load})
+			cell := &poissonTraffic{p: p, res: EmpiricalResult{Scheme: sc, Load: load}}
+			spec := dumbbellSpec(sc, scenario.DumbbellParams{
+				LongSources:   p.Sources,
+				BottleneckBps: p.BottleneckBps,
+				EdgeBps:       p.BottleneckBps,
+				LinkDelay:     p.LinkDelay,
+				BufferPkts:    p.BufferPkts,
+				MarkFrac:      p.MarkFrac,
+				ByteBuffers:   true,
+				Duration:      p.Duration,
+				// Run past the arrival window so in-flight flows can finish.
+				DrainAfter: 2 * sim.Second,
+				Seed:       harness.SeedFor(fmt.Sprintf("empirical/load=%g", load), p.Seed),
+			})
+			spec.Workload = cell
+			// workload.RunPoisson schedules every arrival on one engine.
+			spec.Shards = 1
+			specs = append(specs, spec)
+			cells = append(cells, cell)
 		}
 	}
-	return harness.Map(ctx, ParallelN(), cells,
-		func(_ context.Context, c cell) (EmpiricalResult, error) {
-			seed := harness.SeedFor(fmt.Sprintf("empirical/load=%g", c.load), p.Seed)
-			return runEmpiricalCell(c.sc, c.load, p, seed), nil
-		})
+	if _, err := runSpecs(ctx, specs); err != nil {
+		return nil, err
+	}
+	out := make([]EmpiricalResult, len(cells))
+	for i, cell := range cells {
+		out[i] = cell.res
+	}
+	return out, nil
 }
 
-func runEmpiricalCell(sc Scheme, load float64, p EmpiricalParams, seed int64) EmpiricalResult {
-	rng := sim.NewRNG(seed)
-	meanPkt := int64(netem.DefaultMTU) * 8 * sim.Second / p.BottleneckBps
-	baseRTT := 4 * p.LinkDelay
-	markK := int(float64(p.BufferPkts) * p.MarkFrac)
+// poissonTraffic is the study's scenario.Workload: every sender host is
+// an open-loop Poisson source of flows sized from the empirical CDF.
+type poissonTraffic struct {
+	p   EmpiricalParams
+	po  *workload.Poisson
+	res EmpiricalResult
+}
 
-	var eng func() int64
-	clock := func() int64 {
-		if eng == nil {
-			return 0
-		}
-		return eng()
-	}
-	mat, err := scenario.Materialize(sc, scenario.Env{
-		BufferPkts:  p.BufferPkts,
-		MarkPkts:    markK,
-		MeanPktTime: meanPkt,
-		BaseRTT:     baseRTT,
-		ByteBuffers: true,
-		Rng:         rng,
-		Clock:       clock,
-	})
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	dp := DumbbellParams{
-		LongSources: p.Sources, ShortSources: 0,
-		BottleneckBps: p.BottleneckBps, EdgeBps: p.BottleneckBps,
-		LinkDelay: p.LinkDelay, BufferPkts: p.BufferPkts,
-	}
-	d := scenario.DumbbellFabric(mat.BottleneckQ, dp)
-	eng = d.Net.Eng.Now
-	if mat.Attach != nil {
-		hosts := make([]*netem.Host, 0, len(d.Senders)+1)
-		hosts = append(hosts, d.Senders...)
-		mat.Attach(append(hosts, d.Receiver))
-	}
-
-	res := EmpiricalResult{Scheme: sc, Load: load}
-	tcfg := mat.TCPConfig
-	d.Receiver.Listen(svcPort, tcp.NewListener(d.Receiver, tcfg, nil))
-
-	po := workload.RunPoisson(d.Senders, d.Receiver.ID, tcfg, workload.PoissonConfig{
-		Port:        svcPort,
-		ArrivalRate: workload.LoadFor(load, p.BottleneckBps, p.Dist),
+func (w *poissonTraffic) Wire(rc *scenario.RunContext, _ *scenario.Run) {
+	d, p, res := rc.Dumbbell, w.p, &w.res
+	tcfg := rc.ConfigFor(d.Senders[0])
+	d.Receiver.Listen(scenario.DefaultPort, tcp.NewListener(d.Receiver, tcfg, nil))
+	w.po = workload.RunPoisson(d.Senders, d.Receiver.ID, tcfg, workload.PoissonConfig{
+		Port:        scenario.DefaultPort,
+		ArrivalRate: workload.LoadFor(res.Load, p.BottleneckBps, p.Dist),
 		Dist:        p.Dist,
 		StartAt:     0,
 		StopAt:      p.Duration,
-		Rng:         rng.Fork(),
+		Rng:         rc.Rng.Fork(),
 	}, func(fct, size int64) {
 		ms := float64(fct) / float64(sim.Millisecond)
 		res.AllFCT.Add(ms)
@@ -153,10 +132,9 @@ func runEmpiricalCell(sc Scheme, load float64, p EmpiricalParams, seed int64) Em
 			res.LargeFCT.Add(ms)
 		}
 	})
+}
 
-	// Run past the arrival window so in-flight flows can finish.
-	d.Net.Eng.RunUntil(p.Duration + 2*sim.Second)
-	res.Started = po.Started
-	res.Completed = po.Completed
-	return res
+func (w *poissonTraffic) Finish(*scenario.RunContext, *scenario.Run) {
+	w.res.Started = w.po.Started
+	w.res.Completed = w.po.Completed
 }

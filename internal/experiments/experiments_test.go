@@ -6,9 +6,56 @@ import (
 	"testing"
 
 	"hwatch/internal/core"
+	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 	"hwatch/internal/tcp"
 )
+
+// mustRun executes one spec and fails the test on error.
+func mustRun(t testing.TB, s *scenario.Spec) *scenario.Run {
+	t.Helper()
+	r, err := s.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// mustFig executes one figure of the table and returns its runs keyed by
+// the table's curve keys.
+func mustFig(t testing.TB, name string, scale float64) map[string]*scenario.Run {
+	t.Helper()
+	f, err := LookupFigure(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := f.Run(context.Background(), scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(f.Keys) {
+		t.Fatalf("%s: %d runs for %d keys", name, len(runs), len(f.Keys))
+	}
+	out := map[string]*scenario.Run{}
+	for i, k := range f.Keys {
+		out[k] = runs[i]
+	}
+	return out
+}
+
+// wantRows asserts a study's printed rows byte for byte: the rows were
+// recorded from the hand-built cells the Spec path replaced.
+func wantRows[T interface{ String() string }](t *testing.T, got []T, want ...string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i].String(); g != w {
+			t.Errorf("row %d:\n got %q\nwant %q", i, g, w)
+		}
+	}
+}
 
 // Small-scale shape checks: these assert the *qualitative* results the
 // paper reports (who wins, what fails, what stays flat), not absolute
@@ -16,12 +63,17 @@ import (
 // benchmarks.
 
 func TestFig8ShapeSmall(t *testing.T) {
-	r, err := figScheme(context.Background(), 6, 6, 1) // small source count, full duration
+	runs, err := runSpecs(context.Background(), schemeSpecs(6, 6, 1)) // small source count, full duration
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := r.Runs[SchemeHWatch]
-	dt := r.Runs[SchemeDropTail]
+	order := scenario.AllSchemes()
+	r := map[scenario.Scheme]*scenario.Run{}
+	for i, s := range order {
+		r[s] = runs[i]
+	}
+	hw := r[scenario.HWatch]
+	dt := r[scenario.DropTail]
 
 	// HWatch: every short flow completes, no RTO, no drops (the headline).
 	if hw.Timeouts != 0 {
@@ -44,16 +96,16 @@ func TestFig8ShapeSmall(t *testing.T) {
 	}
 	// Long-flow goodput comparable across schemes (R2): no scheme may
 	// collapse the elephants.
-	base := r.Runs[SchemeDCTCP].LongGoodputBps.Mean()
-	for _, s := range r.Order {
-		g := r.Runs[s].LongGoodputBps.Mean()
+	base := r[scenario.DCTCP].LongGoodputBps.Mean()
+	for _, s := range order {
+		g := r[s].LongGoodputBps.Mean()
 		if g < 0.3*base {
 			t.Errorf("%v long goodput collapsed: %.2g vs %.2g", s, g, base)
 		}
 	}
 	// The bottleneck stays busy for every scheme.
-	for _, s := range r.Order {
-		if u := r.Runs[s].Utilization.Mean(); u < 0.5 {
+	for _, s := range order {
+		if u := r[s].Utilization.Mean(); u < 0.5 {
 			t.Errorf("%v bottleneck utilization %.2f too low", s, u)
 		}
 	}
@@ -64,12 +116,12 @@ func TestFig1ShapeSmall(t *testing.T) {
 	// ICW in the drop/RTO regime.
 	// The incast only overflows at the paper's full source count, so keep
 	// 25/25 and shorten the run instead.
-	mk := func(icw int) *Run {
-		p := PaperDumbbell(25, 25)
+	mk := func(icw int) *scenario.Run {
+		p := scenario.PaperDumbbell(25, 25)
 		p.Duration = 500 * sim.Millisecond
 		p.Epochs = 3
 		p.ICW = icw
-		return RunDumbbell(SchemeDCTCP, p)
+		return mustRun(t, dumbbellSpec(scenario.DCTCP, p))
 	}
 	small, large := mk(1), mk(20)
 	if small.Timeouts != 0 || small.Drops != 0 {
@@ -90,14 +142,11 @@ func TestFig1ShapeSmall(t *testing.T) {
 }
 
 func TestFig2ShapeSmall(t *testing.T) {
-	p := PaperDumbbell(12, 12)
+	p := scenario.PaperDumbbell(12, 12)
 	p.Duration = 600 * sim.Millisecond
 	p.Epochs = 4
-	dctcp := RunDumbbell(SchemeDCTCP, p)
-	mix, err := runMix(context.Background(), p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dctcp := mustRun(t, dumbbellSpec(scenario.DCTCP, p))
+	mix := mustRun(t, mixSpec(p, false))
 
 	// Coexistence destroys queue regulation (Fig. 2b)...
 	if mix.QueuePkts.Mean() <= 1.5*dctcp.QueuePkts.Mean() {
@@ -122,10 +171,7 @@ func TestFig2ShapeSmall(t *testing.T) {
 	// Extension: HWatch shims over the same MIX restore queue regulation
 	// (the transport-agnostic claim): the deaf tenant is disciplined via
 	// its receive window.
-	mixHW, err := runMix(context.Background(), p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mixHW := mustRun(t, mixSpec(p, true))
 	if mixHW.QueuePkts.Mean() >= mix.QueuePkts.Mean()/2 {
 		t.Errorf("HWatch over MIX left queue at %.0f (MIX alone %.0f)",
 			mixHW.QueuePkts.Mean(), mix.QueuePkts.Mean())
@@ -140,7 +186,7 @@ func TestFig2ShapeSmall(t *testing.T) {
 }
 
 func TestFig11ShapeTiny(t *testing.T) {
-	p := PaperTestbed()
+	p := scenario.PaperTestbed()
 	p.HostsPerRack = 6
 	p.LongPerRack = 2
 	p.WebServers = 2
@@ -148,8 +194,14 @@ func TestFig11ShapeTiny(t *testing.T) {
 	p.Parallel = 4
 	p.Epochs = 2
 	p.Duration = p.FirstEpoch + int64(p.Epochs)*p.EpochInterval
-	tcpRun := RunTestbed(false, p)
-	hwRun := RunTestbed(true, p)
+	testbed := func(hwatch bool) *scenario.Run {
+		r, err := scenario.RunTestbed(context.Background(), hwatch, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	tcpRun, hwRun := testbed(false), testbed(true)
 
 	if hwRun.ShortDone != hwRun.ShortAll {
 		t.Errorf("HWatch testbed completed %d/%d", hwRun.ShortDone, hwRun.ShortAll)
@@ -164,12 +216,12 @@ func TestFig11ShapeTiny(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	p := PaperDumbbell(4, 4)
+	p := scenario.PaperDumbbell(4, 4)
 	p.Duration = 300 * sim.Millisecond
 	p.Epochs = 2
 	p.ByteBuffers = true
-	a := RunDumbbell(SchemeHWatch, p)
-	b := RunDumbbell(SchemeHWatch, p)
+	a := mustRun(t, dumbbellSpec(scenario.HWatch, p))
+	b := mustRun(t, dumbbellSpec(scenario.HWatch, p))
 	if a.ShortFCTms.N() != b.ShortFCTms.N() {
 		t.Fatalf("flow counts differ: %d vs %d", a.ShortFCTms.N(), b.ShortFCTms.N())
 	}
@@ -185,24 +237,24 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestSchemeStrings(t *testing.T) {
-	want := map[Scheme]string{
-		SchemeDropTail: "TCP-DropTail",
-		SchemeRED:      "TCP-RED",
-		SchemeDCTCP:    "DCTCP",
-		SchemeHWatch:   "TCP-HWATCH",
+	want := map[scenario.Scheme]string{
+		scenario.DropTail: "TCP-DropTail",
+		scenario.RED:      "TCP-RED",
+		scenario.DCTCP:    "DCTCP",
+		scenario.HWatch:   "TCP-HWATCH",
 	}
 	for s, w := range want {
 		if s.String() != w {
 			t.Errorf("%v -> %q, want %q", string(s), s.String(), w)
 		}
 	}
-	if len(AllSchemes()) != 4 {
+	if len(scenario.AllSchemes()) != 4 {
 		t.Error("AllSchemes must list the paper's four systems")
 	}
 }
 
 func TestScaled(t *testing.T) {
-	p := PaperDumbbell(25, 25)
+	p := scenario.PaperDumbbell(25, 25)
 	s := scaled(p, 0.2)
 	if s.LongSources != 5 || s.ShortSources != 5 {
 		t.Fatalf("scaled sources = %d/%d", s.LongSources, s.ShortSources)
@@ -228,11 +280,11 @@ func TestScaled(t *testing.T) {
 }
 
 func TestRunSummaryFormat(t *testing.T) {
-	p := PaperDumbbell(2, 2)
+	p := scenario.PaperDumbbell(2, 2)
 	p.Duration = 50 * sim.Millisecond
 	p.Epochs = 1
 	p.FirstEpoch = 5 * sim.Millisecond
-	r := RunDumbbell(SchemeDropTail, p)
+	r := mustRun(t, dumbbellSpec(scenario.DropTail, p))
 	s := r.Summary()
 	for _, want := range []string{"TCP-DropTail", "shortFCT", "longGoodput", "drops="} {
 		if !strings.Contains(s, want) {
@@ -246,10 +298,13 @@ func TestEmpiricalShapeSmall(t *testing.T) {
 	p.Sources = 10
 	p.Loads = []float64{0.4}
 	p.Duration = 150 * sim.Millisecond
-	res := RunEmpirical([]Scheme{SchemeHWatch, SchemeDCTCP}, p)
-	if len(res) != 2 {
-		t.Fatalf("cells = %d", len(res))
+	res, err := RunEmpirical(context.Background(), []scenario.Scheme{scenario.HWatch, scenario.DCTCP}, p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantRows(t, res,
+		"TCP-HWATCH   load=40%  small p50/p99=   0.36/    0.70ms  large p50=    10.4ms  done=61/61 rto=0",
+		"DCTCP        load=40%  small p50/p99=   0.31/  131.21ms  large p50=     3.3ms  done=61/61 rto=0")
 	for _, r := range res {
 		if r.Started == 0 {
 			t.Fatalf("%v: no arrivals", r.Scheme)
@@ -273,10 +328,13 @@ func TestIncastSweepShape(t *testing.T) {
 	p.Degrees = []int{8, 48}
 	p.Epochs = 2
 	p.Duration = 500 * sim.Millisecond
-	pts := RunIncastSweep([]Scheme{SchemeHWatch}, p)
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
+	pts, err := RunIncastSweep(context.Background(), []scenario.Scheme{scenario.HWatch}, p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantRows(t, pts,
+		"TCP-HWATCH   degree=  8 fct p50/p99=    0.92/     1.04ms drops=    0 rto=   0 done=16/16",
+		"TCP-HWATCH   degree= 48 fct p50/p99=    1.36/     3.06ms drops=    0 rto=   0 done=96/96")
 	for _, pt := range pts {
 		if pt.Timeouts != 0 || pt.Done != pt.All {
 			t.Fatalf("HWatch cliff at degree %d: %+v", pt.Degree, pt)
@@ -290,7 +348,13 @@ func TestCoflowShapeSmall(t *testing.T) {
 	p.ShortSources = 16
 	p.Jobs = 3
 	p.Duration = 700 * sim.Millisecond
-	res := RunCoflow([]Scheme{SchemeDropTail, SchemeHWatch}, p)
+	res, err := RunCoflow(context.Background(), []scenario.Scheme{scenario.DropTail, scenario.HWatch}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, res,
+		"TCP-DropTail JCT p50/p99=  201.49/   201.63ms straggler p50=  1.0x done=3/3",
+		"TCP-HWATCH   JCT p50/p99=    0.90/     0.91ms straggler p50=  1.5x done=3/3")
 	dt, hw := res[0], res[1]
 	if hw.JobsDone != hw.JobsAll {
 		t.Fatalf("HWatch jobs %d/%d", hw.JobsDone, hw.JobsAll)
@@ -311,17 +375,16 @@ func TestCoflowShapeSmall(t *testing.T) {
 func TestPacingIsLoadBearingAt100Sources(t *testing.T) {
 	// The headline ablation finding: at 100 sources HWatch without SYN-ACK
 	// pacing re-admits the correlated-start overflow.
-	base := PaperDumbbell(50, 50)
+	base := scenario.PaperDumbbell(50, 50)
 	base.ByteBuffers = true
 	base.Duration = 600 * sim.Millisecond
 	base.Epochs = 3
 
-	withPacing := base
-	r1 := RunDumbbell(SchemeHWatch, withPacing)
+	r1 := mustRun(t, dumbbellSpec(scenario.HWatch, base))
 
 	noPacing := base
 	noPacing.ShimTweak = func(c *core.Config) { c.SynAckBurst = 0 }
-	r2 := RunDumbbell(SchemeHWatch, noPacing)
+	r2 := mustRun(t, dumbbellSpec(scenario.HWatch, noPacing))
 
 	if r1.Drops != 0 || r1.Timeouts != 0 {
 		t.Fatalf("paced run not clean: %+v", Summarize(r1))
@@ -333,7 +396,7 @@ func TestPacingIsLoadBearingAt100Sources(t *testing.T) {
 
 func TestGuestAgnosticismSmall(t *testing.T) {
 	// R3: HWatch's guarantee must not depend on the guest stack flavour.
-	base := PaperDumbbell(25, 25)
+	base := scenario.PaperDumbbell(25, 25)
 	base.ByteBuffers = true
 	base.Duration = 500 * sim.Millisecond
 	base.Epochs = 3
@@ -341,12 +404,29 @@ func TestGuestAgnosticismSmall(t *testing.T) {
 	sack := tcp.DefaultConfig()
 	sack.SACK = true
 	for _, guest := range []tcp.Config{cubic, sack} {
-		r, err := runHWatchWithGuest(context.Background(), base, guest)
-		if err != nil {
-			t.Fatalf("guest %v run failed: %v", guest.Variant, err)
-		}
+		guest := guest
+		spec := dumbbellSpec(scenario.HWatch, base)
+		spec.Guest = &guest
+		r := mustRun(t, spec)
 		if r.Drops != 0 || r.Timeouts != 0 || r.ShortDone != r.ShortAll {
 			t.Fatalf("guest %v broke the guarantee: %+v", guest.Variant, Summarize(r))
+		}
+	}
+}
+
+// TestFigureKeysMatchCurves pins the table's shape: every figure names
+// exactly one key per spec it declares, with no duplicates.
+func TestFigureKeysMatchCurves(t *testing.T) {
+	for _, f := range Figures() {
+		if got, want := len(f.Keys), len(f.specs(0.1)); got != want {
+			t.Errorf("%s: %d keys for %d specs", f.Name, got, want)
+		}
+		seen := map[string]bool{}
+		for _, k := range f.Keys {
+			if seen[k] {
+				t.Errorf("%s: duplicate key %q", f.Name, k)
+			}
+			seen[k] = true
 		}
 	}
 }

@@ -3,197 +3,179 @@ package experiments
 import (
 	"context"
 	"strconv"
+	"strings"
 
-	"hwatch/internal/harness"
 	"hwatch/internal/scenario"
 )
 
-// Fig1Result holds one run per initial congestion window value.
-type Fig1Result struct {
-	ICWs []int
-	Runs map[int]*Run
+// Figure is one row of the figure table: a data figure of the paper as a
+// list of scenario specs, one per curve.
+type Figure struct {
+	// Name is what -exp, -only and hwatchd "fig" jobs call the figure.
+	Name    string
+	Caption string
+	// Keys names the curves in run order: the figure's golden digests are
+	// keyed Name/Key, figgen's CSV files are prefixed Name_Key.
+	Keys  []string
+	specs func(scale float64) []*scenario.Spec
 }
 
-// Fig1 reproduces the DCTCP initial-window study (Fig. 1a-d): DCTCP
+// Run executes the figure and returns its runs in curve order, each
+// carrying its display label ("DCTCP", "MIX+HWatch", "ICWND=5", ...).
+// scale in (0,1] shrinks source counts and duration for quick runs; 1 is
+// the paper's scale. Parameters and seeds are fixed by the table, so a
+// server-path result is byte-comparable against the committed goldens.
+func (f Figure) Run(ctx context.Context, scale float64) ([]*scenario.Run, error) {
+	return runSpecs(ctx, f.specs(scale))
+}
+
+var figures = []Figure{
+	{"fig1", "DCTCP vs initial congestion window",
+		[]string{"icw1", "icw5", "icw10", "icw15", "icw20"}, fig1Specs},
+	{"fig2", "DCTCP alone vs coexistence MIX",
+		[]string{"dctcp", "mix", "mix+hwatch"}, fig2Specs},
+	{"fig8", "50 sources: DropTail / RED / HWatch / DCTCP", schemeKeys(),
+		func(scale float64) []*scenario.Spec { return schemeSpecs(25, 25, scale) }},
+	{"fig9", "100 sources (scalability)", schemeKeys(),
+		func(scale float64) []*scenario.Spec { return schemeSpecs(50, 50, scale) }},
+	{"fig11", "testbed: TCP vs TCP-HWatch",
+		[]string{"tcp", "hwatch"}, fig11Specs},
+}
+
+// Figures lists the paper's data figures in paper order.
+func Figures() []Figure { return append([]Figure(nil), figures...) }
+
+// LookupFigure finds a figure by name.
+func LookupFigure(name string) (Figure, error) {
+	return find("figure", figures, func(f Figure) string { return f.Name }, name)
+}
+
+// FigRuns executes one named figure under ctx; see Figure.Run. It is the
+// entry point bench/ and the hwatchd "fig" job kind call.
+func FigRuns(ctx context.Context, name string, scale float64) ([]*scenario.Run, error) {
+	f, err := LookupFigure(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.Run(ctx, scale)
+}
+
+// dumbbellSpec is one scheme on the dumbbell, labelled as the scheme.
+func dumbbellSpec(s scenario.Scheme, p scenario.DumbbellParams) *scenario.Spec {
+	return &scenario.Spec{
+		Kind:     scenario.KindDumbbell,
+		Schemes:  []scenario.Share{{Scheme: s}},
+		Dumbbell: p,
+	}
+}
+
+// fig1Specs is the DCTCP initial-window study (Fig. 1a-d): DCTCP
 // background flows plus incast surges, sweeping ICW over the paper's
-// values. scale in (0,1] shrinks source counts and duration for quick runs.
-func Fig1(scale float64) *Fig1Result {
-	res, err := Fig1Context(context.Background(), scale)
-	if err != nil {
-		panic("experiments: " + err.Error())
+// values.
+func fig1Specs(scale float64) []*scenario.Spec {
+	var specs []*scenario.Spec
+	for _, icw := range []int{1, 5, 10, 15, 20} {
+		p := scaled(scenario.PaperDumbbell(25, 25), scale)
+		p.ICW = icw
+		p.Seed = 42 // identical traffic across ICW values
+		spec := dumbbellSpec(scenario.DCTCP, p)
+		spec.Label = "ICWND=" + strconv.Itoa(icw)
+		specs = append(specs, spec)
 	}
-	return res
+	return specs
 }
 
-// Fig1Context is Fig1 under a context: cancellation interrupts in-flight
-// runs and returns ctx.Err() instead of panicking.
-func Fig1Context(ctx context.Context, scale float64) (*Fig1Result, error) {
-	icws := []int{1, 5, 10, 15, 20}
-	out := &Fig1Result{ICWs: icws, Runs: make(map[int]*Run)}
-	runs, err := harness.Map(ctx, ParallelN(), icws,
-		func(ctx context.Context, icw int) (*Run, error) {
-			p := scaled(PaperDumbbell(25, 25), scale)
-			p.ICW = icw
-			p.Seed = 42 // identical traffic across ICW values
-			r, err := scenario.RunDumbbellContext(ctx, SchemeDCTCP, p)
-			if err != nil {
-				return nil, err
-			}
-			r.Label = schemeICWLabel(icw)
-			return r, nil
-		})
-	if err != nil {
-		return nil, err
+// fig2Specs is the controller-coexistence study (Fig. 2a-d): the same
+// scenario with all-DCTCP tenants and with tenants split evenly across
+// DCTCP, ECN-responsive NewReno, and ECN-non-responsive NewReno — and, as
+// an extension not in the paper, the MIX again with HWatch shims on every
+// host (the transport-agnostic claim: the hypervisor watch disciplines
+// even the ECN-deaf tenant via its receive window).
+func fig2Specs(scale float64) []*scenario.Spec {
+	p := scaled(scenario.PaperDumbbell(25, 25), scale)
+	return []*scenario.Spec{
+		dumbbellSpec(scenario.DCTCP, p),
+		mixSpec(p, false),
+		mixSpec(p, true),
 	}
-	for i, icw := range icws {
-		out.Runs[icw] = runs[i]
-	}
-	return out, nil
 }
 
-func schemeICWLabel(icw int) string {
-	return "ICWND=" + strconv.Itoa(icw)
-}
-
-// Fig2Result holds the coexistence study: DCTCP alone vs. the MIX of
-// controllers sharing the fabric, plus the extension run where HWatch
-// shims govern the same MIX (not in the paper; it demonstrates the
-// transport-agnostic claim — the hypervisor watch disciplines even the
-// ECN-deaf tenant via its receive window).
-type Fig2Result struct {
-	DCTCP     *Run
-	Mix       *Run
-	MixHWatch *Run
-}
-
-// Fig2 reproduces the controller-coexistence study (Fig. 2a-d): the same
-// scenario run with all-DCTCP tenants and with tenants split evenly across
-// DCTCP, ECN-responsive NewReno, and ECN-non-responsive NewReno — and,
-// as an extension, the MIX again with HWatch shims on every host.
-func Fig2(scale float64) *Fig2Result {
-	res, err := Fig2Context(context.Background(), scale)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return res
-}
-
-// Fig2Context is Fig2 under a context; see Fig1Context.
-func Fig2Context(ctx context.Context, scale float64) (*Fig2Result, error) {
-	p := scaled(PaperDumbbell(25, 25), scale)
-	res := &Fig2Result{}
-	pool := harness.NewPool(ctx, ParallelN())
-	pool.Go("fig2/dctcp", func(ctx context.Context) error {
-		r, err := scenario.RunDumbbellContext(ctx, SchemeDCTCP, p)
-		if err != nil {
-			return err
-		}
-		r.Label = "DCTCP"
-		res.DCTCP = r
-		return nil
-	})
-	pool.Go("fig2/mix", func(ctx context.Context) error {
-		r, err := runMix(ctx, p, false)
-		if err != nil {
-			return err
-		}
-		r.Label = "MIX"
-		res.Mix = r
-		return nil
-	})
-	pool.Go("fig2/mix+hwatch", func(ctx context.Context) error {
-		r, err := runMix(ctx, p, true)
-		if err != nil {
-			return err
-		}
-		r.Label = "MIX+HWatch"
-		res.MixHWatch = r
-		return nil
-	})
-	if err := pool.Wait(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runMix executes the dumbbell with per-host controller flavours over the
+// mixSpec is the dumbbell with per-host controller flavours over the
 // DCTCP marking discipline (threshold marking, as in the paper's rerun of
 // the same experiment): sender hosts cycle through DCTCP, ECN-responsive
 // NewReno and ECN-deaf NewReno. withShims additionally installs HWatch on
 // every host (the extension run).
-func runMix(ctx context.Context, p DumbbellParams, withShims bool) (*Run, error) {
-	spec := &scenario.Spec{
+func mixSpec(p scenario.DumbbellParams, withShims bool) *scenario.Spec {
+	label := "MIX"
+	if withShims {
+		label = "MIX+HWatch"
+	}
+	return &scenario.Spec{
 		Kind: scenario.KindDumbbell,
 		Schemes: []scenario.Share{
 			{Scheme: scenario.DCTCP},
 			{Scheme: scenario.RenoECN},
 			{Scheme: scenario.RenoDeaf},
 		},
-		Label:       "MIX",
+		Label:       label,
 		ShimOverlay: withShims,
 		Dumbbell:    p,
 	}
-	return spec.RunContext(ctx)
 }
 
-// Fig8Result maps each compared scheme to its run.
-type Fig8Result struct {
-	Order []Scheme
-	Runs  map[Scheme]*Run
-}
-
-// Fig8 reproduces the 50-source comparison (Fig. 8a-d): 25 long-lived and
-// 25 short-lived sources, schemes TCP-DropTail / TCP-RED / TCP-HWatch /
-// DCTCP.
-func Fig8(scale float64) *Fig8Result {
-	res, err := Fig8Context(context.Background(), scale)
-	if err != nil {
-		panic("experiments: " + err.Error())
+// schemeSpecs is the Fig. 8/9 comparison: TCP-DropTail / TCP-RED /
+// TCP-HWatch / DCTCP over the same long + short source split.
+func schemeSpecs(longN, shortN int, scale float64) []*scenario.Spec {
+	var specs []*scenario.Spec
+	for _, s := range scenario.AllSchemes() {
+		p := scaled(scenario.PaperDumbbell(longN, shortN), scale)
+		p.ByteBuffers = true // Fig. 8c/9c report queue occupancy in bytes
+		specs = append(specs, dumbbellSpec(s, p))
 	}
-	return res
+	return specs
 }
 
-// Fig9 reproduces the 100-source scalability rerun (Fig. 9a-d).
-func Fig9(scale float64) *Fig8Result {
-	res, err := Fig9Context(context.Background(), scale)
-	if err != nil {
-		panic("experiments: " + err.Error())
+func schemeKeys() []string {
+	var keys []string
+	for _, s := range scenario.AllSchemes() {
+		keys = append(keys, strings.ToLower(s.String()))
 	}
-	return res
+	return keys
 }
 
-// Fig8Context is Fig8 under a context; see Fig1Context.
-func Fig8Context(ctx context.Context, scale float64) (*Fig8Result, error) {
-	return figScheme(ctx, 25, 25, scale)
-}
-
-// Fig9Context is Fig9 under a context; see Fig1Context.
-func Fig9Context(ctx context.Context, scale float64) (*Fig8Result, error) {
-	return figScheme(ctx, 50, 50, scale)
-}
-
-// figScheme runs the four schemes through the harness pool; every run owns
-// its engine and seeded RNG, so parallelism does not affect determinism.
-func figScheme(ctx context.Context, longN, shortN int, scale float64) (*Fig8Result, error) {
-	out := &Fig8Result{Order: AllSchemes(), Runs: make(map[Scheme]*Run)}
-	runs, err := harness.Map(ctx, ParallelN(), out.Order,
-		func(ctx context.Context, s Scheme) (*Run, error) {
-			p := scaled(PaperDumbbell(longN, shortN), scale)
-			p.ByteBuffers = true // Fig. 8c/9c report queue occupancy in bytes
-			return scenario.RunDumbbellContext(ctx, s, p)
-		})
-	if err != nil {
-		return nil, err
+// fig11Specs is the testbed experiment (Fig. 11a-b): plain TCP against
+// TCP with HWatch shims on the leaf-spine fabric.
+func fig11Specs(scale float64) []*scenario.Spec {
+	p := scenario.PaperTestbed()
+	if scale > 0 && scale < 1 {
+		shrink := func(n int) int {
+			v := int(float64(n) * scale)
+			if v < 1 {
+				v = 1
+			}
+			return v
+		}
+		p.LongPerRack = shrink(p.LongPerRack)
+		p.WebServers = shrink(p.WebServers)
+		p.WebClients = shrink(p.WebClients)
+		p.Parallel = shrink(p.Parallel)
+		p.Epochs = shrink(p.Epochs)
+		p.Duration = p.FirstEpoch + int64(p.Epochs)*p.EpochInterval
 	}
-	for i, s := range out.Order {
-		out.Runs[s] = runs[i]
+	testbed := func(s scenario.Scheme, label string) *scenario.Spec {
+		return &scenario.Spec{
+			Kind:    scenario.KindTestbed,
+			Schemes: []scenario.Share{{Scheme: s}},
+			Label:   label,
+			Testbed: p,
+		}
 	}
-	return out, nil
+	return []*scenario.Spec{testbed(scenario.DropTail, "TCP"), testbed(scenario.HWatch, "TCP-HWatch")}
 }
 
 // scaled shrinks a scenario for fast runs: source counts scale linearly,
 // epochs and duration stay (they bound wall-clock less than event volume).
-func scaled(p DumbbellParams, scale float64) DumbbellParams {
+func scaled(p scenario.DumbbellParams, scale float64) scenario.DumbbellParams {
 	if scale >= 1 || scale <= 0 {
 		return p
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hwatch/internal/harness"
+	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 	"hwatch/internal/stats"
 )
@@ -14,7 +15,7 @@ import (
 // synchronized senders grows? This generalizes the paper's fixed-degree
 // scenarios into the full curve.
 type IncastPoint struct {
-	Scheme   Scheme
+	Scheme   scenario.Scheme
 	Degree   int
 	FCTms    stats.Sample
 	Drops    int64
@@ -52,51 +53,36 @@ func DefaultIncastSweep() IncastSweepParams {
 	}
 }
 
-// RunIncastSweep executes the sweep for the given schemes through the
-// harness pool (the classic entry point; see RunIncastSweepContext for
-// the cancellable form).
-func RunIncastSweep(schemes []Scheme, p IncastSweepParams) []IncastPoint {
-	out, _ := RunIncastSweepContext(context.Background(), schemes, p)
-	return out
-}
-
-// RunIncastSweepContext executes the sweep under ctx: cancellation skips
-// queued cells, interrupts running ones through the engine poll hook,
-// and returns ctx.Err with the rows completed so far. Every (scheme,
-// degree) cell derives its seed from the degree alone, so the schemes at
-// one degree see identical traffic while distinct degrees draw
-// independent randomness.
-func RunIncastSweepContext(ctx context.Context, schemes []Scheme, p IncastSweepParams) ([]IncastPoint, error) {
-	type cell struct {
-		sc  Scheme
-		deg int
-	}
-	var cells []cell
+// RunIncastSweep executes the sweep for the given schemes under ctx.
+// Every (scheme, degree) cell derives its seed from the degree alone, so
+// the schemes at one degree see identical traffic while distinct degrees
+// draw independent randomness. A failed or cancelled cell returns the
+// error and no rows.
+func RunIncastSweep(ctx context.Context, schemes []scenario.Scheme, p IncastSweepParams) ([]IncastPoint, error) {
+	var specs []*scenario.Spec
+	var out []IncastPoint
 	for _, sc := range schemes {
 		for _, deg := range p.Degrees {
-			cells = append(cells, cell{sc, deg})
-		}
-	}
-	return harness.Map(ctx, ParallelN(), cells,
-		func(cctx context.Context, c cell) (IncastPoint, error) {
-			dp := PaperDumbbell(p.LongSources, c.deg)
+			dp := scenario.PaperDumbbell(p.LongSources, deg)
 			dp.ByteBuffers = true
 			dp.ShortSize = p.FlowSize
 			dp.Epochs = p.Epochs
 			dp.Duration = p.Duration
-			dp.Seed = harness.SeedFor(fmt.Sprintf("incast/deg=%d", c.deg), p.Seed)
-			r, err := RunDumbbellContext(cctx, c.sc, dp)
-			if err != nil {
-				return IncastPoint{}, err
-			}
-			return IncastPoint{
-				Scheme:   c.sc,
-				Degree:   c.deg,
-				FCTms:    r.ShortFCTms,
-				Drops:    r.Drops,
-				Timeouts: r.Timeouts,
-				Done:     r.ShortDone,
-				All:      r.ShortAll,
-			}, nil
-		})
+			dp.Seed = harness.SeedFor(fmt.Sprintf("incast/deg=%d", deg), p.Seed)
+			specs = append(specs, dumbbellSpec(sc, dp))
+			out = append(out, IncastPoint{Scheme: sc, Degree: deg})
+		}
+	}
+	runs, err := runSpecs(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range runs {
+		out[i].FCTms = r.ShortFCTms
+		out[i].Drops = r.Drops
+		out[i].Timeouts = r.Timeouts
+		out[i].Done = r.ShortDone
+		out[i].All = r.ShortAll
+	}
+	return out, nil
 }

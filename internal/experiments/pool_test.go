@@ -18,15 +18,14 @@ func TestPoolingDigestParity(t *testing.T) {
 	}
 	defer netem.SetPacketPooling(true)
 
-	pooled := Fig8(0.1)
+	pooled := mustFig(t, "fig8", 0.1)
 	netem.SetPacketPooling(false)
-	plain := Fig8(0.1)
+	plain := mustFig(t, "fig8", 0.1)
 	netem.SetPacketPooling(true)
 
-	for _, s := range pooled.Order {
-		a, b := pooled.Runs[s].DigestHex(), plain.Runs[s].DigestHex()
-		if a != b {
-			t.Errorf("%v: digest %s with pooling, %s without", s, a, b)
+	for k, r := range pooled {
+		if a, b := r.DigestHex(), plain[k].DigestHex(); a != b {
+			t.Errorf("%v: digest %s with pooling, %s without", k, a, b)
 		}
 	}
 }
@@ -41,22 +40,17 @@ func TestWheelDigestParity(t *testing.T) {
 	}
 	defer sim.SetDefaultOptions(sim.Options{})
 
-	wheel := Fig2(0.1)
+	wheel := mustFig(t, "fig2", 0.1)
 	sim.SetDefaultOptions(sim.Options{NoWheel: true, NoSlab: true})
-	heap := Fig2(0.1)
+	heap := mustFig(t, "fig2", 0.1)
 	sim.SetDefaultOptions(sim.Options{})
 
-	pairs := []struct {
-		name string
-		a, b string
-	}{
-		{"dctcp", wheel.DCTCP.DigestHex(), heap.DCTCP.DigestHex()},
-		{"mix", wheel.Mix.DigestHex(), heap.Mix.DigestHex()},
-		{"mix+hwatch", wheel.MixHWatch.DigestHex(), heap.MixHWatch.DigestHex()},
+	if len(wheel) != 3 {
+		t.Fatalf("fig2 has %d curves, want 3", len(wheel))
 	}
-	for _, p := range pairs {
-		if p.a != p.b {
-			t.Errorf("fig2/%s: digest %s with wheel, %s with heap oracle", p.name, p.a, p.b)
+	for k, r := range wheel {
+		if a, b := r.DigestHex(), heap[k].DigestHex(); a != b {
+			t.Errorf("fig2/%s: digest %s with wheel, %s with heap oracle", k, a, b)
 		}
 	}
 }
@@ -71,10 +65,9 @@ func TestPooledParallelRuns(t *testing.T) {
 	}
 	SetParallel(8)
 	defer SetParallel(0)
-	r := Fig8(0.1)
-	for _, s := range r.Order {
-		if r.Runs[s].Events == 0 {
-			t.Errorf("%v: zero events", s)
+	for k, r := range mustFig(t, "fig8", 0.1) {
+		if r.Events == 0 {
+			t.Errorf("%v: zero events", k)
 		}
 	}
 }

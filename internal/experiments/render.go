@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"hwatch/internal/scenario"
 	"hwatch/internal/stats"
 )
 
@@ -34,7 +35,7 @@ func WriteSeries(w io.Writer, ts *stats.TimeSeries) error {
 // SaveRun writes one run's four figure series into dir, named
 // <prefix>_fct_cdf.csv, <prefix>_goodput_cdf.csv, <prefix>_queue.csv,
 // <prefix>_util.csv.
-func SaveRun(dir, prefix string, r *Run) error {
+func SaveRun(dir, prefix string, r *scenario.Run) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -83,7 +84,7 @@ type Summary struct {
 }
 
 // Summarize extracts the digest of a run.
-func Summarize(r *Run) Summary {
+func Summarize(r *scenario.Run) Summary {
 	return Summary{
 		Label:        r.Label,
 		FCTP50Ms:     r.ShortFCTms.Quantile(0.5),
@@ -101,7 +102,7 @@ func Summarize(r *Run) Summary {
 }
 
 // JSON renders runs as an indented JSON array of summaries.
-func JSON(runs []*Run) (string, error) {
+func JSON(runs []*scenario.Run) (string, error) {
 	out := make([]Summary, 0, len(runs))
 	for _, r := range runs {
 		out = append(out, Summarize(r))
@@ -112,7 +113,7 @@ func JSON(runs []*Run) (string, error) {
 
 // Table renders a set of runs as an aligned comparison table (the textual
 // equivalent of one figure's panel set).
-func Table(runs []*Run) string {
+func Table(runs []*scenario.Run) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %10s %10s %10s %12s %9s %10s %8s %8s %6s %9s\n",
 		"scheme", "fct-p50ms", "fct-p99ms", "fct-mean", "goodput-Gbps", "fairness",

@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hwatch/internal/scenario"
 )
 
 // syntheticRun builds a Run with known values so rendering can be checked
 // without simulating.
-func syntheticRun(label string) *Run {
-	r := &Run{Label: label}
+func syntheticRun(label string) *scenario.Run {
+	r := &scenario.Run{Label: label}
 	for _, v := range []float64{1, 2, 3, 4} {
 		r.ShortFCTms.Add(v)
 		r.PerSourceAvgMs.Add(v * 2)
@@ -44,7 +46,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	out := Table([]*Run{syntheticRun("A"), syntheticRun("B")})
+	out := Table([]*scenario.Run{syntheticRun("A"), syntheticRun("B")})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("table has %d lines, want header + 2 rows:\n%s", len(lines), out)
@@ -61,7 +63,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestJSONRendering(t *testing.T) {
-	out, err := JSON([]*Run{syntheticRun("A")})
+	out, err := JSON([]*scenario.Run{syntheticRun("A")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestSaveRunWritesSeries(t *testing.T) {
 		}
 	}
 	// Without per-source samples the AVG/VAR CDFs are skipped.
-	empty := &Run{Label: "E"}
+	empty := &scenario.Run{Label: "E"}
 	dir2 := t.TempDir()
 	if err := SaveRun(dir2, "q", empty); err != nil {
 		t.Fatal(err)

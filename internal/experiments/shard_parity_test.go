@@ -46,7 +46,7 @@ func TestShardDigestParityMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d,procs=%d", c.shards, c.procs), func(t *testing.T) {
 			scenario.SetDefaultShards(c.shards)
 			runtime.GOMAXPROCS(c.procs)
-			got := goldenRuns()
+			got := goldenRuns(t)
 			for k, w := range want {
 				if g, ok := got[k]; !ok {
 					t.Errorf("%s: missing from run", k)

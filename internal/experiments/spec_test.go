@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 )
 
@@ -15,25 +16,19 @@ func TestSpecRunEndToEnd(t *testing.T) {
 		"long_sources": 3, "short_sources": 3,
 		"duration_ms": 200, "epochs": 1
 	}`)
-	s, err := ParseSpec(raw)
+	s, err := scenario.ParseSpec(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := mustRun(t, s.Scenario())
 	if run.ShortDone != run.ShortAll || run.ShortAll != 3 {
 		t.Fatalf("spec run incomplete: %d/%d", run.ShortDone, run.ShortAll)
 	}
 }
 
 func TestSpecTestbedRun(t *testing.T) {
-	s := &Spec{Kind: "testbed", Scheme: "hwatch", Racks: 2, HostsPerRack: 4, Parallel: 2, Epochs: 1}
-	run, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &scenario.FileSpec{Kind: "testbed", Scheme: "hwatch", Racks: 2, HostsPerRack: 4, Parallel: 2, Epochs: 1}
+	run := mustRun(t, s.Scenario())
 	if run.Label != "TCP-HWatch" {
 		t.Fatalf("label = %q", run.Label)
 	}
@@ -69,13 +64,13 @@ func TestWritePlotScripts(t *testing.T) {
 }
 
 func TestJSONSummaries(t *testing.T) {
-	p := PaperDumbbell(2, 2)
+	p := scenario.PaperDumbbell(2, 2)
 	p.Duration = 150 * sim.Millisecond
 	p.Epochs = 1
 	p.FirstEpoch = 10 * sim.Millisecond
 	p.ByteBuffers = true
-	r := RunDumbbell(SchemeHWatch, p)
-	out, err := JSON([]*Run{r})
+	r := mustRun(t, dumbbellSpec(scenario.HWatch, p))
+	out, err := JSON([]*scenario.Run{r})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,9 @@ func NewPool(ctx context.Context, parallel int) *Pool {
 	return &Pool{ctx: ctx, sem: make(chan struct{}, parallel)}
 }
 
-// Go submits one named task.
+// Go submits one named task. A task that panics does not take the process
+// down with its goroutine: the panic becomes the task's error, naming the
+// task, so one tenant's broken scheme definition fails one job.
 func (p *Pool) Go(name string, fn func(ctx context.Context) error) {
 	p.wg.Add(1)
 	go func() {
@@ -81,9 +83,18 @@ func (p *Pool) Go(name string, fn func(ctx context.Context) error) {
 			return
 		}
 		start := time.Now() //hwatchvet:allow detrand wall-clock measures real task runtime for operator metrics, never model time
-		err := fn(p.ctx)
+		err := runTask(p.ctx, name, fn)
 		p.record(TaskMetric{Name: name, Wall: time.Since(start), Err: err}) //hwatchvet:allow detrand wall metric is reporting-only and never feeds digests
 	}()
+}
+
+func runTask(ctx context.Context, name string, fn func(ctx context.Context) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("task %s panicked: %v", name, r)
+		}
+	}()
+	return fn(ctx)
 }
 
 func (p *Pool) record(m TaskMetric) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,6 +163,24 @@ func TestMapPropagatesError(t *testing.T) {
 	}
 	if out[1] != 0 {
 		t.Fatalf("failed slot should stay zero, got %d", out[1])
+	}
+}
+
+// TestPoolTurnsTaskPanicIntoError: a panicking task fails that task with
+// an error naming it and the panic value; its neighbours still run and the
+// pool still drains.
+func TestPoolTurnsTaskPanicIntoError(t *testing.T) {
+	pool := NewPool(context.Background(), 2)
+	var ran atomic.Int64
+	pool.Go("sound", func(context.Context) error { ran.Add(1); return nil })
+	pool.Go("broken", func(context.Context) error { panic("kaboom") })
+	pool.Go("sound-too", func(context.Context) error { ran.Add(1); return nil })
+	err := pool.Wait()
+	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("Wait returned %v, want an error naming task broken and panic kaboom", err)
+	}
+	if ran.Load() != 2 {
+		t.Errorf("%d sound tasks ran, want 2", ran.Load())
 	}
 }
 

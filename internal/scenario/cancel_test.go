@@ -65,7 +65,7 @@ func TestRunContextCancelSharded(t *testing.T) { testCancelMidRun(t, 2) }
 // to the model: an uninterrupted run under a cancellable context with a
 // progress hook armed digests byte-identically to a plain Run.
 func TestRunContextDigestNeutral(t *testing.T) {
-	base, err := cancelTestSpec(0).Run()
+	base, err := cancelTestSpec(0).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

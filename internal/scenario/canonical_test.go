@@ -116,11 +116,11 @@ func materializedSig(s *FileSpec) string {
 	switch s.Kind {
 	case "dumbbell":
 		p := s.dumbbellParams()
-		p.Check, p.Shards = false, 0
+		p.Check = false
 		params = p
 	case "testbed":
 		p := s.testbedParams()
-		p.Check, p.Shards = false, 0
+		p.Check = false
 		params = p
 	}
 	sched, _ := RenderFaults(s.Faults)

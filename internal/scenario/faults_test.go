@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestChaosRunRecoversAndRepeats(t *testing.T) {
 			Faults:   blackoutSchedule(),
 		}
 	}
-	r1, err := spec().Run()
+	r1, err := spec().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestChaosRunRecoversAndRepeats(t *testing.T) {
 		t.Fatalf("faults did not reach the shims: %+v", r1.ShimStats)
 	}
 
-	r2, err := spec().Run()
+	r2, err := spec().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +78,13 @@ func TestChaosRunRecoversAndRepeats(t *testing.T) {
 // change the measured outcome, or the injector is wired to nothing.
 func TestFaultsPerturbTheDigest(t *testing.T) {
 	base := &Spec{Kind: KindDumbbell, Schemes: []Share{{Scheme: HWatch}}, Dumbbell: chaosParams(11)}
-	clean, err := base.Run()
+	clean, err := base.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty := &Spec{Kind: KindDumbbell, Schemes: []Share{{Scheme: HWatch}},
 		Dumbbell: chaosParams(11), Faults: blackoutSchedule()}
-	chaos, err := faulty.Run()
+	chaos, err := faulty.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestChaosAcrossSchemes(t *testing.T) {
 	for _, scheme := range []Scheme{DropTail, DCTCP} {
 		s := &Spec{Kind: KindDumbbell, Schemes: []Share{{Scheme: scheme}},
 			Dumbbell: chaosParams(11), Faults: blackoutSchedule()}
-		run, err := s.Run()
+		run, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -117,7 +118,7 @@ func TestPermanentLinkDownIsCaught(t *testing.T) {
 		Dumbbell: chaosParams(11),
 		Faults:   faults.Schedule{{Kind: faults.LinkDown, At: 50 * sim.Millisecond}},
 	}
-	run, err := s.Run()
+	run, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestPermanentLinkDownIsCaught(t *testing.T) {
 	}
 	// Violations are observability, not outcome: they must not shift the
 	// digest relative to a second identical broken run.
-	run2, err := s.Run()
+	run2, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestArmErrorSurfacesFromRun(t *testing.T) {
 		Dumbbell: chaosParams(11),
 		Faults:   faults.Schedule{{Kind: faults.LinkDown, At: 1, Target: "nosuch"}},
 	}
-	_, err := s.Run()
+	_, err := s.RunContext(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "nosuch") {
 		t.Fatalf("bad fault target not surfaced: %v", err)
 	}
@@ -216,7 +217,7 @@ func TestSpecFileWithFaults(t *testing.T) {
 	if sc.Dumbbell.DrainAfter != 400*sim.Millisecond {
 		t.Fatalf("drain_after_ms lost: %d", sc.Dumbbell.DrainAfter)
 	}
-	run, err := sc.Run()
+	run, err := sc.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestRecurringChaosShardParity(t *testing.T) {
 			Faults:   recurringChaosSchedule(),
 			Shards:   shards,
 		}
-		r, err := s.Run()
+		r, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -85,13 +85,9 @@ func LookupRung(name string) (Rung, bool) {
 	return r, ok
 }
 
-// RunRung executes a registered rung at the given scale.
-func RunRung(name string, scale float64) (*Run, error) {
-	return RunRungContext(context.Background(), name, scale)
-}
-
-// RunRungContext is RunRung under a context; see Spec.RunContext.
-func RunRungContext(ctx context.Context, name string, scale float64) (*Run, error) {
+// RunRung executes a registered rung at the given scale under ctx; see
+// Spec.RunContext.
+func RunRung(ctx context.Context, name string, scale float64) (*Run, error) {
 	r, ok := LookupRung(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown rung %q: registered rungs are %v", name, RungNames())

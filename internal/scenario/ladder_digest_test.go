@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -18,7 +19,7 @@ func ladderRuns(t *testing.T) map[string]string {
 	t.Helper()
 	got := map[string]string{}
 	for _, r := range Rungs() {
-		run, err := r.Spec(r.DigestScale).Run()
+		run, err := r.Spec(r.DigestScale).RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("rung %s: %v", r.Name, err)
 		}
@@ -100,7 +101,7 @@ func TestLadderRegistry(t *testing.T) {
 			t.Errorf("rung %s: not resolvable via LookupRung", r.Name)
 		}
 	}
-	if _, err := RunRung("ladder/nope", 1); err == nil {
+	if _, err := RunRung(context.Background(), "ladder/nope", 1); err == nil {
 		t.Fatal("unknown rung must error")
 	}
 }
@@ -113,7 +114,7 @@ func TestStormRungCompletes(t *testing.T) {
 	if !ok {
 		t.Fatal("storm/websearch not registered")
 	}
-	runA, err := r.Spec(0.02).Run()
+	runA, err := r.Spec(0.02).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestStormRungCompletes(t *testing.T) {
 	if runA.ShortDone > runA.ShortAll {
 		t.Fatalf("completed %d > started %d", runA.ShortDone, runA.ShortAll)
 	}
-	runB, err := r.Spec(0.02).Run()
+	runB, err := r.Spec(0.02).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

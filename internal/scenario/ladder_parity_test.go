@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,7 +41,7 @@ func TestLadderShardParityMatrix(t *testing.T) {
 					t.Errorf("rung %s: in golden file but not registered", name)
 					continue
 				}
-				run, err := r.Spec(r.DigestScale).Run()
+				run, err := r.Spec(r.DigestScale).RunContext(context.Background())
 				if err != nil {
 					t.Fatalf("rung %s: %v", name, err)
 				}

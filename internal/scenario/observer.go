@@ -33,7 +33,9 @@ var defaultShards atomic.Int32
 
 // SetDefaultShards sets the shard count every subsequent run uses when its
 // Spec names none (the CLIs' -shards flag; <= 1 restores the single-loop
-// engine). Sharding never moves a digest — it only buys wall-clock.
+// engine). Sharding never moves a digest — it only buys wall-clock. With
+// experiments.SetParallel it is one of the two process-wide execution
+// defaults bench/ pins; a Spec that must not inherit it sets Shards itself.
 func SetDefaultShards(n int) {
 	if n < 1 {
 		n = 1

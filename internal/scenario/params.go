@@ -42,10 +42,6 @@ type DumbbellParams struct {
 	// floors); violations land in Run.InvariantViolations.
 	Check bool
 
-	// Shards partitions the fabric across engine shards (0/1 single-loop).
-	// Execution detail only: digests are identical at any count.
-	Shards int
-
 	// ShimTweak, when non-nil, adjusts the HWatch configuration after the
 	// defaults are applied (ablation studies).
 	ShimTweak func(*core.Config)
@@ -106,10 +102,6 @@ type TestbedParams struct {
 	// Check enables the physical-invariant checker for this run; findings
 	// land in Run.InvariantViolations.
 	Check bool
-
-	// Shards partitions the fabric across engine shards (0/1 single-loop).
-	// Execution detail only: digests are identical at any count.
-	Shards int
 
 	// ShimTweak, when non-nil, adjusts the HWatch configuration after the
 	// testbed's SYN-ACK pacing defaults are applied.

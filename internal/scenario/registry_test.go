@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round-trip parse: %v", err)
 			}
-			run, err := parsed.Run()
+			run, err := parsed.Scenario().RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -94,12 +94,9 @@ type Spec struct {
 }
 
 // shards resolves the spec's effective shard count: an explicit
-// Spec.Shards wins, then the params' own count, then the package default.
-func (s *Spec) shards(paramShards int) int {
+// Spec.Shards wins, else the package default.
+func (s *Spec) shards() int {
 	n := s.Shards
-	if n == 0 {
-		n = paramShards
-	}
 	if n == 0 {
 		n = DefaultShards()
 	}
@@ -123,15 +120,12 @@ func singleShardOnly(shards int, names ...string) error {
 	return nil
 }
 
-// Run executes the spec and returns the measured outcome.
-func (s *Spec) Run() (*Run, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext executes the spec under ctx: cancellation interrupts the
-// event loop within a few thousand events and returns ctx.Err() with a nil
-// Run. An uninterrupted run is byte-identical to Run — the cancellation
-// check rides the engine's out-of-band poll hook, never the event queue.
+// RunContext executes the spec and returns the measured outcome.
+// Cancelling ctx interrupts the event loop within a few thousand events
+// and returns ctx.Err() with a nil Run; the check rides the engine's
+// out-of-band poll hook, never the event queue, so a cancellable context
+// cannot move a digest. (The name is pinned by bench/; it is the only run
+// method a Spec has.)
 func (s *Spec) RunContext(ctx context.Context) (*Run, error) {
 	if ctx == nil {
 		ctx = context.Background() //hwatchvet:allow ctxflow nil-ctx compat default: a nil context means the documented never-cancelled run
@@ -145,19 +139,9 @@ func (s *Spec) RunContext(ctx context.Context) (*Run, error) {
 	return nil, fmt.Errorf("unrunnable scenario kind %q", string(s.Kind))
 }
 
-// RunDumbbell executes one scheme under the given parameters (the
-// classic entry point; panics on an unregistered scheme).
-func RunDumbbell(scheme Scheme, p DumbbellParams) *Run {
-	run, err := RunDumbbellContext(context.Background(), scheme, p)
-	if err != nil {
-		panic("scenario: " + err.Error())
-	}
-	return run
-}
-
-// RunDumbbellContext is RunDumbbell under a context: cancellation
-// interrupts the run and returns ctx.Err() instead of panicking.
-func RunDumbbellContext(ctx context.Context, scheme Scheme, p DumbbellParams) (*Run, error) {
+// RunDumbbell executes one scheme on the dumbbell under the given
+// parameters: the single-scheme shorthand for a Spec.
+func RunDumbbell(ctx context.Context, scheme Scheme, p DumbbellParams) (*Run, error) {
 	return (&Spec{
 		Kind:     KindDumbbell,
 		Schemes:  []Share{{Scheme: scheme}},
@@ -166,19 +150,9 @@ func RunDumbbellContext(ctx context.Context, scheme Scheme, p DumbbellParams) (*
 }
 
 // RunTestbed executes the leaf-spine scenario with or without HWatch
-// (the classic boolean entry point; any registered scheme can run on the
+// (the paper's boolean comparison; any registered scheme can run on the
 // testbed through a Spec).
-func RunTestbed(hwatch bool, p TestbedParams) *Run {
-	run, err := RunTestbedContext(context.Background(), hwatch, p)
-	if err != nil {
-		panic("scenario: " + err.Error())
-	}
-	return run
-}
-
-// RunTestbedContext is RunTestbed under a context: cancellation
-// interrupts the run and returns ctx.Err() instead of panicking.
-func RunTestbedContext(ctx context.Context, hwatch bool, p TestbedParams) (*Run, error) {
+func RunTestbed(ctx context.Context, hwatch bool, p TestbedParams) (*Run, error) {
 	scheme := DropTail
 	if hwatch {
 		scheme = HWatch
@@ -188,21 +162,6 @@ func RunTestbedContext(ctx context.Context, hwatch bool, p TestbedParams) (*Run,
 		Schemes: []Share{{Scheme: scheme}},
 		Testbed: p,
 	}).RunContext(ctx)
-}
-
-// DumbbellFabric builds the dumbbell topology for a materialized
-// bottleneck queue (edge ports stay deep, as in ns-2). p.Shards > 1
-// partitions it for conservative-lookahead parallel execution.
-func DumbbellFabric(bottleneckQ func() netem.Queue, p DumbbellParams) *topo.Dumbbell {
-	return topo.NewDumbbell(topo.DumbbellConfig{
-		Senders:       p.LongSources + p.ShortSources,
-		EdgeRateBps:   p.EdgeBps,
-		BottleneckBps: p.BottleneckBps,
-		LinkDelay:     p.LinkDelay,
-		BottleneckQ:   bottleneckQ,
-		EdgeQ:         func() netem.Queue { return aqm.NewDropTail(100000) },
-		Shards:        p.Shards,
-	})
 }
 
 // materialize binds every scheme in the spec to env and expands the
@@ -260,7 +219,7 @@ func overlayDeployment(env Env) Deployment {
 
 func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 	p := s.Dumbbell
-	p.Shards = s.shards(p.Shards)
+	shards := s.shards()
 	rng := sim.NewRNG(p.Seed)
 	meanPkt := int64(netem.DefaultMTU) * 8 * sim.Second / p.BottleneckBps
 	baseRTT := 4 * p.LinkDelay
@@ -292,7 +251,7 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 	for i := range mats {
 		names[i] = mats[i].Name
 	}
-	if err := singleShardOnly(p.Shards, names...); err != nil {
+	if err := singleShardOnly(shards, names...); err != nil {
 		return nil, err
 	}
 	if s.Guest != nil {
@@ -301,7 +260,16 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 		}
 	}
 
-	d := DumbbellFabric(mats[0].BottleneckQ, p)
+	// Edge ports stay deep, as in ns-2; only the bottleneck is the scheme's.
+	d := topo.NewDumbbell(topo.DumbbellConfig{
+		Senders:       p.LongSources + p.ShortSources,
+		EdgeRateBps:   p.EdgeBps,
+		BottleneckBps: p.BottleneckBps,
+		LinkDelay:     p.LinkDelay,
+		BottleneckQ:   mats[0].BottleneckQ,
+		EdgeQ:         func() netem.Queue { return aqm.NewDropTail(100000) },
+		Shards:        shards,
+	})
 	// The hub engine owns the bottleneck port: telemetry samples and fault
 	// arming stay shard-local there (shard 0 == the hub single-loop).
 	eng = d.BottleneckPort.Eng
@@ -392,8 +360,8 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 			string(scheme), strings.Join(Names(), ", "))
 	}
 	p := s.Testbed
-	p.Shards = s.shards(p.Shards)
-	if err := singleShardOnly(p.Shards, def.Name); err != nil {
+	shards := s.shards()
+	if err := singleShardOnly(shards, def.Name); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(p.Seed)
@@ -454,7 +422,7 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 		CoreDelay:    p.LinkDelay,
 		EdgeQ:        func() netem.Queue { return aqm.NewDropTailBytes(4 * bufBytes) },
 		CoreQ:        mat.BottleneckQ,
-		Shards:       p.Shards,
+		Shards:       shards,
 	})
 	clientRack := p.Racks - 1
 	// The hub engine owns the spine's instrumented down port toward the

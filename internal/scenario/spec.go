@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -153,7 +152,8 @@ func schemeOrDefault(name string) Scheme {
 	return Scheme(name)
 }
 
-// Scenario converts the file form into the runnable Spec.
+// Scenario converts the file form into the runnable Spec; run it with
+// Scenario().RunContext(ctx).
 func (s *FileSpec) Scenario() *Spec {
 	sc := &Spec{Shards: s.Shards}
 	switch s.Kind {
@@ -195,20 +195,6 @@ func (s *FileSpec) Scenario() *Spec {
 		}
 	}
 	return sc
-}
-
-// Run executes the spec and returns the resulting run.
-func (s *FileSpec) Run() (*Run, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext executes the spec under ctx; see Spec.RunContext.
-func (s *FileSpec) RunContext(ctx context.Context) (*Run, error) {
-	switch s.Kind {
-	case "dumbbell", "testbed":
-		return s.Scenario().RunContext(ctx)
-	}
-	return nil, fmt.Errorf("unrunnable spec kind %q", s.Kind)
 }
 
 func (s *FileSpec) dumbbellParams() DumbbellParams {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,7 +123,7 @@ func TestSpecMixRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Run()
+	run, err := s.Scenario().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"hwatch/internal/netem"
 	"hwatch/internal/scenario"
 	"hwatch/internal/server"
 	"hwatch/internal/server/client"
@@ -168,7 +170,7 @@ func TestE2ESpecJobMatchesCLIPath(t *testing.T) {
 		t.Fatalf("spec job returned %d runs, want 1", len(res.Runs))
 	}
 
-	local, err := fs.Run()
+	local, err := fs.Scenario().RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,6 +384,65 @@ func TestE2EErrorPaths(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
 		}
 	}
+}
+
+// TestE2EPanickingSchemeFailsOneJob submits jobs whose scheme's queue
+// factory panics. A study job panics inside a harness.Pool cell — a
+// goroutine the job's own recover fence cannot see — and a spec job
+// panics on the job goroutine itself. Either must end as one failed job
+// carrying the panic text: the daemon stays up, serves the next job,
+// leaks no goroutine and caches nothing for the failures.
+func TestE2EPanickingSchemeFailsOneJob(t *testing.T) {
+	if _, ok := scenario.Lookup("boom"); !ok {
+		scenario.Register(scenario.Definition{
+			Name: "boom",
+			Bottleneck: func(scenario.Env) func() netem.Queue {
+				panic("boom: queue factory exploded")
+			},
+		})
+	}
+	srv, _, cl := newTestServer(t, server.Config{Parallel: 1})
+	ctx := context.Background()
+	before := runtime.NumGoroutine()
+
+	for _, req := range []*server.JobRequest{
+		{Kind: "study", Name: "incast", Schemes: []string{"boom"}},
+		{Kind: "spec", Spec: []byte(`{"kind":"dumbbell","scheme":"boom","seed":1}`)},
+	} {
+		_, err := cl.Submit(ctx, req)
+		if err == nil {
+			t.Fatalf("%s job with a panicking scheme succeeded", req.Kind)
+		}
+		// 500 is writeOutcome's rendering of the failed state (a cancelled
+		// job would be 409).
+		for _, want := range []string{"500", "panicked", "boom: queue factory exploded"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s job: error %q does not carry %q", req.Kind, err, want)
+			}
+		}
+		id, err := cl.Digest(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, found, err := cl.Result(ctx, id); err != nil || found {
+			t.Errorf("%s job: failed result is retrievable (found=%v, err=%v)", req.Kind, found, err)
+		}
+	}
+	if st := srv.Stats(); st.CacheEntries != 0 || st.Active != 0 {
+		t.Errorf("after two failed jobs: %d cache entries, %d active; want 0, 0", st.CacheEntries, st.Active)
+	}
+
+	res, err := cl.SubmitSpec(ctx, []byte(quickSpec))
+	if err != nil {
+		t.Fatalf("job after the panics failed: %v", err)
+	}
+	if len(res.Runs) != 1 || res.Cached {
+		t.Errorf("job after the panics: %d runs, cached=%v", len(res.Runs), res.Cached)
+	}
+	waitFor(t, "goroutines drained", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= before+5
+	})
 }
 
 // TestE2ERungJob runs a ladder rung through the service, pinning the

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -177,62 +176,53 @@ func parseJob(req *JobRequest) (*parsedJob, string, error) {
 		return p, tupleDigest("rung", rung.Name, scale, nil), nil
 
 	case "fig":
-		name := strings.ToLower(req.Name)
-		known := false
-		for _, f := range experiments.FigNames() {
-			if f == name {
-				known = true
-			}
-		}
-		if !known {
-			return nil, "", fmt.Errorf("unknown figure %q: known figures are %v", req.Name, experiments.FigNames())
+		fig, err := experiments.LookupFigure(strings.ToLower(req.Name))
+		if err != nil {
+			return nil, "", err
 		}
 		scale := normScale(req.Scale)
-		p := &parsedJob{kind: "fig", name: name, scale: scale}
+		p := &parsedJob{kind: "fig", name: fig.Name, scale: scale}
 		p.run = func(ctx context.Context, _ func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			runs, err := experiments.FigRuns(ctx, name, scale)
+			runs, err := fig.Run(ctx, scale)
 			return runs, nil, err
 		}
-		return p, tupleDigest("fig", name, scale, nil), nil
+		return p, tupleDigest("fig", fig.Name, scale, nil), nil
 
 	case "ablation":
-		fn, ok := ablations[req.Name]
-		if !ok {
-			return nil, "", fmt.Errorf("unknown ablation %q: known ablations are %v", req.Name, ablationNames())
+		abl, err := experiments.LookupAblation(req.Name)
+		if err != nil {
+			return nil, "", err
 		}
 		scale := normScale(req.Scale)
-		p := &parsedJob{kind: "ablation", name: req.Name, scale: scale}
+		p := &parsedJob{kind: "ablation", name: abl.Name, scale: scale}
 		p.run = func(ctx context.Context, _ func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			pts, err := fn(ctx, scale)
+			pts, err := abl.Run(ctx, scale)
 			if err != nil {
 				return nil, nil, err
 			}
-			rows := make([]string, 0, len(pts))
-			for _, pt := range pts {
-				rows = append(rows, fmt.Sprint(pt))
+			rows := make([]string, len(pts))
+			for i, pt := range pts {
+				rows[i] = pt.String()
 			}
 			return nil, rows, nil
 		}
-		return p, tupleDigest("ablation", req.Name, scale, nil), nil
+		return p, tupleDigest("ablation", abl.Name, scale, nil), nil
 
 	case "study":
 		set, err := schemeSet(req.Schemes)
 		if err != nil {
 			return nil, "", err
 		}
-		runStudy, ok := studies[req.Name]
-		if !ok {
-			return nil, "", fmt.Errorf("unknown study %q: known studies are %v", req.Name, studyNames())
+		study, err := experiments.LookupStudy(req.Name)
+		if err != nil {
+			return nil, "", err
 		}
-		p := &parsedJob{kind: "study", name: req.Name, scale: 1}
+		p := &parsedJob{kind: "study", name: study.Name, scale: 1}
 		p.run = func(ctx context.Context, _ func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			rows, err := runStudy(ctx, set)
-			if err != nil {
-				return nil, nil, err
-			}
-			return nil, rows, nil
+			rows, err := study.Run(ctx, set)
+			return nil, rows, err
 		}
-		return p, tupleDigest("study", req.Name, 1, req.Schemes), nil
+		return p, tupleDigest("study", study.Name, 1, req.Schemes), nil
 	}
 	return nil, "", fmt.Errorf("unknown job kind %q: want spec, rung, fig, ablation or study", kind)
 }
@@ -251,71 +241,18 @@ func tupleDigest(kind, name string, scale float64, schemes []string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-var ablations = map[string]func(context.Context, float64) ([]experiments.AblationPoint, error){
-	"probes": experiments.AblationProbesContext,
-	"k":      experiments.AblationThresholdContext,
-	"icw":    experiments.AblationStartWindowContext,
-	"batch":  experiments.AblationBatchesContext,
-	"pacing": experiments.AblationPacingContext,
-	"guests": experiments.AblationGuestStacksContext,
-}
-
-func ablationNames() []string {
-	names := make([]string, 0, len(ablations))
-	for n := range ablations {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// The extension studies run under the job context: cancellation skips
-// queued cells, interrupts running ones through the engine poll hook,
-// and the job discards its partial rows.
-var studies = map[string]func(ctx context.Context, set []experiments.Scheme) ([]string, error){
-	"empirical": func(ctx context.Context, set []experiments.Scheme) ([]string, error) {
-		res, err := experiments.RunEmpiricalContext(ctx, set, experiments.DefaultEmpirical())
-		return sprintRows(res), err
-	},
-	"coflow": func(ctx context.Context, set []experiments.Scheme) ([]string, error) {
-		res, err := experiments.RunCoflowContext(ctx, set, experiments.DefaultCoflow())
-		return sprintRows(res), err
-	},
-	"incast": func(ctx context.Context, set []experiments.Scheme) ([]string, error) {
-		res, err := experiments.RunIncastSweepContext(ctx, set, experiments.DefaultIncastSweep())
-		return sprintRows(res), err
-	},
-}
-
-func studyNames() []string {
-	names := make([]string, 0, len(studies))
-	for n := range studies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sprintRows[T any](items []T) []string {
-	rows := make([]string, 0, len(items))
-	for _, it := range items {
-		rows = append(rows, fmt.Sprint(it))
-	}
-	return rows
-}
-
-func schemeSet(names []string) ([]experiments.Scheme, error) {
+func schemeSet(names []string) ([]scenario.Scheme, error) {
 	if len(names) == 0 {
-		return experiments.AllSchemes(), nil
+		return scenario.AllSchemes(), nil
 	}
-	set := make([]experiments.Scheme, 0, len(names))
+	set := make([]scenario.Scheme, 0, len(names))
 	for _, raw := range names {
 		name := strings.ToLower(strings.TrimSpace(raw))
 		if _, ok := scenario.Lookup(name); !ok {
 			return nil, fmt.Errorf("unknown scheme %q: registered schemes are %s",
 				name, strings.Join(scenario.Names(), ", "))
 		}
-		set = append(set, experiments.Scheme(name))
+		set = append(set, scenario.Scheme(name))
 	}
 	return set, nil
 }

@@ -347,9 +347,12 @@ func (s *Server) start(j *job) {
 	})
 }
 
-// runParsed executes the job body. The recover fence exists because the
-// legacy ablation/study entry points panic on internal errors; a tenant's
-// bad job must become a failed job, not a dead server.
+// runParsed executes the job body. The recover fence guards the job's own
+// goroutine — the spec and rung kinds build and run their scenario right
+// here — so a panicking scheme definition becomes a failed job instead of
+// an unfinished one; fig, ablation and study cells run on harness.Pool
+// goroutines of their own, where Pool.Go does the same. Either way a
+// tenant's bad job must not become a dead server.
 func runParsed(j *job) (runs []*scenario.Run, rows []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
