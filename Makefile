@@ -1,13 +1,13 @@
 GO ?= go
 DATE := $(shell date +%F)
-# Newest committed BENCH_*.json is the regression baseline (seed records
-# document history and are not enforced; BENCH_LADDER_*.json belongs to the
-# ladder suite below).
-BASELINE ?= $(lastword $(sort $(filter-out %_seed.json BENCH_LADDER_%,$(wildcard BENCH_*.json))))
 # Newest committed scale-ladder record, the bench-ladder baseline.
 LADDER_BASELINE ?= $(lastword $(sort $(wildcard BENCH_LADDER_*.json)))
+# bench-pair: the revision to compare the working tree against, and where
+# its throw-away checkout goes.
+PARENT ?= HEAD~1
+PAIR_TREE ?= /tmp/hwatch-bench-pair-parent
 
-.PHONY: all build test race lint lint-json vet bench bench-baseline bench-check \
+.PHONY: all build test race lint lint-json vet bench bench-pair \
 	bench-ladder bench-ladder-check fuzz-smoke poison chaos server-e2e
 
 all: build test
@@ -18,13 +18,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Static-analysis gate: formatting, the stock vet suite, and the repo's
-# own hwatchvet analyzers (detrand, pktown, schedclosure, lockscope,
-# hookpure, ctxflow, directive plus the curated vendored passes, including
-# the SSA-backed nilness and unusedwrite). ctxflow carries the twin check:
-# a non-test package that declares both X and XContext fails the gate. A
-# stale //hwatchvet:allow is a diagnostic, so a clean run also proves zero
-# stale allows. CI's static-analysis job runs exactly this.
+# Static-analysis gate, every lint once: formatting, the stock vet suite,
+# and the repo's own hwatchvet analyzers (detrand, pktown, schedclosure,
+# lockscope, hookpure, ctxflow, directive plus the two standard passes go
+# vet lacks, the SSA-backed nilness and unusedwrite). ctxflow carries the
+# twin check: a non-test package that declares both X and XContext fails
+# the gate. A stale //hwatchvet:allow is a diagnostic, so a clean run also
+# proves zero stale allows. CI's static-analysis job runs exactly this.
 lint:
 	@test -z "$$(gofmt -l . | grep -v '^vendor/')" || { gofmt -l . | grep -v '^vendor/'; echo "gofmt: files need formatting"; exit 1; }
 	$(GO) vet ./...
@@ -41,41 +41,37 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Quick interactive benchmark pass (no JSON, sane benchtime for micros).
+# The micro-benchmarks that have no twin among bench/'s layer drivers
+# (heap oracle, port throughput, filter chain, byte-mode AQMs, rwnd rewrite,
+# GC sweep, token bucket). Interactive; nothing gates on them.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkPort|BenchmarkShim|BenchmarkChecksum' \
-		-benchmem ./internal/sim ./internal/netem ./internal/core
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
-# Record a new baseline as BENCH_$(DATE).json (commit it alongside the
-# change that moved the numbers).
-bench-baseline:
-	$(GO) run ./cmd/benchdiff -out BENCH_$(DATE).json
-
-# Re-run the suite and fail on >10% ns/op, >10% B/op or >0.1% allocs/op
-# regression against the newest committed baseline. This is what CI's
-# bench-regress job runs.
-bench-check:
-	@test -n "$(BASELINE)" || { echo "no BENCH_*.json baseline found"; exit 1; }
-	$(GO) run ./cmd/benchdiff -check -baseline $(BASELINE) -out /tmp/bench_check.json
+# The time-and-memory gate: build ./bench at $(PARENT) and in the working
+# tree, run every BENCHMARK.json workload on both in five interleaved pairs
+# and fail when a run is wrong or a median is worse than the parent's by
+# more than the bound BENCHMARK.json declares (~20 min). CI's bench-pair
+# job runs exactly this against the PR base.
+bench-pair:
+	@git worktree remove --force $(PAIR_TREE) 2>/dev/null || true
+	git worktree add --detach $(PAIR_TREE) $(PARENT)
+	$(GO) run ./cmd/benchdiff -pair $(PAIR_TREE); status=$$?; \
+		git worktree remove --force $(PAIR_TREE); exit $$status
 
 # Run the full scale ladder (1x/10x/100x dumbbells plus both 10k-flow
-# incast storms) and record the trajectory as BENCH_LADDER_$(DATE).json.
-# Commit the record alongside any change that moves the numbers.
+# incast storms, single-loop and sharded: ten rungs) and record the
+# trajectory as BENCH_LADDER_$(DATE).json. Commit the record alongside any
+# change that moves the model's numbers, replacing the previous one.
 bench-ladder:
-	$(GO) run ./cmd/benchdiff -suite ladder -out BENCH_LADDER_$(DATE).json
+	$(GO) run ./cmd/benchdiff -out BENCH_LADDER_$(DATE).json
 
-# Re-run the affordable rungs (1x and 10x, plus the sharded 10x so the
-# shard dimension is tracked on every push; CI wall-clock budget) and fail
-# on regression against the newest committed ladder record. CI's
-# bench-ladder job runs exactly this. The alloc threshold is looser than
-# the main suite's: pool-refill jitter scales with the rungs' live flow
-# sets (~0.3% observed), while a real per-packet or per-flow regression
-# is orders of magnitude above 1%.
+# Re-run all ten rungs once and fail when one differs from the committed
+# record in a column that repeats: flows-done, fct-ms and events exactly,
+# B/op beyond 10 %, allocs/op beyond 1 %. ns/op and events/s are printed,
+# never gated. CI's bench-ladder job runs exactly this.
 bench-ladder-check:
 	@test -n "$(LADDER_BASELINE)" || { echo "no BENCH_LADDER_*.json baseline found"; exit 1; }
-	$(GO) run ./cmd/benchdiff -suite ladder -bench 'BenchmarkLadder1x$$|BenchmarkLadder10x$$|BenchmarkLadder10xShards4$$' \
-		-check -subset -alloc-threshold 0.01 -baseline $(LADDER_BASELINE) \
-		-out /tmp/bench_ladder_check.json
+	$(GO) run ./cmd/benchdiff -check -baseline $(LADDER_BASELINE) -out /tmp/bench_ladder_check.json
 
 # Short fuzz smoke over every fuzz target with a committed corpus.
 fuzz-smoke:

@@ -8,9 +8,8 @@ package hwatch
 
 import (
 	"context"
+	"runtime/metrics"
 	"testing"
-
-	"hwatch/internal/sim"
 )
 
 const benchScale = 0.2
@@ -95,21 +94,44 @@ func BenchmarkFig11(b *testing.B) {
 	}
 }
 
+// gcCPUSamples are the runtime's CPU-time classes behind gc-cpu-fraction.
+// The runtime refreshes all three together at the end of a GC cycle, so a
+// ratio of their deltas is consistent however few cycles an iteration has.
+func gcCPUSamples() []metrics.Sample {
+	return []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+}
+
 // benchRung runs one registered scale-ladder rung at full scale per
-// iteration. The rungs are the standing scalability gate for the flat
-// flow-state work: each reports its completion count and mean short FCT so
-// BENCH_LADDER records track the whole trajectory, not just wall time.
+// iteration. Each reports what the fabric did — completion count, mean
+// short FCT and event count, all pure functions of the model that
+// `benchdiff -check` holds exactly equal to the BENCH_LADDER record — and
+// the share of the iteration's busy CPU the collector took, which is
+// recorded but not gated.
 func benchRung(b *testing.B, name string, scale float64) {
 	b.Helper()
+	before, after := gcCPUSamples(), gcCPUSamples()
 	for i := 0; i < b.N; i++ {
+		metrics.Read(before)
 		run, err := RunRung(context.Background(), name, scale)
 		if err != nil {
 			b.Fatal(err)
 		}
+		metrics.Read(after)
 		b.ReportMetric(float64(run.ShortDone), "flows-done")
 		if run.ShortFCTms.N() > 0 {
 			b.ReportMetric(run.ShortFCTms.Mean(), "fct-ms")
 		}
+		b.ReportMetric(float64(run.Events), "events")
+		delta := func(j int) float64 { return after[j].Value.Float64() - before[j].Value.Float64() }
+		gcFrac := 0.0
+		if busy := delta(1) - delta(2); busy > 0 {
+			gcFrac = delta(0) / busy
+		}
+		b.ReportMetric(gcFrac, "gc-cpu-fraction")
 	}
 }
 
@@ -132,8 +154,6 @@ func benchRungShards(b *testing.B, name string, shards int) {
 	benchRung(b, name, 1)
 }
 
-// BenchmarkLadder10xShards4 is the rung cheap enough for CI's wall-clock
-// budget, so the bench-ladder job tracks the shard dimension on every push.
 func BenchmarkLadder10xShards4(b *testing.B) { benchRungShards(b, "ladder/10x", 4) }
 
 func BenchmarkLadder100xShards2(b *testing.B) { benchRungShards(b, "ladder/100x", 2) }
@@ -141,35 +161,3 @@ func BenchmarkLadder100xShards4(b *testing.B) { benchRungShards(b, "ladder/100x"
 
 func BenchmarkStormWebSearchShards4(b *testing.B)  { benchRungShards(b, "storm/websearch", 4) }
 func BenchmarkStormDataMiningShards4(b *testing.B) { benchRungShards(b, "storm/datamining", 4) }
-
-// BenchmarkSchemeHWatch times a single HWatch dumbbell run: the end-to-end
-// cost of the simulator + shim datapath (events/sec throughput proxy).
-func BenchmarkSchemeHWatch(b *testing.B) {
-	p := PaperDumbbell(5, 5)
-	p.Duration = 100 * sim.Millisecond
-	p.Epochs = 1
-	p.FirstEpoch = 20 * sim.Millisecond
-	p.ByteBuffers = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunDumbbell(context.Background(), HWatch, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchemeDCTCP is the no-shim baseline of the same scenario, so the
-// shim's datapath overhead is the difference between the two benchmarks.
-func BenchmarkSchemeDCTCP(b *testing.B) {
-	p := PaperDumbbell(5, 5)
-	p.Duration = 100 * sim.Millisecond
-	p.Epochs = 1
-	p.FirstEpoch = 20 * sim.Millisecond
-	p.ByteBuffers = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunDumbbell(context.Background(), DCTCP, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

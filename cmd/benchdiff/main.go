@@ -1,37 +1,27 @@
-// Command benchdiff is the repo's benchmark-regression harness: it runs the
-// figure and micro benchmarks, records the results as BENCH_<date>.json, and
-// compares runs against a committed baseline with benchstat-style
-// thresholds.
+// Command benchdiff holds the two benchmark gates that need more than one
+// process to answer.
 //
-// Modes (combine freely):
+//	benchdiff -out BENCH_LADDER_2026-09-29.json     # run the scale ladder, record
+//	benchdiff -check -baseline A.json -out /tmp/b.json  # run, then diff vs A
+//	benchdiff -compare -baseline A.json -new B.json # diff two ladder records
+//	benchdiff -pair ../parent-tree                  # bench/ on parent and change
 //
-//	benchdiff -out BENCH_2026-08-05.json            # run, record
-//	benchdiff -suite ladder -out BENCH_LADDER_2026-08-05.json
-//	benchdiff -compare -baseline A.json -new B.json # diff two records
-//	benchdiff -check -baseline A.json               # run, then diff vs A
+// The scale ladder (the 1x/10x/100x dumbbells and both 10k-flow incast
+// storms, single-loop and sharded: the `BenchmarkLadder*`/`BenchmarkStorm*`
+// functions of the root package) is the one thing `bench/` does not cover.
+// Its record is gated only on columns that repeat. Every custom metric a
+// rung reports (flows-done, fct-ms, events) is a pure function of the model
+// and must equal the record exactly; gc-cpu-fraction is the exception, a
+// measurement, recorded but not compared. allocs/op may grow by allocsGrowth
+// and B/op by bytesGrowth (beyond bytesSlack): pool refills under GC move
+// both a little with the rungs' live flow sets, a real per-packet or
+// per-flow allocation moves them by orders of magnitude more. ns/op is
+// recorded and printed, with the events/s it implies, and never fails a
+// check: on a shared host it wanders by a third.
 //
-// Suites: "main" is the figure + micro benchmarks; "ladder" is the scale
-// ladder (1x/10x/100x dumbbells and the 10k-flow incast storms), recorded
-// as BENCH_LADDER_<date>.json so the two baselines evolve independently.
-// A suite is one or more `go test` invocations: whole-figure benchmarks run
-// once per count (-benchtime 1x, seconds each), micro-benchmarks run for a
-// real benchtime so their numbers are data, not timer noise. Explicit
-// -bench / -packages / -benchtime override the presets in every invocation
-// of the suite.
-//
-// Regression policy: allocs/op may not grow beyond -alloc-threshold
-// (default 0.1% — sync.Pool refills under GC make figure-scale counts
-// jitter by a few allocs, while any real regression is orders of magnitude
-// larger; zero-alloc benchmarks stay exact because 0×anything is 0).
-// B/op may not grow beyond -bytes-threshold (default 10%): allocation
-// counts alone hid a slab that carved 84 bytes per simulated event in a
-// handful of large chunks. Growth under bytesSlack is ignored — it is
-// amortised warm-up moving with the iteration count, and a new per-op
-// allocation trips allocs/op anyway. ns/op is compared on the fastest of
-// -count runs (the standard noise-robust statistic) and may regress up to
-// -ns-threshold (default 10%), enforced only where the baseline op cost is
-// at least -ns-floor (default 1ms): below that, shared CI runners are too
-// noisy for a wall-clock gate.
+// Time and memory are judged by `bench/` (see pair.go): -pair builds
+// ./bench in both trees and compares interleaved runs at the bounds
+// BENCHMARK.json declares.
 package main
 
 import (
@@ -39,10 +29,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,108 +43,89 @@ import (
 type Result struct {
 	Runs     int                `json:"runs"`
 	NsPerOp  float64            `json:"ns_per_op"`         // mean
-	MinNsOp  float64            `json:"min_ns_op"`         // fastest run (noise-robust)
+	MinNsOp  float64            `json:"min_ns_op"`         // fastest run
 	BytesOp  float64            `json:"bytes_op"`          // mean B/op
 	AllocsOp int64              `json:"allocs_op"`         // max allocs/op across runs
-	Metrics  map[string]float64 `json:"metrics,omitempty"` // custom ReportMetric units, mean
+	Metrics  map[string]float64 `json:"metrics,omitempty"` // custom ReportMetric units, median
 }
 
-// Record is one benchmark session, the unit committed as BENCH_<date>.json.
+// Record is one ladder session, the unit committed as
+// BENCH_LADDER_<date>.json.
 type Record struct {
 	Date       string            `json:"date"`
 	GoVersion  string            `json:"go"`
 	GOOS       string            `json:"goos"`
 	GOARCH     string            `json:"goarch"`
 	NumCPU     int               `json:"num_cpu"`
-	Bench      string            `json:"bench"`
-	Benchtime  string            `json:"benchtime"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
 	Count      int               `json:"count"`
-	Packages   []string          `json:"packages"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
+const (
+	// ladderBench selects the rungs; they live in the root package and
+	// each iteration is one whole run, so every count is one iteration.
+	ladderBench = "BenchmarkLadder|BenchmarkStorm"
+
+	allocsGrowth = 0.01 // allowed fractional allocs/op growth
+	bytesGrowth  = 0.10 // allowed fractional B/op growth
+	// bytesSlack is the B/op growth diff ignores whatever the fraction:
+	// less than the smallest real allocation, so it can only be amortised
+	// warm-up.
+	bytesSlack = 16
+
+	// eventsMetric is the rung's event count; with ns/op it gives the
+	// events/s the table prints.
+	eventsMetric = "events"
+	// gcMetric is the one custom metric that measures the host and not the
+	// model: recorded, never compared.
+	gcMetric = "gc-cpu-fraction"
+)
+
 func main() {
 	var (
-		out       = flag.String("out", "", "write results to this JSON file (default BENCH_<date>.json when running)")
-		suite     = flag.String("suite", "main", "benchmark suite preset: main|ladder")
-		benchRe   = flag.String("bench", "", "go test -bench regex (default from -suite)")
-		benchtime = flag.String("benchtime", "", "go test -benchtime (default from -suite)")
-		count     = flag.Int("count", 5, "go test -count")
-		pkgList   = flag.String("packages", "", "space-separated packages to benchmark (default from -suite)")
-		compare   = flag.Bool("compare", false, "compare -baseline against -new instead of running")
-		check     = flag.Bool("check", false, "run the benchmarks, then compare against -baseline")
-		baseline  = flag.String("baseline", "", "baseline JSON for -compare / -check")
-		newFile   = flag.String("new", "", "candidate JSON for -compare")
-		nsThresh  = flag.Float64("ns-threshold", 0.10, "allowed fractional ns/op regression")
-		nsFloor   = flag.Float64("ns-floor", 1e6, "ns/op compared only when baseline >= this (ns)")
-		alThresh  = flag.Float64("alloc-threshold", 0.001, "allowed fractional allocs/op growth (absorbs pool/GC jitter)")
-		byThresh  = flag.Float64("bytes-threshold", 0.10, "allowed fractional B/op growth")
-		subset    = flag.Bool("subset", false, "allow the new run to cover only part of the baseline (partial-suite checks, e.g. the affordable ladder rungs in CI)")
+		out      = flag.String("out", "", "write the ladder record to this JSON file (default BENCH_LADDER_<date>.json; none with -check)")
+		count    = flag.Int("count", 1, "go test -count for the ladder")
+		compare  = flag.Bool("compare", false, "compare -baseline against -new instead of running")
+		check    = flag.Bool("check", false, "run the ladder, then compare against -baseline")
+		baseline = flag.String("baseline", "", "baseline ladder record for -compare / -check")
+		newFile  = flag.String("new", "", "candidate ladder record for -compare")
+		pair     = flag.String("pair", "", "parent source tree: build ./bench there and here, run every BENCHMARK.json workload on both in interleaved pairs and judge the change at the declared bounds")
 	)
 	flag.Parse()
 
-	th := thresholds{ns: *nsThresh, nsFloor: *nsFloor, allocs: *alThresh, bytes: *byThresh}
+	if *pair != "" {
+		code, err := runPair(*pair, ".", os.Stdout)
+		if err != nil {
+			fatal(err)
+		}
+		os.Exit(code)
+	}
 	if *compare {
-		old := load(*baseline)
-		cur := load(*newFile)
-		os.Exit(diff(old, cur, th, *subset))
+		os.Exit(exitCode(diff(os.Stdout, load(*baseline), load(*newFile))))
 	}
 
-	st, ok := suites[*suite]
-	if !ok {
-		fatal(fmt.Errorf("unknown -suite %q (want main or ladder)", *suite))
-	}
-	invs := slices.Clone(st.invocations)
-	for i := range invs {
-		if *benchRe != "" {
-			invs[i].bench = *benchRe
-		}
-		if *pkgList != "" {
-			invs[i].pkgs = *pkgList
-		}
-		if *benchtime != "" {
-			invs[i].benchtime = *benchtime
-		}
-	}
-
-	rec := run(invs, *count)
+	rec := run(*count)
 	path := *out
-	if path == "" {
-		path = st.prefix + rec.Date + ".json"
+	if path == "" && !*check {
+		// A check never overwrites the committed record of the same day.
+		path = "BENCH_LADDER_" + rec.Date + ".json"
 	}
-	save(path, rec)
-	fmt.Printf("recorded %d benchmarks -> %s\n", len(rec.Benchmarks), path)
-
+	if path != "" {
+		save(path, rec)
+		fmt.Printf("recorded %d benchmarks -> %s\n", len(rec.Benchmarks), path)
+	}
 	if *check {
-		old := load(*baseline)
-		os.Exit(diff(old, rec, th, *subset))
+		os.Exit(exitCode(diff(os.Stdout, load(*baseline), rec)))
 	}
 }
 
-// invocation is one `go test -bench` run: a benchmark regexp, the packages
-// it is looked up in, and how long each benchmark runs.
-type invocation struct{ bench, pkgs, benchtime string }
-
-var suites = map[string]struct {
-	prefix      string
-	invocations []invocation
-}{
-	"main": {"BENCH_", []invocation{
-		{"BenchmarkFig8$|BenchmarkScheme", ".", "1x"},
-		{"BenchmarkEngineSchedule$|BenchmarkEngineScheduleCancel$|BenchmarkEngineHeapOracle$|BenchmarkPortForward$|BenchmarkPortThroughput$|BenchmarkHostFilterChain$|BenchmarkShimTransfer$|BenchmarkShimRewrite$|BenchmarkChecksum|BenchmarkGCSweep$|BenchmarkFlowTableChurn$",
-			"./internal/sim ./internal/netem ./internal/core", "200ms"},
-	}},
-	"ladder": {"BENCH_LADDER_", []invocation{
-		{"BenchmarkLadder|BenchmarkStorm", ".", "1x"},
-	}},
+func exitCode(failures int) int {
+	if failures > 0 {
+		return 1
+	}
+	return 0
 }
-
-// thresholds are the regression gates diff applies.
-type thresholds struct{ ns, nsFloor, allocs, bytes float64 }
-
-// bytesSlack is the B/op growth diff ignores whatever the threshold: less
-// than the smallest real allocation, so it can only be amortised warm-up.
-const bytesSlack = 16
 
 // agg collects one benchmark's per-run samples.
 type agg struct {
@@ -163,47 +134,11 @@ type agg struct {
 	metrics   map[string][]float64
 }
 
-func run(invs []invocation, count int) Record {
-	aggs := map[string]*agg{}
-	var benches, benchtimes, pkgs []string
-	for _, inv := range invs {
-		benches = append(benches, inv.bench)
-		benchtimes = append(benchtimes, inv.benchtime)
-		pkgs = append(pkgs, strings.Fields(inv.pkgs)...)
-		runInvocation(inv, count, aggs)
-	}
-
-	rec := Record{
-		Date: time.Now().Format("2006-01-02"), GoVersion: runtime.Version(),
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Bench: strings.Join(benches, " ; "), Benchtime: strings.Join(benchtimes, " ; "),
-		Count: count, Packages: pkgs,
-		Benchmarks: map[string]Result{},
-	}
-	for key, a := range aggs {
-		r := Result{Runs: len(a.ns), NsPerOp: mean(a.ns), MinNsOp: min64(a.ns), BytesOp: mean(a.bytes)}
-		for _, n := range a.allocs {
-			if n > r.AllocsOp {
-				r.AllocsOp = n
-			}
-		}
-		if len(a.metrics) > 0 {
-			r.Metrics = map[string]float64{}
-			for unit, vs := range a.metrics {
-				r.Metrics[unit] = mean(vs)
-			}
-		}
-		rec.Benchmarks[key] = r
-	}
-	return rec
-}
-
-// runInvocation runs one `go test -bench` command, echoing its output and
-// folding every benchmark line into aggs.
-func runInvocation(inv invocation, count int, aggs map[string]*agg) {
-	args := []string{"test", "-run", "^$", "-bench", inv.bench, "-benchmem",
-		"-benchtime", inv.benchtime, "-count", strconv.Itoa(count), "-timeout", "60m"}
-	args = append(args, strings.Fields(inv.pkgs)...)
+// run executes the ladder through `go test -bench`, echoing its output, and
+// folds every benchmark line into a Record.
+func run(count int) Record {
+	args := []string{"test", "-run", "^$", "-bench", ladderBench, "-benchmem",
+		"-benchtime", "1x", "-count", strconv.Itoa(count), "-timeout", "60m", "."}
 	fmt.Fprintf(os.Stderr, "benchdiff: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -215,6 +150,7 @@ func runInvocation(inv invocation, count int, aggs map[string]*agg) {
 		fatal(err)
 	}
 
+	aggs := map[string]*agg{}
 	pkg := ""
 	sc := bufio.NewScanner(outPipe)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -251,6 +187,28 @@ func runInvocation(inv invocation, count int, aggs map[string]*agg) {
 	if err := cmd.Wait(); err != nil {
 		fatal(fmt.Errorf("go test -bench failed: %w", err))
 	}
+
+	rec := Record{
+		Date: time.Now().Format("2006-01-02"), GoVersion: runtime.Version(),
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Count: count, Benchmarks: map[string]Result{},
+	}
+	for key, a := range aggs {
+		r := Result{Runs: len(a.ns), NsPerOp: mean(a.ns), MinNsOp: min64(a.ns), BytesOp: mean(a.bytes)}
+		for _, n := range a.allocs {
+			r.AllocsOp = max(r.AllocsOp, n)
+		}
+		if len(a.metrics) > 0 {
+			r.Metrics = map[string]float64{}
+			for unit, vs := range a.metrics {
+				// The median of equal readings is that reading, exactly.
+				r.Metrics[unit] = median(vs)
+			}
+		}
+		rec.Benchmarks[key] = r
+	}
+	return rec
 }
 
 // parseBenchLine handles "BenchmarkName-8  3  123 ns/op  4 B/op  5 allocs/op
@@ -280,65 +238,95 @@ func parseBenchLine(line string) (string, map[string]float64, bool) {
 	return name, vals, len(vals) > 0
 }
 
-func diff(old, cur Record, th thresholds, subset bool) int {
+// diff prints cur against old, one row per rung of old, and returns how
+// many rungs fail: missing from cur, a model metric that differs from the
+// record, or B/op or allocs/op grown past their allowance. Each failing row
+// names its columns.
+func diff(w io.Writer, old, cur Record) int {
 	keys := make([]string, 0, len(old.Benchmarks))
 	for k := range old.Benchmarks {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 
-	regressions := 0
-	fmt.Printf("%-60s %22s %24s %14s %8s\n", "benchmark (vs "+old.Date+")", "ns/op", "B/op", "allocs/op", "verdict")
+	failed := 0
+	fmt.Fprintf(w, "%-40s %14s %10s %22s %16s  %s\n", "rung (vs "+old.Date+")",
+		"ns/op", "events/s", "B/op", "allocs/op", "verdict")
 	for _, k := range keys {
+		name := strings.TrimPrefix(k, "hwatch.")
 		o := old.Benchmarks[k]
 		c, ok := cur.Benchmarks[k]
 		if !ok {
-			if subset {
-				continue
-			}
-			fmt.Printf("%-60s %38s\n", k, "MISSING from new run")
-			regressions++
+			fmt.Fprintf(w, "%-40s FAIL: missing from the new run\n", name)
+			failed++
 			continue
 		}
-		// Fastest-of-count is far less noisy than the mean; old records
-		// without min_ns_op fall back to the mean.
-		oNs, cNs := o.MinNsOp, c.MinNsOp
-		if oNs == 0 || cNs == 0 {
-			oNs, cNs = o.NsPerOp, c.NsPerOp
+		var why []string
+		for _, unit := range modelMetrics(o, c) {
+			ov, oOK := o.Metrics[unit]
+			cv, cOK := c.Metrics[unit]
+			switch {
+			case !oOK:
+				why = append(why, fmt.Sprintf("%s %s not in the record", unit, num(cv)))
+			case !cOK:
+				why = append(why, fmt.Sprintf("%s missing (record %s)", unit, num(ov)))
+			case ov != cv:
+				why = append(why, fmt.Sprintf("%s %s != %s", unit, num(cv), num(ov)))
+			}
+		}
+		if c.BytesOp > o.BytesOp*(1+bytesGrowth) && c.BytesOp-o.BytesOp >= bytesSlack {
+			why = append(why, fmt.Sprintf("B/op %.0f -> %.0f", o.BytesOp, c.BytesOp))
+		}
+		if float64(c.AllocsOp) > float64(o.AllocsOp)*(1+allocsGrowth) {
+			why = append(why, fmt.Sprintf("allocs/op %d -> %d", o.AllocsOp, c.AllocsOp))
 		}
 		verdict := "ok"
-		nsDelta := pct(oNs, cNs)
-		if oNs >= th.nsFloor && cNs > oNs*(1+th.ns) {
-			verdict = "NS-REGRESS"
-			regressions++
+		if len(why) > 0 {
+			verdict = "FAIL: " + strings.Join(why, "; ")
+			failed++
 		}
-		if c.BytesOp > o.BytesOp*(1+th.bytes) && c.BytesOp-o.BytesOp >= bytesSlack {
-			verdict = "BYTES-REGRESS"
-			regressions++
+		perSec := 0.0
+		if c.MinNsOp > 0 {
+			perSec = c.Metrics[eventsMetric] / (c.MinNsOp / 1e9)
 		}
-		if float64(c.AllocsOp) > float64(o.AllocsOp)*(1+th.allocs) {
-			verdict = "ALLOC-REGRESS"
-			regressions++
-		}
-		fmt.Printf("%-60s %13.0f%-9s %14.0f%-10s %8d->%-5d %8s\n", k, cNs, nsDelta,
-			c.BytesOp, pct(o.BytesOp, c.BytesOp), o.AllocsOp, c.AllocsOp, verdict)
+		fmt.Fprintf(w, "%-40s %14.0f %10.3g %13.0f%-9s %9d->%-5d  %s\n", name, c.MinNsOp, perSec, c.BytesOp, pct(o.BytesOp, c.BytesOp), o.AllocsOp, c.AllocsOp, verdict)
 	}
 	for k := range cur.Benchmarks {
 		if _, ok := old.Benchmarks[k]; !ok {
-			fmt.Printf("%-60s %38s\n", k, "new (no baseline)")
+			fmt.Fprintf(w, "%-40s new (no baseline)\n", strings.TrimPrefix(k, "hwatch."))
 		}
 	}
-	if regressions > 0 {
-		fmt.Printf("benchdiff: %d regression(s) vs %s\n", regressions, old.Date)
-		return 1
+	if failed > 0 {
+		fmt.Fprintf(w, "benchdiff: %d rung(s) fail vs %s\n", failed, old.Date)
+	} else {
+		fmt.Fprintln(w, "benchdiff: no regressions")
 	}
-	fmt.Println("benchdiff: no regressions")
-	return 0
+	return failed
 }
+
+// modelMetrics lists, sorted, every custom metric either result carries
+// that is a function of the model.
+func modelMetrics(a, b Result) []string {
+	seen := map[string]bool{gcMetric: true}
+	var units []string
+	for _, metrics := range []map[string]float64{a.Metrics, b.Metrics} {
+		for unit := range metrics {
+			if !seen[unit] {
+				seen[unit] = true
+				units = append(units, unit)
+			}
+		}
+	}
+	sort.Strings(units)
+	return units
+}
+
+// num prints a metric in full: an event count off by one must show.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 func pct(old, cur float64) string {
 	if old == cur {
-		return " (+0.0%)" // also the zero-byte benchmarks, where old is 0
+		return " (+0.0%)" // also where old is 0
 	}
 	if old <= 0 {
 		return " (new)"
@@ -363,9 +351,7 @@ func min64(vs []float64) float64 {
 	}
 	m := vs[0]
 	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
+		m = min(m, v)
 	}
 	return m
 }

@@ -1,8 +1,9 @@
 // Command hwatchvet runs the repo's static-analysis suite: the seven
 // custom contract analyzers (detrand, pktown, schedclosure, lockscope,
-// hookpure, ctxflow, hwatchdirective — see DESIGN.md §6f and §6k) plus a
-// curated set of vendored standard go/analysis passes, including the
-// SSA-backed nilness and unusedwrite.
+// hookpure, ctxflow, hwatchdirective — see DESIGN.md §6f and §6k) plus the
+// two vendored standard go/analysis passes stock `go vet` does not run,
+// the SSA-backed nilness and unusedwrite. Everything `go tool vet help`
+// lists is left to `go vet ./...`, which `make lint` runs first.
 //
 // Usage:
 //

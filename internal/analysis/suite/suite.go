@@ -1,14 +1,14 @@
 // Package suite assembles the hwatchvet analyzer set: the seven custom
-// contract analyzers plus a curated slice of the vendored standard
-// go/analysis passes.
+// contract analyzers plus the two standard go/analysis passes that stock
+// `go vet` does not run.
 //
-// Since PR 10 the vendored x/tools subset carries an offline go/ssa
-// layer (naive-form IR built over the go/cfg graphs, see
-// vendor/golang.org/x/tools/go/ssa), so the standard set includes the
-// SSA-backed passes nilness and unusedwrite alongside the syntax+types
-// passes, and the custom set includes the SSA-backed concurrency and
-// purity contracts lockscope, hookpure, and ctxflow. DESIGN.md §6k
-// documents the SSA layer and the three contract analyzers.
+// The vendored x/tools subset carries an offline go/ssa layer (naive-form
+// IR built over the go/cfg graphs, see vendor/golang.org/x/tools/go/ssa),
+// which backs the standard passes nilness and unusedwrite and the custom
+// concurrency and purity contracts lockscope, hookpure, and ctxflow.
+// DESIGN.md §6k documents the SSA layer and the three contract analyzers.
+// Every pass `go tool vet help` lists runs under `go vet ./...`, which
+// `make lint` and CI run before hwatchvet; none of them belongs here.
 //
 // Standard() must stay sorted by analyzer name with no duplicates;
 // suite_test.go enforces both.
@@ -16,23 +16,7 @@ package suite
 
 import (
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/assign"
-	"golang.org/x/tools/go/analysis/passes/atomic"
-	"golang.org/x/tools/go/analysis/passes/bools"
-	"golang.org/x/tools/go/analysis/passes/copylock"
-	"golang.org/x/tools/go/analysis/passes/defers"
-	"golang.org/x/tools/go/analysis/passes/errorsas"
-	"golang.org/x/tools/go/analysis/passes/loopclosure"
-	"golang.org/x/tools/go/analysis/passes/lostcancel"
-	"golang.org/x/tools/go/analysis/passes/nilfunc"
 	"golang.org/x/tools/go/analysis/passes/nilness"
-	"golang.org/x/tools/go/analysis/passes/sigchanyzer"
-	"golang.org/x/tools/go/analysis/passes/stdmethods"
-	"golang.org/x/tools/go/analysis/passes/stringintconv"
-	"golang.org/x/tools/go/analysis/passes/structtag"
-	"golang.org/x/tools/go/analysis/passes/unreachable"
-	"golang.org/x/tools/go/analysis/passes/unsafeptr"
-	"golang.org/x/tools/go/analysis/passes/unusedresult"
 	"golang.org/x/tools/go/analysis/passes/unusedwrite"
 
 	"hwatch/internal/analysis/ctxflow"
@@ -59,27 +43,11 @@ func Custom() []*analysis.Analyzer {
 	}
 }
 
-// Standard returns the curated vendored x/tools passes hwatchvet runs
-// alongside the custom set, sorted by name.
+// Standard returns the vendored x/tools passes hwatchvet runs alongside
+// the custom set — the ones `go vet` lacks — sorted by name.
 func Standard() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		assign.Analyzer,
-		atomic.Analyzer,
-		bools.Analyzer,
-		copylock.Analyzer,
-		defers.Analyzer,
-		errorsas.Analyzer,
-		loopclosure.Analyzer,
-		lostcancel.Analyzer,
-		nilfunc.Analyzer,
 		nilness.Analyzer,
-		sigchanyzer.Analyzer,
-		stdmethods.Analyzer,
-		stringintconv.Analyzer,
-		structtag.Analyzer,
-		unreachable.Analyzer,
-		unsafeptr.Analyzer,
-		unusedresult.Analyzer,
 		unusedwrite.Analyzer,
 	}
 }

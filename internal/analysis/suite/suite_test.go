@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -26,6 +27,18 @@ func TestStandardSortedNoDuplicates(t *testing.T) {
 			t.Errorf("Standard() registers %q twice", n)
 		}
 		seen[n] = true
+	}
+}
+
+// TestStandardHoldsOnlyWhatGoVetLacks pins the division of labour with the
+// stock tool: `make lint` and CI run `go vet ./...` first, so a pass that
+// `go tool vet help` lists (assign, copylock, lostcancel, stringintconv, …)
+// would run twice if it were registered here as well.
+func TestStandardHoldsOnlyWhatGoVetLacks(t *testing.T) {
+	got := analyzerNames(Standard())
+	want := []string{"nilness", "unusedwrite"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Standard() = %v, want %v: vendor a pass only when go vet does not run it", got, want)
 	}
 }
 

@@ -19,22 +19,8 @@ func benchCycle(b *testing.B, q netem.Queue) {
 	}
 }
 
-func BenchmarkDropTail(b *testing.B) {
-	benchCycle(b, NewDropTail(64))
-}
-
-func BenchmarkMarkThreshold(b *testing.B) {
-	benchCycle(b, NewMarkThreshold(64, 16))
-}
-
 func BenchmarkMarkThresholdBytes(b *testing.B) {
 	benchCycle(b, NewMarkThresholdBytes(64*1500, 16*1500))
-}
-
-func BenchmarkRED(b *testing.B) {
-	now := int64(0)
-	cfg := DefaultRED(64, true, 1200, func() int64 { now += 1200; return now })
-	benchCycle(b, NewRED(cfg, rand.New(rand.NewSource(1)).Float64))
 }
 
 func BenchmarkWRED(b *testing.B) {

@@ -3,44 +3,38 @@ package core
 import (
 	"testing"
 
-	"hwatch/internal/aqm"
 	"hwatch/internal/netem"
 	"hwatch/internal/sim"
-	"hwatch/internal/tcp"
 )
 
-// BenchmarkShimTransfer measures a full transfer through HWatch shims on
-// both ends (probing, stamping, per-ACK rwnd clamping).
-func BenchmarkShimTransfer(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		delay := 25 * sim.Microsecond
-		cfg := DefaultConfig(testRTT(delay))
-		r := newRig(nil, aqm.NewMarkThresholdBytes(250*1500, 50*1500), 10e9, delay, cfg)
-		tcfg := tcp.DefaultConfig()
-		r.b.Listen(port, tcp.NewListener(r.b, tcfg, nil))
-		s := tcp.NewSender(r.a, r.b.ID, port, 1_000_000, tcfg)
-		s.Start()
-		r.net.Eng.RunUntil(10 * sim.Second)
-		if !s.Done() {
-			b.Fatal("transfer incomplete")
-		}
-	}
-}
-
-// BenchmarkShimRewrite isolates the per-ACK hot path: the rwnd clamp with
+// rwndRewrite returns one pass of the per-ACK hot path: the rwnd clamp with
 // its incremental checksum patch, no network around it.
-func BenchmarkShimRewrite(b *testing.B) {
+func rwndRewrite() func() {
 	eng := sim.New()
 	s := NewShim(eng, DefaultConfig(testRTT(25*sim.Microsecond)), 0)
 	e := &flowEntry{wndSegs: 2, wscale: 7}
 	p := &netem.Packet{Flags: netem.FlagACK, Rwnd: 0xffff, WScaleOpt: -1}
 	netem.SetChecksum(p)
+	return func() {
+		p.Rwnd = 0xffff
+		s.clampRwnd(p, e)
+	}
+}
+
+func BenchmarkShimRewrite(b *testing.B) {
+	rewrite := rwndRewrite()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Rwnd = 0xffff
-		s.clampRwnd(p, e)
+		rewrite()
+	}
+}
+
+// TestRwndRewriteAllocatesNothing holds the per-ACK rewrite at zero
+// allocations: it runs once per ACK of every tracked flow.
+func TestRwndRewriteAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, rwndRewrite()); n != 0 {
+		t.Fatalf("rwnd rewrite allocates %v per ACK, want 0", n)
 	}
 }
 

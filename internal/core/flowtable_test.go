@@ -241,20 +241,3 @@ func BenchmarkGCSweep(b *testing.B) {
 		s.gcSweep()
 	}
 }
-
-// BenchmarkFlowTableChurn measures steady-state ensure/remove cycling, the
-// storm-rung pattern: after warmup every flow recycles a freelist slot, so
-// the only allocation per flow is the one 8-byte handle box.
-func BenchmarkFlowTableChurn(b *testing.B) {
-	tab := newFlowTable()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := netem.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i), DstPort: 80}
-		tab.ensure(k, roleSender)
-		if i >= 64 {
-			old := netem.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i - 64), DstPort: 80}
-			tab.remove(old)
-		}
-	}
-}

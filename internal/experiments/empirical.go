@@ -137,4 +137,5 @@ func (w *poissonTraffic) Wire(rc *scenario.RunContext, _ *scenario.Run) {
 func (w *poissonTraffic) Finish(*scenario.RunContext, *scenario.Run) {
 	w.res.Started = w.po.Started
 	w.res.Completed = w.po.Completed
+	w.res.Timeouts = w.po.Timeouts()
 }

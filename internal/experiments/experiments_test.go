@@ -304,7 +304,7 @@ func TestEmpiricalShapeSmall(t *testing.T) {
 	}
 	wantRows(t, res,
 		"TCP-HWATCH   load=40%  small p50/p99=   0.36/    0.70ms  large p50=    10.4ms  done=61/61 rto=0",
-		"DCTCP        load=40%  small p50/p99=   0.31/  131.21ms  large p50=     3.3ms  done=61/61 rto=0")
+		"DCTCP        load=40%  small p50/p99=   0.31/  131.21ms  large p50=     3.3ms  done=61/61 rto=1")
 	for _, r := range res {
 		if r.Started == 0 {
 			t.Fatalf("%v: no arrivals", r.Scheme)
@@ -319,6 +319,11 @@ func TestEmpiricalShapeSmall(t *testing.T) {
 		// median small flow.
 		if r.SmallFCT.Quantile(0.5) > 50 {
 			t.Fatalf("%v: small p50 %.1fms at 40%% load", r.Scheme, r.SmallFCT.Quantile(0.5))
+		}
+		// A small flow a whole minRTO above the median timed out, and the
+		// cell must say so.
+		if r.SmallFCT.Quantile(0.99) > 100 && r.Timeouts == 0 {
+			t.Fatalf("%v: small p99 %.1fms with rto=0", r.Scheme, r.SmallFCT.Quantile(0.99))
 		}
 	}
 }

@@ -14,16 +14,6 @@ func BenchmarkChecksumFull(b *testing.B) {
 	}
 }
 
-func BenchmarkChecksumIncremental(b *testing.B) {
-	p := samplePacket()
-	SetChecksum(p)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Checksum = UpdateChecksum16(p.Checksum, p.Rwnd, p.Rwnd+1)
-		p.Rwnd++
-	}
-}
-
 // BenchmarkPortThroughput measures simulator events per transmitted packet
 // on a saturated link.
 func BenchmarkPortThroughput(b *testing.B) {
@@ -36,32 +26,6 @@ func BenchmarkPortThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Send(&Packet{Wire: 1500})
 		eng.Run()
-	}
-}
-
-type nopHandler struct{}
-
-func (nopHandler) HandlePacket(*Packet) {}
-
-// BenchmarkPortForward measures one pooled packet's full forwarding life:
-// alloc, host egress, switch hop, serialization, delivery, release.
-func BenchmarkPortForward(b *testing.B) {
-	n := NewNetwork()
-	a := n.NewHost("a")
-	bhost := n.NewHost("b")
-	sw := n.NewSwitch("sw")
-	n.LinkHostSwitch(a, sw, &unboundedQ{}, &unboundedQ{}, 100e9, 0)
-	n.LinkHostSwitch(bhost, sw, &unboundedQ{}, &unboundedQ{}, 100e9, 0)
-	bhost.Bind(ConnID{LocalPort: 80, Remote: a.ID, RemotePort: 1}, nopHandler{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := AllocPacket()
-		p.Src, p.Dst = a.ID, bhost.ID
-		p.SrcPort, p.DstPort = 1, 80
-		p.Wire, p.Payload = 1500, 1442
-		a.Send(p)
-		n.Eng.Run()
 	}
 }
 

@@ -37,6 +37,22 @@ func TestChecksumRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChecksumAllocatesNothing holds both checksum paths at zero
+// allocations: the full sum runs per packet built, the incremental patch per
+// header field a shim rewrites.
+func TestChecksumAllocatesNothing(t *testing.T) {
+	p := samplePacket()
+	if n := testing.AllocsPerRun(1000, func() { p.Checksum = Checksum(p) }); n != 0 {
+		t.Errorf("full checksum allocates %v per packet, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		p.Checksum = UpdateChecksum16(p.Checksum, p.Rwnd, p.Rwnd+1)
+		p.Rwnd++
+	}); n != 0 {
+		t.Errorf("incremental checksum allocates %v per patch, want 0", n)
+	}
+}
+
 func TestChecksumSensitivity(t *testing.T) {
 	base := samplePacket()
 	want := Checksum(base)

@@ -410,36 +410,9 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSchedule measures the pure schedule+fire cycle at mixed
-// horizons (wheel slots and overflow both exercised).
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := New()
-	fn := func(any) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleArg(int64(i%977)*512, fn, nil)
-		if e.Pending() > 4096 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
-// BenchmarkEngineScheduleCancel measures the arm/cancel churn typical of
-// retransmission timers (far-future arm, cancel before expiry).
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	e := New()
-	fn := func(any) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleArg(200*Millisecond, fn, nil).Cancel()
-	}
-}
-
-// BenchmarkEngineHeapOracle is the same loop as BenchmarkEngineSchedule on
-// the NoWheel engine, so the wheel's win is visible in one benchstat diff.
+// BenchmarkEngineHeapOracle is the schedule+fire cycle at mixed horizons
+// (the loop behind bench/'s sim.schedule_fire_ns driver) on the NoWheel
+// engine, so the wheel's win stays measurable.
 func BenchmarkEngineHeapOracle(b *testing.B) {
 	e := NewWith(Options{NoWheel: true})
 	fn := func(any) {}

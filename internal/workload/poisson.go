@@ -30,6 +30,18 @@ type Poisson struct {
 	Started   int
 	Completed int
 	Bytes     int64 // total bytes offered
+
+	senders []*tcp.Sender
+}
+
+// Timeouts totals the RTO expiries of every flow started so far, finished
+// or still open.
+func (po *Poisson) Timeouts() int64 {
+	var n int64
+	for _, s := range po.senders {
+		n += s.Stats().Timeouts
+	}
+	return n
 }
 
 // RunPoisson schedules the arrival process from srcs to dst. onDone
@@ -55,6 +67,7 @@ func RunPoisson(srcs []*netem.Host, dst netem.NodeID, tcfg tcp.Config, cfg Poiss
 		po.Started++
 		po.Bytes += size
 		s := tcp.NewSender(src, dst, cfg.Port, size, tcfg)
+		po.senders = append(po.senders, s)
 		s.OnComplete = func(fct int64) {
 			po.Completed++
 			if onDone != nil {
