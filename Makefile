@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventSlab -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzReorderBuffer -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalDigest -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzNumberArrayDecode -fuzztime 10s ./internal/server
 
 # Chaos gate: the fault-injection goldens, the recurring-chaos shard
 # parity suite, and both example schedules under the recovery observer.
@@ -93,9 +94,9 @@ chaos: build
 	$(GO) run ./cmd/hwatchsim -exp scheme -scheme hwatch \
 		-faults examples/chaos_reorder_jitter.json -check -digest
 
-# hwatchd gate: the end-to-end server suite (golden parity, cache hits,
-# single-flight dedup, backpressure, cancellation) under the race
-# detector. CI's hwatchd-e2e job runs this plus a live daemon-vs-CLI
+# hwatchd gate: the end-to-end server suite (golden parity, cache hits
+# served as the one stored body, single-flight dedup, backpressure,
+# cancellation) under the race detector. CI's hwatchd-e2e job runs this plus a live daemon-vs-CLI
 # digest cross-check.
 server-e2e:
 	$(GO) test -race ./internal/server/...

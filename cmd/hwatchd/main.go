@@ -33,7 +33,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		parallel = flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "admitted jobs beyond the running set before 429 (0 = 2*parallel)")
-		cache    = flag.Int("cache", 64, "result-cache entries")
+		cacheMB  = flag.Int64("cache-mb", 64, "result-cache budget, MiB of encoded results")
 		shards   = flag.Int("shards", 0, "engine shards per run (0/1 = single loop; digests must not change)")
 	)
 	flag.Parse()
@@ -45,7 +45,7 @@ func main() {
 	srv := server.New(ctx, server.Config{
 		Parallel:   *parallel,
 		QueueDepth: *queue,
-		CacheSize:  *cache,
+		CacheBytes: *cacheMB << 20,
 	})
 	defer srv.Close()
 

@@ -65,13 +65,38 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.do(req, out)
 }
 
+// maxResponseBytes bounds a response body; a full-scale figure result is
+// a few MiB.
+const maxResponseBytes = 64 << 20
+
+// readBody reads a response body of at most limit bytes into a buffer
+// sized from Content-Length, so a response that declares its length — every
+// result does — costs one allocation; an undeclared length only grows the
+// buffer. A longer body is an error naming the limit, never a truncated
+// body handed to the JSON decoder.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("response of %d bytes exceeds the %d MiB limit", resp.ContentLength, limit>>20)
+	}
+	// ReadFrom wants MinRead bytes free before every read, the one that
+	// finds EOF included.
+	buf := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, fmt.Errorf("response of more than %d bytes exceeds the %d MiB limit", limit, limit>>20)
+	}
+	return buf.Bytes(), nil
+}
+
 func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := readBody(resp, maxResponseBytes)
 	if err != nil {
 		return err
 	}
@@ -96,7 +121,13 @@ func (c *Client) do(req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(body, out)
+	if err := json.Unmarshal(body, out); err != nil {
+		return err
+	}
+	if res, ok := out.(*server.Result); ok {
+		res.Cached = resp.Header.Get(server.CacheHeader) == "hit"
+	}
+	return nil
 }
 
 // retryError signals a 429: retry after the server's suggested delay.

@@ -2,12 +2,16 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +64,10 @@ const quickSpec = `{
 	"long_sources": 5, "short_sources": 5,
 	"seed": 42, "duration_ms": 300, "drain_after_ms": 200, "epochs": 2
 }`
+
+// tinySpec is the shape of the benchmark's small cached results: for tests
+// about how a result is served, not about what is in it.
+const tinySpec = `{"kind":"dumbbell","scheme":"hwatch","long_sources":2,"short_sources":2,"seed":42,"duration_ms":120,"drain_after_ms":30,"epochs":1}`
 
 // endlessSpec runs ten simulated minutes — far longer than any test
 // waits — so cancellation paths have a live job to kill.
@@ -362,6 +370,18 @@ func TestE2EErrorPaths(t *testing.T) {
 	if resp := post(`{"kind":"study","name":"empirical","schemes":["warp-drive"]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad study scheme: status %d, want 400", resp.StatusCode)
 	}
+	// A body over the limit is refused as such; it used to be cut at the
+	// limit and reported as malformed JSON.
+	oversized := `{"kind":"dumbbell","scheme":"` + strings.Repeat("x", 1<<20+50_000) + `"}`
+	for _, path := range []string{"/api/v1/jobs", "/api/v1/digest"} {
+		r := exchange(hs, http.MethodPost, path, oversized, "")
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(r.body), "exceeds the 1 MiB limit") {
+			t.Errorf("1.1 MB body to %s: status %d %s, want 413 naming the 1 MiB limit", path, r.resp.StatusCode, r.body)
+		}
+	}
 	for _, path := range []string{
 		"/api/v1/jobs/deadbeef", "/api/v1/results/deadbeef", "/api/v1/jobs/deadbeef/events",
 	} {
@@ -458,5 +478,242 @@ func TestE2ERungJob(t *testing.T) {
 	}
 	if _, err := client.Runs(res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and the headers
+// and counts the body instead of holding it.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header  { return d.header }
+func (d *discardWriter) WriteHeader(code int) { d.code = code }
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// TestHitAllocationDoesNotScaleWithBody is the guard on the tentpole: a
+// cache hit hands the stored bytes to the ResponseWriter, so what the
+// handler allocates per hit — routing and headers, plus parsing the request
+// on a submit — is a few KB whether the entry is the 60 KB of a small spec
+// or the 340 KB of Fig. 8; and on the other end the client decodes every
+// array at its final length.
+func TestHitAllocationDoesNotScaleWithBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full fig8 at scale 0.1")
+	}
+	srv, _, cl := newTestServer(t, server.Config{Parallel: 2})
+	for _, c := range []struct {
+		name        string
+		req         *server.JobRequest
+		minBody     int
+		submitLimit uint64
+	}{
+		{"fig8@0.1", &server.JobRequest{Kind: "fig", Name: "fig8", Scale: 0.1}, 300 << 10, 4 << 10},
+		// A spec submission is addressed by its canonical digest, so even
+		// a hit pays scenario.ParseSpec and CanonicalDigest on the request:
+		// some 7 KB, none of it a function of the result.
+		{"small spec", &server.JobRequest{Kind: "spec", Spec: []byte(tinySpec)}, 40 << 10, 12 << 10},
+	} {
+		res, err := cl.Submit(context.Background(), c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submission, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range res.Runs {
+			v := reflect.ValueOf(run).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.Kind() == reflect.Slice && f.Cap() != f.Len() {
+					t.Errorf("%s, run %s: %s decoded with len %d, cap %d", c.name, run.Label, v.Type().Field(i).Name, f.Len(), f.Cap())
+				}
+			}
+		}
+		for _, route := range []struct {
+			method, path, body string
+			limit              uint64
+		}{
+			{http.MethodGet, "/api/v1/results/" + res.Digest, "", 4 << 10},
+			{http.MethodPost, "/api/v1/jobs?wait=1", string(submission), c.submitLimit},
+		} {
+			const hits = 50
+			reqs := make([]*http.Request, hits)
+			for i := range reqs {
+				reqs[i] = httptest.NewRequest(route.method, route.path, strings.NewReader(route.body))
+			}
+			h := srv.Handler()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, r := range reqs {
+				w := &discardWriter{header: http.Header{}}
+				h.ServeHTTP(w, r)
+				if w.header.Get(server.CacheHeader) != "hit" || w.n < c.minBody {
+					t.Fatalf("%s: %s answered %d with %s %q and %d bytes, want a hit of at least %d",
+						c.name, route.method, w.code, server.CacheHeader, w.header.Get(server.CacheHeader), w.n, c.minBody)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perHit := (after.TotalAlloc - before.TotalAlloc) / hits
+			t.Logf("%s: %s allocates %d bytes per hit", c.name, route.method, perHit)
+			if perHit > route.limit {
+				t.Errorf("%s: %s allocates %d bytes per hit, want at most %d", c.name, route.method, perHit, route.limit)
+			}
+		}
+	}
+}
+
+// reply is one raw exchange with the service: what a tenant without the Go
+// client sees.
+type reply struct {
+	resp *http.Response
+	body []byte
+	err  error
+}
+
+// exchange sends one request (If-None-Match set when inm is not empty) and
+// reads the whole response. It reports failures in the reply, so it can run
+// off the test goroutine.
+func exchange(hs *httptest.Server, method, path, body, inm string) reply {
+	req, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
+	if err != nil {
+		return reply{err: err}
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := hs.Client().Do(req)
+	if err != nil {
+		return reply{err: err}
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return reply{resp: resp, body: raw, err: err}
+}
+
+// TestE2EEveryResponseIsTheStoredBody pins the stored-body contract: the
+// job's first waiter, a waiter deduplicated onto it, a later submission and
+// a fetch by digest all receive the same bytes — encoded once — with their
+// length declared and the quoted digest as ETag. Only the X-Hwatch-Cache
+// header tells them apart.
+func TestE2EEveryResponseIsTheStoredBody(t *testing.T) {
+	srv, hs, cl := newTestServer(t, server.Config{Parallel: 1, QueueDepth: 4})
+	ctx := context.Background()
+	digest, err := cl.Digest(ctx, &server.JobRequest{Kind: "spec", Spec: []byte(tinySpec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := cl.Digest(ctx, &server.JobRequest{Kind: "spec", Spec: []byte(endlessSpec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The endless job holds the only worker, so the job under test stays
+	// queued until both waiters are attached to it: the second is a
+	// deduplicated waiter for certain, not a cache hit that came late.
+	if r := exchange(hs, http.MethodPost, "/api/v1/jobs", endlessSpec, ""); r.err != nil || r.resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submitting the blocker: %+v", r)
+	}
+	waiters := make(chan reply, 2)
+	wait := func() { waiters <- exchange(hs, http.MethodPost, "/api/v1/jobs?wait=1", tinySpec, "") }
+	go wait()
+	waitFor(t, "first waiter admitted", func() bool { return srv.Stats().Active == 2 })
+	go wait()
+	waitFor(t, "second waiter deduplicated", func() bool { return srv.Stats().Deduped == 1 })
+	if r := exchange(hs, http.MethodDelete, "/api/v1/jobs/"+blocker, "", ""); r.err != nil || r.resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancelling the blocker: %+v", r)
+	}
+
+	replies := []struct {
+		what, cache string
+		reply
+	}{
+		{"a waiter", "miss", <-waiters},
+		{"the other waiter", "miss", <-waiters},
+		{"a resubmission", "hit", exchange(hs, http.MethodPost, "/api/v1/jobs?wait=1", tinySpec, "")},
+		{"a fetch by digest", "hit", exchange(hs, http.MethodGet, "/api/v1/results/"+digest, "", "")},
+	}
+	for _, r := range replies {
+		if r.err != nil {
+			t.Fatalf("%s: %v", r.what, r.err)
+		}
+		if r.resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", r.what, r.resp.StatusCode, r.body)
+		}
+		if got := r.resp.Header.Get(server.CacheHeader); got != r.cache {
+			t.Errorf("%s: %s is %q, want %q", r.what, server.CacheHeader, got, r.cache)
+		}
+		if got := r.resp.Header.Get("ETag"); got != `"`+digest+`"` {
+			t.Errorf("%s: ETag is %s, want the quoted digest %q", r.what, got, digest)
+		}
+		if got := r.resp.Header.Get("Content-Length"); got != strconv.Itoa(len(r.body)) {
+			t.Errorf("%s: Content-Length is %q, the body has %d bytes", r.what, got, len(r.body))
+		}
+		if !bytes.Equal(r.body, replies[0].body) {
+			t.Errorf("%s: body differs from the first waiter's (%d bytes against %d)", r.what, len(r.body), len(replies[0].body))
+		}
+	}
+	var res server.Result
+	if err := json.Unmarshal(replies[0].body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Runs(&res); err != nil || res.Digest != digest || len(res.Runs) != 1 {
+		t.Errorf("the shared body is not the job's result: digest %s, %d runs, %v", res.Digest, len(res.Runs), err)
+	}
+	if st := srv.Stats(); st.Executed != 2 || st.CacheHits != 2 {
+		t.Errorf("executed %d jobs and counted %d hits, want 2 (the blocker and the job) and 2", st.Executed, st.CacheHits)
+	}
+}
+
+// TestE2EConditionalFetch covers If-None-Match on the two routes that can
+// hit the cache: a tag list naming the entry's ETag is answered 304 with no
+// body and still counts as a hit; any other list gets the full result.
+func TestE2EConditionalFetch(t *testing.T) {
+	srv, hs, cl := newTestServer(t, server.Config{Parallel: 1})
+	res, err := cl.SubmitSpec(context.Background(), []byte(tinySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	etag := `"` + res.Digest + `"`
+	for _, route := range []struct{ method, path, body string }{
+		{http.MethodGet, "/api/v1/results/" + res.Digest, ""},
+		{http.MethodPost, "/api/v1/jobs?wait=1", tinySpec},
+	} {
+		for _, c := range []struct {
+			what, inm string
+			status    int
+		}{
+			{"the entry's tag", etag, http.StatusNotModified},
+			{"another tag", `"deadbeef"`, http.StatusOK},
+			{"the digest unquoted", res.Digest, http.StatusOK},
+			{"a list with the tag", `"deadbeef", ` + etag, http.StatusNotModified},
+			{"a list with the tag marked weak", `"a","b" ,W/` + etag, http.StatusNotModified},
+			{"a list without it", `"a", "b"`, http.StatusOK},
+			{"the wildcard", `*`, http.StatusNotModified},
+		} {
+			hits := srv.Stats().CacheHits
+			r := exchange(hs, route.method, route.path, route.body, c.inm)
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.resp.StatusCode != c.status {
+				t.Errorf("%s with %s: status %d, want %d", route.method, c.what, r.resp.StatusCode, c.status)
+			}
+			if (len(r.body) == 0) != (c.status == http.StatusNotModified) {
+				t.Errorf("%s with %s: status %d came with %d body bytes", route.method, c.what, r.resp.StatusCode, len(r.body))
+			}
+			if r.resp.Header.Get("ETag") != etag || r.resp.Header.Get(server.CacheHeader) != "hit" {
+				t.Errorf("%s with %s: ETag %s, %s %q", route.method, c.what,
+					r.resp.Header.Get("ETag"), server.CacheHeader, r.resp.Header.Get(server.CacheHeader))
+			}
+			if got := srv.Stats().CacheHits - hits; got != 1 {
+				t.Errorf("%s with %s: counted %d cache hits, want 1", route.method, c.what, got)
+			}
+		}
 	}
 }

@@ -58,13 +58,13 @@ type job struct {
 	mu     sync.Mutex
 	state  jobState
 	errMsg string
-	result *Result
+	entry  *cacheEntry // the encoded result; set only with stateDone
 }
 
-func (j *job) snapshot() (jobState, string, *Result) {
+func (j *job) snapshot() (jobState, string, *cacheEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.errMsg, j.result
+	return j.state, j.errMsg, j.entry
 }
 
 func (j *job) setState(s jobState) {
@@ -74,7 +74,7 @@ func (j *job) setState(s jobState) {
 }
 
 // finish moves the job to a terminal state exactly once.
-func (j *job) finish(s jobState, errMsg string, res *Result) {
+func (j *job) finish(s jobState, errMsg string, e *cacheEntry) {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
@@ -82,7 +82,7 @@ func (j *job) finish(s jobState, errMsg string, res *Result) {
 	}
 	j.state = s
 	j.errMsg = errMsg
-	j.result = res
+	j.entry = e
 	j.mu.Unlock()
 	close(j.done)
 }

@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,8 +27,9 @@ type Config struct {
 	// arriving with Parallel+QueueDepth jobs unfinished is rejected with
 	// 429 and a Retry-After estimate (<= 0 means 2*Parallel).
 	QueueDepth int
-	// CacheSize bounds the result cache entry count (<= 0 means 64).
-	CacheSize int
+	// CacheBytes bounds the bytes of encoded results the cache holds
+	// (<= 0 means 64 MiB). The newest result always stays, whatever its size.
+	CacheBytes int64
 	// Version overrides the code-version half of the cache key. Empty
 	// means the VCS revision baked into the binary, or "dev".
 	Version string
@@ -79,6 +82,7 @@ type Stats struct {
 	Deduped      int64  `json:"deduped"`
 	Rejected     int64  `json:"rejected"`
 	CacheEntries int    `json:"cache_entries"`
+	CacheBytes   int64  `json:"cache_bytes"`
 	Parallel     int    `json:"parallel"`
 	QueueDepth   int    `json:"queue_depth"`
 }
@@ -92,8 +96,8 @@ func New(parent context.Context, cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Parallel
 	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 64
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = 64 << 20
 	}
 	if cfg.EventInterval <= 0 {
 		cfg.EventInterval = 250 * time.Millisecond
@@ -109,7 +113,7 @@ func New(parent context.Context, cfg Config) *Server {
 		ctx:     ctx,
 		cancel:  cancel,
 		pool:    harness.NewPool(ctx, cfg.Parallel),
-		cache:   newResultCache(cfg.CacheSize),
+		cache:   newResultCache(cfg.CacheBytes),
 		jobs:    make(map[string]*job),
 	}
 }
@@ -162,6 +166,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	active := len(s.jobs)
 	s.mu.Unlock()
+	entries, bytes := s.cache.size()
 	return Stats{
 		Version:      s.version,
 		Active:       active,
@@ -169,7 +174,8 @@ func (s *Server) Stats() Stats {
 		CacheHits:    s.hits.Load(),
 		Deduped:      s.deduped.Load(),
 		Rejected:     s.rejected.Load(),
-		CacheEntries: s.cache.len(),
+		CacheEntries: entries,
+		CacheBytes:   bytes,
 		Parallel:     s.cfg.Parallel,
 		QueueDepth:   s.cfg.QueueDepth,
 	}
@@ -177,11 +183,14 @@ func (s *Server) Stats() Stats {
 
 func (s *Server) cacheKey(digest string) string { return digest + "@" + s.version }
 
+// maxRequestBytes bounds a submission body; a spec is a few hundred bytes.
+const maxRequestBytes = 1 << 20
+
 // decodeRequest reads a submission body. A bare scenario.FileSpec (its
 // "kind" is a topology, not a job kind) is accepted as shorthand for
 // {"kind":"spec","spec":<body>}.
 func decodeRequest(r io.Reader) (*JobRequest, error) {
-	raw, err := io.ReadAll(io.LimitReader(r, 1<<20))
+	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("reading request body: %w", err)
 	}
@@ -195,15 +204,31 @@ func decodeRequest(r io.Reader) (*JobRequest, error) {
 	return &req, nil
 }
 
-func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// readJob decodes and validates the submission in r's body. On failure it
+// has answered the request — 413 for a body over maxRequestBytes, which
+// would otherwise surface as a truncated-JSON parse error, 400 for
+// anything else — and ok is false.
+func readJob(w http.ResponseWriter, r *http.Request) (p *parsedJob, digest string, ok bool) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		p, digest, err = parseJob(req)
 	}
-	p, digest, err := parseJob(req)
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return p, digest, true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d MiB limit", tooLarge.Limit>>20))
+	default:
 		writeError(w, http.StatusBadRequest, err)
+	}
+	return nil, "", false
+}
+
+func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
+	p, digest, ok := readJob(w, r)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{
@@ -215,14 +240,8 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	p, digest, err := parseJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	p, digest, ok := readJob(w, r)
+	if !ok {
 		return
 	}
 	wait := false
@@ -233,7 +252,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, created, cached, err := s.admit(p, digest)
 	if cached != nil {
 		s.hits.Add(1)
-		writeJSON(w, http.StatusOK, cachedCopy(cached))
+		writeBody(w, r, cached, "hit")
 		return
 	}
 	if err != nil {
@@ -255,7 +274,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case <-j.done:
-		s.writeOutcome(w, j)
+		writeOutcome(w, r, j)
 	case <-r.Context().Done():
 		// The waiter is gone; release (deferred) drops its pin, and the
 		// job dies with it unless another party still needs the result.
@@ -267,14 +286,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // here: under s.mu a digest maps to at most one live job, and a finished
 // job enters the cache before it leaves the map, so concurrent identical
 // submissions can never execute twice.
-func (s *Server) admit(p *parsedJob, digest string) (j *job, created bool, cached *Result, err error) {
+func (s *Server) admit(p *parsedJob, digest string) (j *job, created bool, cached *cacheEntry, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.jobs[digest]; ok {
 		return existing, false, nil, nil
 	}
-	if res, ok := s.cache.get(s.cacheKey(digest)); ok {
-		return nil, false, res, nil
+	if e, ok := s.cache.get(s.cacheKey(digest)); ok {
+		return nil, false, e, nil
 	}
 	if s.unfinished >= s.cfg.Parallel+s.cfg.QueueDepth {
 		s.rejected.Add(1)
@@ -331,13 +350,19 @@ func (s *Server) start(j *job) {
 				Name:    j.req.name,
 				Digest:  j.id,
 				Version: s.version,
+				Rows:    rows,
 			}
 			for _, r := range runs {
 				res.Runs = append(res.Runs, WireRun(r))
 			}
-			res.Rows = rows
-			s.cache.put(s.cacheKey(j.id), res)
-			j.finish(stateDone, "", res)
+			// The one encode of this result: the waiters, the cache and
+			// every later hit share these bytes.
+			if e, err := newCacheEntry(s.cacheKey(j.id), res); err != nil {
+				j.finish(stateFailed, "encoding result: "+err.Error(), nil)
+			} else {
+				s.cache.put(e)
+				j.finish(stateDone, "", e)
+			}
 		case j.ctx.Err() != nil:
 			j.finish(stateCancelled, err.Error(), nil)
 		default:
@@ -391,11 +416,11 @@ func (s *Server) statusOf(j *job) JobStatus {
 
 // writeOutcome renders a finished job: the result on success, the error
 // mapped to 409 (cancelled) or 500 (failed) otherwise.
-func (s *Server) writeOutcome(w http.ResponseWriter, j *job) {
-	state, errMsg, res := j.snapshot()
+func writeOutcome(w http.ResponseWriter, r *http.Request, j *job) {
+	state, errMsg, e := j.snapshot()
 	switch state {
 	case stateDone:
-		writeJSON(w, http.StatusOK, res)
+		writeBody(w, r, e, "miss")
 	case stateCancelled:
 		writeJSON(w, http.StatusConflict, map[string]string{"error": "job cancelled: " + errMsg})
 	default:
@@ -405,22 +430,22 @@ func (s *Server) writeOutcome(w http.ResponseWriter, j *job) {
 
 // lookupJob resolves a job id to its live job, or — once retired — to a
 // synthesized done status from the result cache.
-func (s *Server) lookupJob(id string) (*job, *Result, bool) {
+func (s *Server) lookupJob(id string) (*job, *cacheEntry, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if ok {
 		return j, nil, true
 	}
-	if res, ok := s.cache.get(s.cacheKey(id)); ok {
-		return nil, res, true
+	if e, ok := s.cache.get(s.cacheKey(id)); ok {
+		return nil, e, true
 	}
 	return nil, nil, false
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, res, ok := s.lookupJob(id)
+	j, e, ok := s.lookupJob(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
@@ -429,7 +454,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.statusOf(j))
 		return
 	}
-	writeJSON(w, http.StatusOK, JobStatus{ID: id, Kind: res.Kind, Name: res.Name, State: string(stateDone)})
+	writeJSON(w, http.StatusOK, JobStatus{ID: id, Kind: e.kind, Name: e.name, State: string(stateDone)})
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -449,7 +474,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // terminal state (the final line carries it) or the client disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, res, ok := s.lookupJob(id)
+	j, e, ok := s.lookupJob(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
@@ -464,7 +489,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if j == nil {
-		emit(JobStatus{ID: id, Kind: res.Kind, Name: res.Name, State: string(stateDone)})
+		emit(JobStatus{ID: id, Kind: e.kind, Name: e.name, State: string(stateDone)})
 		return
 	}
 	ticker := time.NewTicker(s.cfg.EventInterval)
@@ -484,21 +509,48 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	res, ok := s.cache.get(s.cacheKey(digest))
+	e, ok := s.cache.get(s.cacheKey(digest))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no cached result for digest %q at version %s", digest, s.version))
 		return
 	}
 	s.hits.Add(1)
-	writeJSON(w, http.StatusOK, cachedCopy(res))
+	writeBody(w, r, e, "hit")
 }
 
-// cachedCopy marks a response as cache-served without mutating the
-// stored (shared) Result.
-func cachedCopy(res *Result) *Result {
-	cp := *res
-	cp.Cached = true
-	return &cp
+// writeBody is how every result leaves the server — to the job's first
+// waiter, to a deduplicated one, on a submit that hit the cache and on a
+// fetch by digest: the stored bytes in one Write, with their length and
+// the quoted digest as ETag. Whether the cache served it is the one thing
+// that differs between those responses, so it travels as a header. A
+// request whose If-None-Match names the ETag already has these bytes and
+// gets 304 without them.
+func writeBody(w http.ResponseWriter, r *http.Request, e *cacheEntry, cache string) {
+	h := w.Header()
+	h.Set("ETag", e.etag)
+	h.Set(CacheHeader, cache)
+	if etagListed(r.Header.Get("If-None-Match"), e.etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(e.body)))
+	w.Write(e.body)
+}
+
+// etagListed reports whether an If-None-Match value — a comma-separated
+// list of entity tags, or * — names etag. The comparison is the weak one
+// RFC 9110 prescribes for this header: a W/ prefix is ignored.
+func etagListed(ifNoneMatch, etag string) bool {
+	for more := ifNoneMatch != ""; more; {
+		var tag string
+		tag, ifNoneMatch, more = strings.Cut(ifNoneMatch, ",")
+		tag = strings.TrimPrefix(strings.TrimSpace(tag), "W/")
+		if tag == etag || tag == "*" {
+			return true
+		}
+	}
+	return false
 }
 
 func storeMaxInt64(a *atomic.Int64, v int64) {

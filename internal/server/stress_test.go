@@ -177,14 +177,16 @@ func TestStressWaiterAbandonmentCancelsJob(t *testing.T) {
 // abandoned requests, and stats reads — against a result cache small
 // enough that almost every completion evicts an entry. The invariants:
 // no submission errors besides the deliberate cancellations, the active
-// set drains, and the cache never exceeds its configured capacity. Under
+// set drains, and the cache ends within its byte budget. Under
 // `make server-e2e` (-race) this is the concurrency gate for the
 // job-map/cache/stats lock interplay.
 func TestStressSubmitCancelStatsUnderEviction(t *testing.T) {
 	const (
 		submitters = 4
 		iters      = 3
-		cacheSize  = 2
+		// One shortSpec result encodes to some 24 KB: room for two of
+		// the eight or more this test completes.
+		cacheBytes = 60 << 10
 	)
 	// Shorter than stressSpec: this test measures lock interplay, not the
 	// simulation, and the race detector makes every simulated millisecond
@@ -196,7 +198,7 @@ func TestStressSubmitCancelStatsUnderEviction(t *testing.T) {
 			"seed": %d, "duration_ms": 40, "drain_after_ms": 20, "epochs": 1
 		}`, 2000+seed)
 	}
-	srv, hs, cl := newTestServer(t, server.Config{Parallel: 2, QueueDepth: submitters * iters, CacheSize: cacheSize})
+	srv, hs, cl := newTestServer(t, server.Config{Parallel: 2, QueueDepth: submitters * iters, CacheBytes: cacheBytes})
 	ctx := context.Background()
 
 	stop := make(chan struct{})
@@ -228,7 +230,7 @@ func TestStressSubmitCancelStatsUnderEviction(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
 				// Distinct seeds: every iteration is a fresh digest, so
-				// completions churn the 2-entry cache continuously.
+				// completions churn the small cache continuously.
 				spec := shortSpec(i*iters + j)
 				if (i+j)%3 == 0 {
 					// Deliberate mid-flight abandonment: wait briefly, then
@@ -265,8 +267,11 @@ func TestStressSubmitCancelStatsUnderEviction(t *testing.T) {
 	}
 	waitFor(t, "active set drained", func() bool { return srv.Stats().Active == 0 })
 	st := srv.Stats()
-	if st.CacheEntries > cacheSize {
-		t.Errorf("cache holds %d entries, configured capacity is %d", st.CacheEntries, cacheSize)
+	if st.CacheBytes > cacheBytes || st.CacheEntries == 0 {
+		t.Errorf("cache holds %d bytes in %d entries, its budget is %d bytes", st.CacheBytes, st.CacheEntries, cacheBytes)
+	}
+	if int64(st.CacheEntries) >= st.Executed {
+		t.Errorf("cache holds %d entries after %d jobs: nothing was evicted", st.CacheEntries, st.Executed)
 	}
 	if st.Executed == 0 {
 		t.Error("stress run executed no jobs")

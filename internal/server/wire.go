@@ -12,8 +12,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"hwatch/internal/scenario"
 )
@@ -42,17 +44,24 @@ type JobRequest struct {
 // Result is a completed job's payload. Digest is the job's content
 // address (for "spec" jobs, exactly the spec's canonical digest, the same
 // value hwatchsim -spec-digest prints); Version is the code version that
-// produced it; Cached reports whether this response was served from the
-// result cache instead of running simulations.
+// produced it. The encoded Result is a pure function of (Digest, Version):
+// the server encodes it once and every response for the job is those
+// bytes. Whether a response came from the result cache is therefore not
+// part of the body but the X-Hwatch-Cache response header (hit|miss);
+// the client copies it into Cached.
 type Result struct {
 	Kind    string     `json:"kind"`
 	Name    string     `json:"name,omitempty"`
 	Digest  string     `json:"digest"`
 	Version string     `json:"version"`
-	Cached  bool       `json:"cached"`
+	Cached  bool       `json:"-"`
 	Runs    []*RunWire `json:"runs,omitempty"`
 	Rows    []string   `json:"rows,omitempty"`
 }
+
+// CacheHeader is the response header that says whether a result was served
+// from the result cache ("hit") or by the job that computed it ("miss").
+const CacheHeader = "X-Hwatch-Cache"
 
 // RunWire is a scenario.Run in wire form: every digest-relevant series and
 // total, plus the execution metadata the CLIs print. Run() reconstructs
@@ -63,19 +72,19 @@ type RunWire struct {
 	Label  string `json:"label"`
 	Digest string `json:"digest"`
 
-	ShortFCTms     []float64 `json:"short_fct_ms,omitempty"`
-	PerSourceAvgMs []float64 `json:"per_source_avg_ms,omitempty"`
-	PerSourceVarMs []float64 `json:"per_source_var_ms,omitempty"`
-	ShortRetrans   []float64 `json:"short_retrans,omitempty"`
-	LongGoodputBps []float64 `json:"long_goodput_bps,omitempty"`
-	LongFairness   float64   `json:"long_fairness,omitempty"`
+	ShortFCTms     floats  `json:"short_fct_ms,omitempty"`
+	PerSourceAvgMs floats  `json:"per_source_avg_ms,omitempty"`
+	PerSourceVarMs floats  `json:"per_source_var_ms,omitempty"`
+	ShortRetrans   floats  `json:"short_retrans,omitempty"`
+	LongGoodputBps floats  `json:"long_goodput_bps,omitempty"`
+	LongFairness   float64 `json:"long_fairness,omitempty"`
 
-	QueuePktsT   []int64   `json:"queue_pkts_t,omitempty"`
-	QueuePktsV   []float64 `json:"queue_pkts_v,omitempty"`
-	QueueBytesT  []int64   `json:"queue_bytes_t,omitempty"`
-	QueueBytesV  []float64 `json:"queue_bytes_v,omitempty"`
-	UtilizationT []int64   `json:"utilization_t,omitempty"`
-	UtilizationV []float64 `json:"utilization_v,omitempty"`
+	QueuePktsT   ints   `json:"queue_pkts_t,omitempty"`
+	QueuePktsV   floats `json:"queue_pkts_v,omitempty"`
+	QueueBytesT  ints   `json:"queue_bytes_t,omitempty"`
+	QueueBytesV  floats `json:"queue_bytes_v,omitempty"`
+	UtilizationT ints   `json:"utilization_t,omitempty"`
+	UtilizationV floats `json:"utilization_v,omitempty"`
 
 	Drops     int64 `json:"drops"`
 	Marks     int64 `json:"marks"`
@@ -162,4 +171,122 @@ func (w *RunWire) Run() (*scenario.Run, error) {
 		return nil, fmt.Errorf("run %q: reconstructed digest %s does not match recorded %s", w.Label, got, w.Digest)
 	}
 	return r, nil
+}
+
+// floats and ints are the number arrays of a RunWire. They encode as
+// plain JSON arrays; decoding is their own, because encoding/json grows a
+// slice by doubling, through reflection, one element at a time, and for a
+// figure's series that allocates several times what the decoded arrays
+// hold. These count the elements, allocate once at the final length and
+// parse each element with the call encoding/json itself makes
+// (strconv.ParseFloat at 64 bits, strconv.ParseInt in base 10), so every
+// value is bit-identical — which RunWire.Run's digest recomputation checks
+// on every transfer. null and [] decode to nil and to an empty slice, as
+// they do for a plain slice; a null element, which encoding/json reads as
+// zero, is rejected: WireRun never writes one.
+type (
+	floats []float64
+	ints   []int64
+)
+
+func (f *floats) UnmarshalJSON(data []byte) (err error) {
+	*f, err = decodeNumbers(data, func(tok []byte) (float64, error) {
+		return strconv.ParseFloat(string(tok), 64)
+	})
+	return err
+}
+
+func (n *ints) UnmarshalJSON(data []byte) (err error) {
+	*n, err = decodeNumbers(data, func(tok []byte) (int64, error) {
+		return strconv.ParseInt(string(tok), 10, 64)
+	})
+	return err
+}
+
+// decodeNumbers decodes a JSON array of numbers, or null. It does not
+// rely on data having been validated: an element that is not a number by
+// the JSON grammar — a string, a nested array split at its commas, "+1",
+// "0x10" — is an error, whatever strconv would make of it.
+func decodeNumbers[T float64 | int64](data []byte, parse func(tok []byte) (T, error)) ([]T, error) {
+	data = trimJSONSpace(data)
+	if string(data) == "null" {
+		return nil, nil
+	}
+	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
+		return nil, fmt.Errorf("json: cannot decode %.32q as an array of numbers", data)
+	}
+	rest := trimJSONSpace(data[1 : len(data)-1])
+	if len(rest) == 0 {
+		return []T{}, nil
+	}
+	out := make([]T, bytes.Count(rest, []byte{','})+1)
+	for i := range out {
+		var tok []byte
+		tok, rest, _ = bytes.Cut(rest, []byte{','})
+		tok = trimJSONSpace(tok)
+		if !validNumber(tok) {
+			return nil, fmt.Errorf("json: array element %d: %.32q is not a number", i, tok)
+		}
+		v, err := parse(tok)
+		if err != nil {
+			return nil, fmt.Errorf("json: array element %d: %w", i, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// trimJSONSpace trims the four bytes JSON counts as whitespace.
+func trimJSONSpace(b []byte) []byte {
+	space := func(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+	for len(b) > 0 && space(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && space(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// validNumber reports whether s is a number by the JSON grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func validNumber(s []byte) bool {
+	digits := func(s []byte) []byte {
+		for len(s) > 0 && '0' <= s[0] && s[0] <= '9' {
+			s = s[1:]
+		}
+		return s
+	}
+	if len(s) > 0 && s[0] == '-' {
+		s = s[1:]
+	}
+	switch {
+	case len(s) == 0:
+		return false
+	case s[0] == '0':
+		s = s[1:]
+	case '1' <= s[0] && s[0] <= '9':
+		s = digits(s)
+	default:
+		return false
+	}
+	if len(s) > 0 && s[0] == '.' {
+		frac := digits(s[1:])
+		if len(frac) == len(s)-1 {
+			return false
+		}
+		s = frac
+	}
+	if len(s) > 0 && (s[0] == 'e' || s[0] == 'E') {
+		s = s[1:]
+		if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+			s = s[1:]
+		}
+		exp := digits(s)
+		if len(exp) == len(s) {
+			return false
+		}
+		s = exp
+	}
+	return len(s) == 0
 }
