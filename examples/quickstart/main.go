@@ -39,5 +39,7 @@ func main() {
 		fmt.Printf("The shims sent %d probes, stamped %d SYN-ACKs, paced %d, and rewrote %d ACK windows.\n",
 			hw.ShimStats.ProbesSent, hw.ShimStats.SynAcksStamped,
 			hw.ShimStats.SynAcksPaced, hw.ShimStats.RwndRewrites)
+		fmt.Printf("Their flows lived through %d Rule 1 epochs; %d of those were idle and cost no event.\n",
+			hw.ShimStats.EpochsClosed, hw.ShimStats.EpochsSkipped)
 	}
 }

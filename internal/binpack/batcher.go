@@ -30,16 +30,21 @@ type Batcher struct {
 	Rand func() float64
 }
 
-// Plan is the batch assignment for one window: Sizes[i] packets are sent in
-// round i (round 0 = immediately, round i = after i drain periods).
+// Plan is the batch assignment for one window: Sizes()[i] packets are sent
+// in round i (round 0 = immediately, round i = after i drain periods). It
+// is a plain value — at most three batches, no backing slice to allocate.
 type Plan struct {
-	Sizes []int
+	sizes [3]int
+	n     int
 }
+
+// Sizes returns the batch sizes, first round first.
+func (p *Plan) Sizes() []int { return p.sizes[:p.n] }
 
 // Total returns the packets across all batches.
 func (p Plan) Total() int {
 	t := 0
-	for _, s := range p.Sizes {
+	for _, s := range p.Sizes() {
 		t += s
 	}
 	return t
@@ -48,7 +53,7 @@ func (p Plan) Total() int {
 // Rounds returns the number of non-empty batches.
 func (p Plan) Rounds() int {
 	n := 0
-	for _, s := range p.Sizes {
+	for _, s := range p.Sizes() {
 		if s > 0 {
 			n++
 		}
@@ -69,14 +74,12 @@ func (b Batcher) Split(unmarked, marked int) Plan {
 		// (Theorem IV.2, special case X_M = 1).
 		half1, half2 = half2, half1
 	}
-	var p Plan
+	p := Plan{sizes: [3]int{unmarked, half1, half2}, n: 3}
 	if b.MergeFirstTwo {
-		p.Sizes = []int{unmarked + half1, half2}
-	} else {
-		p.Sizes = []int{unmarked, half1, half2}
+		p = Plan{sizes: [3]int{unmarked + half1, half2}, n: 2}
 	}
-	if b.MinBatch > 0 && p.Sizes[0] < b.MinBatch {
-		p.Sizes[0] = b.MinBatch
+	if b.MinBatch > 0 && p.sizes[0] < b.MinBatch {
+		p.sizes[0] = b.MinBatch
 	}
 	return p
 }

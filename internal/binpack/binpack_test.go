@@ -170,11 +170,11 @@ func TestPanicsOnBadInput(t *testing.T) {
 func TestBatcherThreeBatches(t *testing.T) {
 	b := Batcher{}
 	p := b.Split(10, 6)
-	if len(p.Sizes) != 3 {
-		t.Fatalf("unmerged plan has %d batches, want 3 (Cor IV.2.1)", len(p.Sizes))
+	if len(p.Sizes()) != 3 {
+		t.Fatalf("unmerged plan has %d batches, want 3 (Cor IV.2.1)", len(p.Sizes()))
 	}
-	if p.Sizes[0] != 10 || p.Sizes[1] != 3 || p.Sizes[2] != 3 {
-		t.Fatalf("plan %v, want [10 3 3]", p.Sizes)
+	if p.Sizes()[0] != 10 || p.Sizes()[1] != 3 || p.Sizes()[2] != 3 {
+		t.Fatalf("plan %v, want [10 3 3]", p.Sizes())
 	}
 	if p.Total() != 16 {
 		t.Fatalf("total %d", p.Total())
@@ -184,8 +184,8 @@ func TestBatcherThreeBatches(t *testing.T) {
 func TestBatcherMerged(t *testing.T) {
 	b := Batcher{MergeFirstTwo: true}
 	p := b.Split(10, 6)
-	if len(p.Sizes) != 2 || p.Sizes[0] != 13 || p.Sizes[1] != 3 {
-		t.Fatalf("merged plan %v, want [13 3] (Cor IV.2.2)", p.Sizes)
+	if len(p.Sizes()) != 2 || p.Sizes()[0] != 13 || p.Sizes()[1] != 3 {
+		t.Fatalf("merged plan %v, want [13 3] (Cor IV.2.2)", p.Sizes())
 	}
 }
 
@@ -198,11 +198,11 @@ func TestBatcherOddMarkedCoin(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		p := b.Split(0, 7)
 		switch {
-		case p.Sizes[1] == 4 && p.Sizes[2] == 3:
+		case p.Sizes()[1] == 4 && p.Sizes()[2] == 3:
 			firstBigger++
-		case p.Sizes[1] == 3 && p.Sizes[2] == 4:
+		case p.Sizes()[1] == 3 && p.Sizes()[2] == 4:
 		default:
-			t.Fatalf("bad split %v", p.Sizes)
+			t.Fatalf("bad split %v", p.Sizes())
 		}
 	}
 	frac := float64(firstBigger) / trials
@@ -221,7 +221,7 @@ func TestPropertySplitConservation(t *testing.T) {
 		if p.Total() != int(um)+int(m) {
 			return false
 		}
-		last := p.Sizes[len(p.Sizes)-1]
+		last := p.Sizes()[len(p.Sizes())-1]
 		return last >= int(m)/2 && last <= (int(m)+1)/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -285,5 +285,32 @@ func TestPropertyStartWindowMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// splitSink keeps the compiler from discarding the benchmarked call.
+var splitSink int
+
+// TestSplitAllocatesNothing: Split runs once per congested epoch of every
+// regulated flow, so its Plan is a plain value with no backing slice.
+func TestSplitAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, b := range []Batcher{{Rand: rng.Float64}, {MergeFirstTwo: true, MinBatch: 1, Rand: rng.Float64}} {
+		if n := testing.AllocsPerRun(1000, func() {
+			p := b.Split(9, 7)
+			splitSink += p.Sizes()[0] + p.Total()
+		}); n != 0 {
+			t.Fatalf("Split(merge=%v) allocates %.0f times per call, want 0", b.MergeFirstTwo, n)
+		}
+	}
+}
+
+func BenchmarkSplit(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	bt := Batcher{MergeFirstTwo: true, MinBatch: 1, Rand: rng.Float64}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := bt.Split(i&15, i&7)
+		splitSink += p.Sizes()[0]
 	}
 }

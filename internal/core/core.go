@@ -136,11 +136,14 @@ type Stats struct {
 	SynAcksStamped int64 // SYN-ACKs rewritten with a probe-derived window
 	SynAcksPaced   int64 // SYN-ACKs delayed by the token bucket
 	RwndRewrites   int64 // ACK receive-window clamps applied
-	EpochsClosed   int64
-	Dyed           int64 // packets dyed ECT(0)
-	CECleared      int64 // CE codepoints cleared before guest delivery
-	FlowsTracked   int64
-	FlowsExpired   int64
+	EpochsClosed   int64 // Rule 1 epochs elapsed on tracked flows
+	// EpochsSkipped is the part of EpochsClosed that ran no code: idle
+	// epochs of a parked flow, accounted when it woke or was removed.
+	EpochsSkipped int64
+	Dyed          int64 // packets dyed ECT(0)
+	CECleared     int64 // CE codepoints cleared before guest delivery
+	FlowsTracked  int64
+	FlowsExpired  int64
 
 	// Degradation and fault counters.
 	Crashes        int64 // Crash() calls: flow table wiped, clamps released
@@ -151,7 +154,7 @@ type Stats struct {
 }
 
 // role distinguishes which end of a flow this host's shim is on.
-type role int
+type role uint8
 
 const (
 	roleSender   role = iota // local guest transmits the data

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"hwatch/internal/netem"
 	"hwatch/internal/sim"
 )
@@ -17,8 +19,7 @@ import (
 // outlives a packet callback — the epoch timer, the post-expiry linger —
 // must hold the entry's flowHandle and re-resolve it, never the pointer.
 type flowEntry struct {
-	key  netem.FlowKey
-	role role
+	key netem.FlowKey
 
 	// Slab bookkeeping. gen is the occupancy generation drawn from the
 	// table's counter at ensure time; live distinguishes an occupied slot
@@ -27,31 +28,34 @@ type flowEntry struct {
 	gen  uint32
 	live bool
 
+	role role
+	// Receiver side: the guest's advertised window scale, captured from
+	// the SYN-ACK so clamps re-encode correctly (Section IV-E).
+	wscale   int8
+	guestECN bool // guest negotiated ECN itself; don't dye its packets
+	stamped  bool // Rule 2: SYN-ACK already rewritten
+	closed   bool
+
 	// self is the entry's handle pre-boxed as an `any`, so the per-flow
 	// timers (epoch close, post-expiry linger) schedule through
 	// ScheduleArg without boxing per event: one 8-byte box per flow
 	// lifetime instead of one per RTT.
 	self any
 
-	// Receiver side: the guest's advertised window scale, captured from
-	// the SYN-ACK so clamps re-encode correctly (Section IV-E).
-	wscale   int8
-	guestECN bool // guest negotiated ECN itself; don't dye its packets
-
 	// Rule 2 state.
 	probesSeen   int
 	probesMarked int
-	stamped      bool // SYN-ACK already rewritten
 
-	// Rule 1 state: per-epoch data-packet mark accounting.
+	// Rule 1 state: per-epoch data-packet mark accounting. epoch is the
+	// per-RTT chain; it parks on an epoch that saw no packet and is resumed
+	// by the next one.
 	unmarked    int
 	marked      int
 	cleanEpochs int // consecutive epochs without a mark
 	wndSegs     int // current clamp; <0 until established
-	epoch       sim.Handle
+	epoch       sim.Chain
 
 	lastActive int64 // last packet seen, for idle GC
-	closed     bool
 }
 
 // flowHandle names a table row as {slot, generation}: 32 bits of slot index
@@ -71,15 +75,28 @@ func makeHandle(slot, gen uint32) flowHandle {
 func (h flowHandle) slot() uint32 { return uint32(h) }
 func (h flowHandle) gen() uint32  { return uint32(h >> 32) }
 
-// flowChunkShift sizes the slab chunks: 1<<flowChunkShift entries each.
-// Chunks are never reallocated once grown, so *flowEntry pointers handed
-// out by get/ensure remain stable for the entry's lifetime even as the
-// table grows — growth appends a chunk, it never moves existing rows.
+// Slab chunks grow geometrically — 8, 16, 32, 64, 128 rows — and are
+// flowChunkSize rows each from then on, so a shim that tracks a flow or two
+// does not pay for 256 rows. Chunks are never reallocated once grown, so
+// *flowEntry pointers handed out by get/ensure remain stable for the
+// entry's lifetime even as the table grows — growth appends a chunk, it
+// never moves existing rows.
 const (
 	flowChunkShift = 8
 	flowChunkSize  = 1 << flowChunkShift
 	flowChunkMask  = flowChunkSize - 1
+	flowGeomRows   = flowChunkSize - 8 // rows in the five chunks below full size
 )
+
+// chunkOf maps a slot to its chunk and the row within it.
+func chunkOf(slot uint32) (chunk int, row uint32) {
+	if slot < flowGeomRows {
+		chunk = bits.Len32(slot+8) - 4
+		return chunk, slot + 8 - 8<<chunk
+	}
+	slot -= flowGeomRows
+	return 5 + int(slot>>flowChunkShift), slot & flowChunkMask
+}
 
 // flowBucket is one slot of the open-addressing key index. h == 0 marks an
 // empty bucket (valid handles are never zero).
@@ -101,7 +118,7 @@ type flowBucket struct {
 // insertion/reuse order and equally deterministic; nothing here depends on
 // the runtime's seeded map hash.
 type flowTable struct {
-	slabs [][]flowEntry // chunked rows; slabs[s>>shift][s&mask]
+	slabs [][]flowEntry // chunked rows, addressed through chunkOf
 	free  []uint32      // vacated slots, reused LIFO
 	next  uint32        // lowest never-occupied slot
 	used  int           // live rows
@@ -112,7 +129,7 @@ type flowTable struct {
 	genc uint32 // next generation to assign; starts at 1, never reused (ensure panics on wrap)
 }
 
-const flowIdxInitial = 128
+const flowIdxInitial = 16
 
 func newFlowTable() *flowTable { return newFlowTableGen(1) }
 
@@ -132,7 +149,8 @@ func newFlowTableGen(gen uint32) *flowTable {
 
 // at returns the row at slot. The slot must be < t.next.
 func (t *flowTable) at(slot uint32) *flowEntry {
-	return &t.slabs[slot>>flowChunkShift][slot&flowChunkMask]
+	chunk, row := chunkOf(slot)
+	return &t.slabs[chunk][row]
 }
 
 func (t *flowTable) get(k netem.FlowKey) *flowEntry {
@@ -172,8 +190,8 @@ func (t *flowTable) ensure(k netem.FlowKey, r role) (*flowEntry, bool) {
 	} else {
 		slot = t.next
 		t.next++
-		if int(slot>>flowChunkShift) == len(t.slabs) {
-			t.slabs = append(t.slabs, make([]flowEntry, flowChunkSize))
+		if chunk, _ := chunkOf(slot); chunk == len(t.slabs) {
+			t.slabs = append(t.slabs, make([]flowEntry, min(flowChunkSize, 8<<chunk)))
 		}
 	}
 	gen := t.genc

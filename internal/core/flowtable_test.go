@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hwatch/internal/netem"
 	"hwatch/internal/sim"
@@ -55,11 +56,26 @@ func testKey(i uint8) netem.FlowKey {
 // TestFlowTableMatchesMap drives random get/ensure/remove/len sequences
 // through the slab table and the map reference in lockstep and requires
 // identical observable behavior, including per-entry state mutated through
-// the returned pointers.
+// the returned pointers. Even-length sequences start from a table already
+// holding flowSeamBallast rows, so the churn runs across the seam between
+// the geometric chunks and the full-size ones.
+// TestFlowEntrySize pins the row: the parkable epoch chain must not have
+// grown it past the 152 bytes it had before by more than 8.
+func TestFlowEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(flowEntry{}); got > 160 {
+		t.Fatalf("flowEntry is %d bytes, want <= 160", got)
+	}
+}
+
 func TestFlowTableMatchesMap(t *testing.T) {
 	check := func(ops []uint16) bool {
 		slab := newFlowTable()
 		ref := newMapFlowTable()
+		for i := 0; len(ops)%2 == 0 && i < flowSeamBallast; i++ {
+			k := netem.FlowKey{Src: 9, Dst: 9, SrcPort: uint16(i), DstPort: 81}
+			slab.ensure(k, roleReceiver)
+			ref.ensure(k, roleReceiver)
+		}
 		for step, op := range ops {
 			k := testKey(uint8(op >> 2 % 16))
 			switch op % 4 {
@@ -122,16 +138,29 @@ func TestFlowTableMatchesMap(t *testing.T) {
 // row must not be marked live until after it is indexed, or the grow
 // triggered at the 3/4-load boundary reinserts it and idxInsert then adds
 // the same key a second time. The duplicate bucket survives remove() and a
-// later get() resolves it to a dead or recycled row. 200 keys cross the
-// 128->256 and 256->512 boundaries; after removing every key the table and
-// its index must both be empty.
+// later get() resolves it to a dead or recycled row. 600 keys cross every
+// index boundary from 16 to 1024 buckets and every chunk seam up to the
+// third full-size chunk; rows must stay where they were handed out, and
+// after removing every key the table and its index must both be empty.
 func TestFlowTableGrowthBoundaryNoGhosts(t *testing.T) {
 	tab := newFlowTable()
-	keys := make([]netem.FlowKey, 200)
+	keys := make([]netem.FlowKey, 600)
+	rows := make([]*flowEntry, len(keys))
 	for i := range keys {
 		keys[i] = netem.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i), DstPort: 80}
-		if _, created := tab.ensure(keys[i], roleSender); !created {
+		var created bool
+		if rows[i], created = tab.ensure(keys[i], roleSender); !created {
 			t.Fatalf("ensure(%v) found a pre-existing row", keys[i])
+		}
+	}
+	for i, want := range []int{8, 16, 32, 64, 128, 256, 256} {
+		if got := len(tab.slabs[i]); got != want {
+			t.Fatalf("chunk %d holds %d rows, want %d", i, got, want)
+		}
+	}
+	for i, k := range keys {
+		if e := tab.get(k); e != rows[i] || tab.at(uint32(i)) != rows[i] || e.slot != uint32(i) {
+			t.Fatalf("row %d moved or is misaddressed after growth", i)
 		}
 	}
 	for _, k := range keys {

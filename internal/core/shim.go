@@ -21,14 +21,15 @@ import (
 // inter-VM, intra-host and inter-host traffic for the whole server
 // (Section IV-D).
 type Shim struct {
-	cfg     Config
-	eng     *sim.Engine
-	rng     *sim.RNG
-	table   *flowTable
-	bucket  *tokenBucket
-	stats   Stats
-	hosts   int
-	crashed bool
+	cfg      Config
+	eng      *sim.Engine
+	rng      *sim.RNG
+	table    *flowTable
+	bucket   *tokenBucket
+	stats    Stats
+	hosts    int
+	crashed  bool
+	unparked bool // tests' oracle: idle epochs stay events, as before parking
 
 	// Tombstones of recently removed rows. Network impairments (reorder
 	// holds, jitter, duplication) can delay a packet past the row's linger
@@ -44,9 +45,9 @@ type Shim struct {
 	// Bound callbacks cached at construction so the per-flow timers
 	// (epoch close, post-expiry linger) and the periodic GC sweep schedule
 	// without allocating a closure per event (DESIGN.md §6e).
-	closeEpochFn func(any)
-	removeFn     func(any)
-	gcSweepFn    func()
+	epochs    sim.Periodic
+	removeFn  func(any)
+	gcSweepFn func()
 }
 
 // Attach builds a Shim and installs it on the host's filter chains (the
@@ -74,7 +75,7 @@ func NewShim(eng *sim.Engine, cfg Config, seedSalt int64) *Shim {
 		table:  newFlowTable(),
 		bucket: newTokenBucket(cfg.SynAckBurst, cfg.RefillEvery),
 	}
-	s.closeEpochFn = s.closeEpochArg
+	s.epochs = sim.NewPeriodic(eng, cfg.BaseRTT, s.closeEpochArg)
 	s.removeFn = s.removeExpired
 	s.gcSweepFn = s.gcSweep
 	if cfg.GCInterval > 0 && cfg.IdleTimeout > 0 {
@@ -165,7 +166,7 @@ func (s *Shim) Crash() {
 			continue
 		}
 		e.closed = true
-		e.epoch.Cancel()
+		s.stats.skip(s.epochs.Stop(&e.epoch))
 	}
 	// The replacement table continues the generation counter, so linger
 	// handles already in flight against the wiped table can never resolve
@@ -190,8 +191,23 @@ func (s *Shim) Restart() {
 // Crashed reports whether the shim is currently down.
 func (s *Shim) Crashed() bool { return s.crashed }
 
-// Stats returns a copy of the shim counters.
-func (s *Shim) Stats() Stats { return s.stats }
+// Stats returns a copy of the shim counters, with the idle epochs of flows
+// still parked accounted up to now.
+func (s *Shim) Stats() Stats {
+	st := s.stats
+	for slot, n := uint32(0), s.table.next; slot < n; slot++ {
+		if e := s.table.at(slot); e.live {
+			st.skip(s.epochs.Skipped(&e.epoch))
+		}
+	}
+	return st
+}
+
+// skip accounts n idle epochs that elapsed on a parked flow.
+func (st *Stats) skip(n int64) {
+	st.EpochsClosed += n
+	st.EpochsSkipped += n
+}
 
 // TrackedFlows returns the current flow-table size.
 func (s *Shim) TrackedFlows() int { return s.table.len() }
@@ -445,6 +461,9 @@ func (s *Shim) inEstablished(p *netem.Packet) {
 	if e := s.table.get(p.FlowKey()); e != nil && e.role == roleReceiver {
 		e.lastActive = s.eng.Now()
 		if p.IsData() || p.Flags.Has(netem.FlagFIN) {
+			if e.epoch.Parked() {
+				s.stats.skip(s.epochs.Resume(&e.epoch, e.self))
+			}
 			if p.ECN == netem.CE {
 				e.marked++
 				if s.cfg.DyeECT && !e.guestECN {
@@ -503,7 +522,7 @@ func (s *Shim) startEpoch(e *flowEntry) {
 	if s.cfg.BaseRTT <= 0 {
 		return
 	}
-	e.epoch = s.eng.ScheduleArg(s.cfg.BaseRTT, s.closeEpochFn, e.self)
+	s.epochs.Arm(&e.epoch, e.self)
 }
 
 // closeEpochArg adapts closeEpoch to the cached ScheduleArg callback
@@ -518,7 +537,9 @@ func (s *Shim) closeEpochArg(a any) {
 }
 
 // closeEpoch re-derives the flow's window from this epoch's mark counts via
-// the Next Fit batch rule, then opens the next epoch.
+// the Next Fit batch rule, then opens the next epoch. An epoch with no
+// packets costs nothing: the chain parks, and the epochs that elapse until
+// the next data packet are accounted on wake-up.
 func (s *Shim) closeEpoch(e *flowEntry) {
 	if e.closed {
 		return
@@ -527,6 +548,10 @@ func (s *Shim) closeEpoch(e *flowEntry) {
 	switch {
 	case e.marked == 0 && e.unmarked == 0:
 		// Idle epoch: no evidence either way; hold the window.
+		if !s.unparked {
+			s.epochs.Park(&e.epoch)
+			return
+		}
 	case e.marked == 0:
 		// Clean epoch: grow additively, one step per GrowthEvery clean
 		// epochs (slower than per-RTT AIMD so the aggregate of many
@@ -564,14 +589,14 @@ func (s *Shim) closeEpoch(e *flowEntry) {
 		// dark-release this is the exponential re-tightening: one mark and
 		// the window snaps back to the Next Fit verdict.
 		plan := s.batcher().Split(e.unmarked, e.marked)
-		w := plan.Sizes[0]
+		w := plan.Sizes()[0]
 		if w > s.cfg.MaxWndSegs {
 			w = s.cfg.MaxWndSegs
 		}
 		e.wndSegs = w
 	}
 	e.marked, e.unmarked = 0, 0
-	e.epoch = s.eng.ScheduleArg(s.cfg.BaseRTT, s.closeEpochFn, e.self)
+	s.epochs.Arm(&e.epoch, e.self)
 }
 
 // expire schedules flow-table cleanup after a linger period (so
@@ -581,7 +606,7 @@ func (s *Shim) expire(e *flowEntry) {
 		return
 	}
 	e.closed = true
-	e.epoch.Cancel()
+	s.stats.skip(s.epochs.Stop(&e.epoch))
 	linger := 4 * s.cfg.BaseRTT
 	if linger <= 0 {
 		linger = sim.Millisecond

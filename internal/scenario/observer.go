@@ -233,6 +233,7 @@ func (shimStatsObserver) Finish(rc *RunContext, run *Run) {
 		agg.SynAcksPaced += st.SynAcksPaced
 		agg.RwndRewrites += st.RwndRewrites
 		agg.EpochsClosed += st.EpochsClosed
+		agg.EpochsSkipped += st.EpochsSkipped
 		agg.Dyed += st.Dyed
 		agg.CECleared += st.CECleared
 		agg.FlowsTracked += st.FlowsTracked

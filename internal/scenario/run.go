@@ -53,8 +53,10 @@ type Run struct {
 
 	// Execution metadata. WallNs and Events describe the machine that ran
 	// the scenario, not the scenario itself, so Digest excludes them.
-	WallNs int64  // wall-clock time spent inside the event loop
-	Events uint64 // simulator events executed
+	WallNs int64 // wall-clock time spent inside the event loop
+	// Events counts simulator events executed. An idle Rule 1 epoch of a
+	// tracked flow is not one: see ShimStats.EpochsSkipped.
+	Events uint64
 
 	// InvariantViolations holds the checker's findings when checking was
 	// enabled (DumbbellParams.Check / TestbedParams.Check or

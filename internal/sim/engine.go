@@ -25,7 +25,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"slices"
 	"sync/atomic"
 )
 
@@ -201,6 +200,11 @@ type Engine struct {
 	due     []*event
 	dueIdx  int
 
+	// sortDue's scratch: merge buffer (cleared after use, so it pins no
+	// slot) and run boundaries.
+	mergeBuf []*event
+	runs     []int
+
 	// slots hold events for ticks in (curTick, curTick+numSlots], one
 	// tick per slot; occupied is a bitmap over slot indices.
 	slots      [numSlots][]*event
@@ -218,6 +222,9 @@ type Engine struct {
 	inDispatch   bool
 	dispatchBase uint64
 	dispatchIdx  uint64
+	// The running dispatch's own (sched, rank), for Periodic.idle.
+	firingSched int64
+	firingRank  uint64
 
 	// Event store: slots are carved from slab in slabSize chunks and
 	// recycled LIFO through the free list, so the slot an event just
@@ -242,7 +249,8 @@ type Engine struct {
 	pollGap int
 
 	// Processed counts events executed; useful for progress reporting
-	// and as a runaway guard in tests.
+	// and as a runaway guard in tests. A parked Chain's idle periods are
+	// not events.
 	Processed uint64
 }
 
@@ -395,10 +403,10 @@ func (e *Engine) ScheduleRemoteArg(dst *Engine, delay int64, fn func(any), arg a
 }
 
 // insertRemote inserts an event whose (sched, rank, seq) identity was
-// fixed by the sending engine. The firing time must not precede this
-// engine's clock; the group's lookahead bound guarantees that for merged
-// messages.
-func (e *Engine) insertRemote(t, sched int64, rank, seq uint64, fn func(any), arg any) {
+// fixed elsewhere: by the sending engine, or by the Chain resuming it. The
+// firing time must not precede this engine's clock; the group's lookahead
+// bound guarantees that for merged messages.
+func (e *Engine) insertRemote(t, sched int64, rank, seq uint64, fn func(any), arg any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: remote event at %d before now %d (lookahead violation)", t, e.now))
 	}
@@ -411,6 +419,7 @@ func (e *Engine) insertRemote(t, sched int64, rank, seq uint64, fn func(any), ar
 	ev.arg = arg
 	e.live++
 	e.insert(ev)
+	return Handle{ev, ev.gen}
 }
 
 // PeekTime returns the firing time of the earliest queued event, or
@@ -524,18 +533,6 @@ func eventBefore(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventCompare is eventBefore as a three-way comparison, for slices.SortFunc.
-// The order is total, so 0 only ever means a == b.
-func eventCompare(a, b *event) int {
-	if eventBefore(a, b) {
-		return -1
-	}
-	if eventBefore(b, a) {
-		return 1
-	}
-	return 0
-}
-
 // dueInsert places ev into the unconsumed agenda suffix, keeping it sorted
 // by (Time, sched, rank, seq).
 func (e *Engine) dueInsert(ev *event) {
@@ -602,7 +599,7 @@ func (e *Engine) refillDue(horizon int64) bool {
 			e.wheelCount++
 		}
 	}
-	sortEvents(e.due)
+	e.sortDue()
 	return true
 }
 
@@ -622,23 +619,62 @@ func (e *Engine) nextOccupiedTick() int64 {
 	panic("sim: wheel events present but no occupied slot")
 }
 
-// sortEvents orders the agenda by (Time, sched, rank, seq). Slot contents arrive
-// almost sorted (insertion order tracks seq; times within one tick
-// cluster), so a binary-insertion pass wins for the common small case.
-func sortEvents(evs []*event) {
-	if len(evs) > 48 {
-		slices.SortFunc(evs, eventCompare)
+// sortDue orders the agenda by (Time, sched, rank, seq). A slot is appended
+// in sched order and each delay class is in Time order within it, so the
+// agenda arrives as a few ascending runs: a short one gets a linear
+// insertion pass, a long one a merge of its runs through mergeBuf.
+func (e *Engine) sortDue() {
+	evs := e.due
+	if len(evs) <= 48 {
+		for i := 1; i < len(evs); i++ {
+			ev := evs[i]
+			j := i - 1
+			for j >= 0 && eventBefore(ev, evs[j]) {
+				evs[j+1] = evs[j]
+				j--
+			}
+			evs[j+1] = ev
+		}
 		return
 	}
+	b := append(e.runs[:0], 0) // run r is evs[b[r]:b[r+1]]
 	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i - 1
-		for j >= 0 && eventBefore(ev, evs[j]) {
-			evs[j+1] = evs[j]
-			j--
+		if eventBefore(evs[i], evs[i-1]) {
+			b = append(b, i)
 		}
-		evs[j+1] = ev
 	}
+	e.runs = append(b, len(evs))
+	if len(e.runs) == 2 {
+		return // one run: already in order
+	}
+	if cap(e.mergeBuf) < len(evs) {
+		e.mergeBuf = make([]*event, 2*len(evs))
+	}
+	e.mergeRuns(0, len(e.runs)-1)
+	clear(e.mergeBuf[:len(evs)])
+}
+
+// mergeRuns sorts runs lo..hi-1 of the agenda: each half first, then the
+// left half moves out to mergeBuf and merges back with the right in place.
+func (e *Engine) mergeRuns(lo, hi int) {
+	if hi-lo < 2 {
+		return
+	}
+	mid := (lo + hi) / 2
+	e.mergeRuns(lo, mid)
+	e.mergeRuns(mid, hi)
+	dst := e.due[e.runs[lo]:e.runs[hi]]
+	a := e.mergeBuf[:copy(e.mergeBuf, dst[:e.runs[mid]-e.runs[lo]])]
+	b := dst[len(a):]
+	for len(a) > 0 && len(b) > 0 {
+		if eventBefore(b[0], a[0]) {
+			dst[0], b = b[0], b[1:]
+		} else {
+			dst[0], a = a[0], a[1:]
+		}
+		dst = dst[1:]
+	}
+	copy(dst, a) // what is left of b is already in place
 }
 
 // Pending returns the number of events still scheduled. Cancelled events
@@ -741,6 +777,7 @@ func (e *Engine) runHeap(horizon int64) {
 func (e *Engine) fire(ev *event) {
 	e.now = ev.Time
 	fn, arg := ev.fn, ev.arg
+	e.firingSched, e.firingRank = ev.sched, ev.rank
 	e.dispatchBase = mix64(ev.rank)
 	e.dispatchIdx = 0
 	e.inDispatch = true
