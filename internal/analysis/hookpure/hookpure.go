@@ -8,8 +8,9 @@
 //
 // The contract: a hook body, and everything reachable from it through
 // same-package static calls, must not call Engine/Group scheduling
-// entry points (Schedule, ScheduleArg, At, AtArg, ScheduleRemoteArg)
-// and must not write fields of model-package state (sim, netem, tcp,
+// entry points (Schedule, ScheduleArg, At, AtArg, ScheduleRemoteArg, and
+// the reservation family Reserve, ScheduleChildArg,
+// ScheduleRemoteChildArg, InsertReserved) and must not write fields of model-package state (sim, netem, tcp,
 // core, aqm types). Observer.Start is deliberately out of scope — it is
 // the pre-run wiring phase where observers legitimately arm recurring
 // sample events before the run begins.
@@ -61,7 +62,8 @@ func init() {
 // schedNames are the Engine/Group scheduling entry points.
 var schedNames = map[string]bool{
 	"Schedule": true, "ScheduleArg": true, "At": true, "AtArg": true,
-	"ScheduleRemoteArg": true,
+	"ScheduleRemoteArg": true, "Reserve": true, "ScheduleChildArg": true,
+	"ScheduleRemoteChildArg": true, "InsertReserved": true,
 }
 
 var modelRE = regexp.MustCompile(modelPkgs)

@@ -1,8 +1,9 @@
 // Package schedclosure defines an analyzer that keeps the simulator hot
 // path allocation-free at the scheduling boundary: a func literal passed
-// to Engine.Schedule / ScheduleArg / At / AtArg that captures variables
-// allocates a fresh closure per event and aliases model state into the
-// event queue. Hot-path code must pass a bound method cached at
+// to Engine.Schedule / ScheduleArg / At / AtArg (or the reservation
+// family ScheduleChildArg / ScheduleRemoteChildArg / InsertReserved) that
+// captures variables allocates a fresh closure per event and aliases model
+// state into the event queue. Hot-path code must pass a bound method cached at
 // construction time (Port.txDoneFn style) with the payload as the explicit
 // ScheduleArg argument.
 //
@@ -47,6 +48,7 @@ func init() {
 
 var schedNames = map[string]bool{
 	"Schedule": true, "ScheduleArg": true, "At": true, "AtArg": true,
+	"ScheduleChildArg": true, "ScheduleRemoteChildArg": true, "InsertReserved": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

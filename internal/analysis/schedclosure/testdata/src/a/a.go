@@ -10,6 +10,13 @@ func (e *Engine) Schedule(delay int64, fn func()) *Event            { return &Ev
 func (e *Engine) ScheduleArg(d int64, fn func(any), arg any) *Event { return &Event{} }
 func (e *Engine) At(t int64, fn func()) *Event                      { return &Event{} }
 
+type Reservation struct{}
+
+func (e *Engine) ScheduleChildArg(r *Reservation, idx uint32, d int64, fn func(any), arg any) *Event {
+	return &Event{}
+}
+func (e *Engine) InsertReserved(r *Reservation, fn func(any), arg any) *Event { return &Event{} }
+
 type Packet struct{ ID int }
 
 type Host struct {
@@ -24,6 +31,12 @@ func (h *Host) deliver(a any) { _ = a.(*Packet) }
 func (h *Host) capturing(p *Packet) {
 	h.eng.Schedule(10, func() { h.deliver(p) }) // want `captures h, p`
 	h.eng.At(10, func() { h.deliver(p) })       // want `captures h, p`
+}
+
+func (h *Host) reserved(r *Reservation, p *Packet) {
+	h.eng.ScheduleChildArg(r, 0, 10, func(any) { h.deliver(p) }, nil) // want `captures h, p`
+	h.eng.InsertReserved(r, func(any) { h.deliver(p) }, nil)          // want `captures h, p`
+	h.eng.ScheduleChildArg(r, 0, 10, h.deliverFn, p)                  // cached bound method: clean
 }
 
 func (h *Host) viaLocalVariable(p *Packet) {

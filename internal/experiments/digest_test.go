@@ -19,29 +19,30 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.j
 const goldenPath = "testdata/golden_digests.json"
 
 // goldenRuns executes the small-scale Fig. 2, Fig. 8 and Fig. 11
-// scenarios and returns their digests keyed by the table's figure/curve
-// keys.
-func goldenRuns(t testing.TB) map[string]string {
+// scenarios and the chaos schedules, and returns their digests and event
+// counts keyed by the table's figure/curve keys.
+func goldenRuns(t testing.TB) (digests map[string]string, events map[string]uint64) {
 	t.Helper()
-	got := map[string]string{}
+	runs := faultGoldenRuns(t)
 	for _, g := range []struct {
 		fig   string
 		scale float64
 	}{{"fig2", 0.1}, {"fig8", 0.1}, {"fig11", 0.2}} {
 		for key, r := range mustFig(t, g.fig, g.scale) {
-			got[g.fig+"/"+key] = r.DigestHex()
+			runs[g.fig+"/"+key] = r
 		}
 	}
-	for k, v := range faultGoldenRuns(t) {
-		got[k] = v
+	digests, events = map[string]string{}, map[string]uint64{}
+	for k, r := range runs {
+		digests[k], events[k] = r.DigestHex(), r.Events
 	}
-	return got
+	return digests, events
 }
 
 // faultGoldenRuns locks two chaos scenarios into the golden set: the
 // fault injector is part of the determinism contract, so a schedule's
 // effect on the run must be as reproducible as the run itself.
-func faultGoldenRuns(t testing.TB) map[string]string {
+func faultGoldenRuns(t testing.TB) map[string]*scenario.Run {
 	t.Helper()
 	params := func(seed int64) scenario.DumbbellParams {
 		p := scenario.PaperDumbbell(5, 5)
@@ -95,12 +96,12 @@ func faultGoldenRuns(t testing.TB) map[string]string {
 		{Kind: faults.Jitter, At: 200 * sim.Millisecond, Until: 280 * sim.Millisecond,
 			Impair: faults.ImpairParams{Dist: "normal", Delay: 150 * sim.Microsecond, Jitter: 50 * sim.Microsecond, Egress: true}},
 	}
-	run := func(sched faults.Schedule, seed int64) string {
+	run := func(sched faults.Schedule, seed int64) *scenario.Run {
 		spec := dumbbellSpec(scenario.HWatch, params(seed))
 		spec.Faults = sched
-		return mustRun(t, spec).DigestHex()
+		return mustRun(t, spec)
 	}
-	return map[string]string{
+	return map[string]*scenario.Run{
 		"faults/linkflap":  run(linkflap, 7),
 		"faults/blackhole": run(blackhole, 9),
 		"faults/reorder":   run(reorder, 11),
@@ -118,7 +119,7 @@ func faultGoldenRuns(t testing.TB) map[string]string {
 //
 //	go test ./internal/experiments -run TestGoldenDigests -args -update
 func TestGoldenDigests(t *testing.T) {
-	got := goldenRuns(t)
+	got, _ := goldenRuns(t)
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
@@ -155,7 +156,7 @@ func TestGoldenDigests(t *testing.T) {
 	}
 
 	// Same seed twice => identical digests, independent of golden state.
-	again := goldenRuns(t)
+	again, _ := goldenRuns(t)
 	for k, g := range got {
 		if again[k] != g {
 			t.Errorf("%s: rerun digest %s != first run %s — nondeterminism", k, again[k], g)

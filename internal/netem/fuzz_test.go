@@ -38,7 +38,8 @@ func FuzzFlowHashStable(f *testing.F) {
 // FuzzChecksumPatchChain verifies RFC 1624 incremental updates compose: a
 // chain of successive rwnd rewrites patched incrementally must land on the
 // same checksum as a full recompute — the invariant the shim's repeated
-// clamp rewrites depend on.
+// clamp rewrites depend on — and the full recompute on the serialising
+// reference's.
 func FuzzChecksumPatchChain(f *testing.F) {
 	f.Add(int32(1), int32(2), uint16(3), uint16(4), uint16(100), uint16(200), uint16(300), uint16(0))
 	f.Add(int32(-7), int32(1<<28), uint16(65535), uint16(1), uint16(0), uint16(65535), uint16(1), uint16(65534))
@@ -53,6 +54,9 @@ func FuzzChecksumPatchChain(f *testing.F) {
 			p.Rwnd = w
 			if p.Checksum != Checksum(p) {
 				t.Fatalf("chained patch %#x != full %#x at rwnd=%d", p.Checksum, Checksum(p), w)
+			}
+			if ref := checksumRef(p); p.Checksum != ref {
+				t.Fatalf("chained patch %#x != serialised reference %#x at rwnd=%d", p.Checksum, ref, w)
 			}
 			if !VerifyChecksum(p) {
 				t.Fatalf("patched packet fails verification at rwnd=%d", w)

@@ -64,7 +64,7 @@ type Host struct {
 	Eng  *sim.Engine
 
 	uplink     *Port
-	conns      map[ConnID]Handler
+	conns      connTable
 	listeners  map[uint16]Listener
 	inFilters  []Filter
 	outFilters []Filter
@@ -85,7 +85,6 @@ type Host struct {
 func NewHost(eng *sim.Engine, id NodeID, name string, pktID *uint64) *Host {
 	return &Host{
 		ID: id, Name: name, Eng: eng,
-		conns:         make(map[ConnID]Handler),
 		listeners:     make(map[uint16]Listener),
 		nextEphemeral: 33000,
 		pktID:         pktID,
@@ -125,14 +124,17 @@ func (h *Host) AllocPort() uint16 {
 
 // Bind registers a connection endpoint handler.
 func (h *Host) Bind(id ConnID, hd Handler) {
-	if _, dup := h.conns[id]; dup {
+	if hd == nil {
+		panic(fmt.Sprintf("netem: %s nil handler for %+v", h.Name, id))
+	}
+	if h.conns.get(id) != nil {
 		panic(fmt.Sprintf("netem: %s double bind %+v", h.Name, id))
 	}
-	h.conns[id] = hd
+	h.conns.put(id, hd)
 }
 
 // Unbind removes a connection endpoint (e.g. after FIN teardown).
-func (h *Host) Unbind(id ConnID) { delete(h.conns, id) }
+func (h *Host) Unbind(id ConnID) { h.conns.del(id) }
 
 // Listen installs a connection factory on a local port.
 func (h *Host) Listen(port uint16, l Listener) { h.listeners[port] = l }
@@ -206,7 +208,7 @@ func (h *Host) deliverUp(pkt *Packet) {
 		return
 	}
 	id := ConnID{LocalPort: pkt.DstPort, Remote: pkt.Src, RemotePort: pkt.SrcPort}
-	if hd, ok := h.conns[id]; ok {
+	if hd := h.conns.get(id); hd != nil {
 		hd.HandlePacket(pkt)
 		ReleasePacket(pkt)
 		return
@@ -223,4 +225,73 @@ func (h *Host) deliverUp(pkt *Packet) {
 	}
 	h.stats.Orphans++ // stray segment (e.g. retransmit after close)
 	ReleasePacket(pkt)
+}
+
+// connTable is the host's demux table: linear probing on the packed
+// ConnID, so a lookup costs a multiply and a probe or two instead of a
+// runtime map hash. A slot is free when its handler is nil.
+type connTable struct {
+	slots []connSlot
+	n     int
+}
+
+type connSlot struct {
+	key uint64
+	hd  Handler
+}
+
+func connKey(id ConnID) uint64 {
+	return uint64(id.LocalPort)<<48 | uint64(id.RemotePort)<<32 | uint64(uint32(id.Remote))
+}
+
+// find returns the slot holding key, or the free slot that ends its probe.
+func (t *connTable) find(key uint64) int {
+	mask := len(t.slots) - 1
+	i := int(key*0x9e3779b97f4a7c15>>40) & mask
+	for t.slots[i].hd != nil && t.slots[i].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (t *connTable) get(id ConnID) Handler {
+	if t.n == 0 {
+		return nil
+	}
+	return t.slots[t.find(connKey(id))].hd
+}
+
+// put adds an absent id, keeping the table at most three quarters full.
+func (t *connTable) put(id ConnID, hd Handler) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]connSlot, max(8, 2*len(old)))
+		for _, s := range old {
+			if s.hd != nil {
+				t.slots[t.find(s.key)] = s
+			}
+		}
+	}
+	key := connKey(id)
+	t.slots[t.find(key)] = connSlot{key, hd}
+	t.n++
+}
+
+// del removes id if present and re-places the rest of its probe run, so
+// every lookup still ends at a free slot.
+func (t *connTable) del(id ConnID) {
+	if t.n == 0 {
+		return
+	}
+	i := t.find(connKey(id))
+	if t.slots[i].hd == nil {
+		return
+	}
+	t.slots[i] = connSlot{}
+	t.n--
+	for j := (i + 1) & (len(t.slots) - 1); t.slots[j].hd != nil; j = (j + 1) & (len(t.slots) - 1) {
+		s := t.slots[j]
+		t.slots[j] = connSlot{}
+		t.slots[t.find(s.key)] = s
+	}
 }

@@ -17,6 +17,11 @@ type Deliverer interface {
 //
 // Enqueue may drop (returning false) or ECN-mark the packet according to the
 // discipline; Dequeue returns nil when empty.
+//
+// The port relies on one contract: an empty Dequeue with no Enqueue since
+// the Dequeue that emptied the queue has no effect. A transmitter that
+// empties its queue therefore skips the empty Dequeue its completion would
+// make, unless an Enqueue — accepted or dropped — comes first.
 type Queue interface {
 	Enqueue(pkt *Packet) bool
 	Dequeue() *Packet
@@ -49,8 +54,17 @@ type Port struct {
 	Label string // for diagnostics ("sw0.p3")
 
 	peer  Deliverer
-	busy  bool
 	stats PortStats
+
+	// busy: a completion event is in the queue. late: the completion of
+	// the packet on the wire is only reserved, because its queue was
+	// empty after the dequeue; the first Enqueue while it is still owed
+	// inserts it (see injectQueue). twoEvent, a test switch, keeps the
+	// two-event path on every hop.
+	busy     bool
+	late     bool
+	lateTx   sim.Reservation
+	twoEvent bool
 
 	// remote is the engine owning the peer when the link crosses a shard
 	// boundary (nil for a same-shard link). Delivery then goes through the
@@ -101,9 +115,9 @@ func (p *Port) Connect(peer Deliverer) { p.peer = peer }
 
 // BindRemote marks the peer as living on dst's shard. Packet ownership
 // transfers with the delivery event: the sender stages the packet in its
-// outbox at txDone and never touches it again; the merge hands it to the
-// destination shard before that shard's next window. The link's
-// propagation delay must be at least the group lookahead.
+// outbox when it starts clocking it out and never touches it again; the
+// merge hands it to the destination shard before that shard's next window.
+// The link's propagation delay must be at least the group lookahead.
 func (p *Port) BindRemote(dst *sim.Engine) {
 	if dst == p.Eng {
 		dst = nil
@@ -131,7 +145,7 @@ func (p *Port) SetDown(down bool) {
 		return
 	}
 	p.down = down
-	if !down && !p.busy {
+	if !down && !p.transmitting() {
 		p.transmitNext()
 	}
 }
@@ -194,7 +208,18 @@ func (p *Port) Send(pkt *Packet) {
 // packets, duplicate copies). Ownership transfers with the call.
 func (p *Port) injectQueue(pkt *Packet) {
 	pkt.EnqueuedAt = p.Eng.Now()
-	if !p.Q.Enqueue(pkt) {
+	ok := p.Q.Enqueue(pkt)
+	if p.late {
+		// The reserved completion owes its Dequeue to this Enqueue even
+		// when the discipline dropped the packet: RED clears its idle
+		// flag before an early drop, and only that Dequeue sets it again.
+		p.late = false
+		if p.Eng.Owed(&p.lateTx) {
+			p.Eng.InsertReserved(&p.lateTx, txNext, p)
+			p.busy = true
+		}
+	}
+	if !ok {
 		ReleasePacket(pkt) // dropped by the discipline
 		return
 	}
@@ -207,31 +232,57 @@ func (p *Port) injectQueue(pkt *Packet) {
 // scheduled re-offers (duplicate copies, hold releases) go through.
 func (p *Port) injectQueueArg(a any) { p.injectQueue(a.(*Packet)) }
 
+// transmitting reports whether a packet's completion is still to come.
+func (p *Port) transmitting() bool {
+	return p.busy || p.late && p.Eng.Owed(&p.lateTx)
+}
+
+// transmitNext starts clocking out the head of the queue. A hop costs one
+// event: the completion (txDone) is reserved, the delivery is scheduled at
+// once as its child 0, and the completion is inserted only if the queue
+// still holds a packet for it to start. Egress impairments act at
+// completion time, so an impaired port keeps the two-event path.
 func (p *Port) transmitNext() {
+	p.busy, p.late = false, false
 	if p.down {
-		p.busy = false
 		return
 	}
 	pkt := p.Q.Dequeue()
 	if pkt == nil {
-		p.busy = false
 		return
 	}
-	p.busy = true
 	txTime := p.SerializationDelay(pkt.Wire)
-	if p.egressImp != nil {
-		// A token-bucket shaper stalls the transmitter before clocking the
-		// packet out, so sub-line rates build standing queue upstream.
-		txTime += p.egressImp.rateWait(p.Eng.Now(), pkt.Wire)
-	}
 	p.stats.TxPackets++
 	p.stats.TxBytes += int64(pkt.Wire)
-	p.Eng.ScheduleArg(txTime, p.txDoneFn, pkt)
+	if p.egressImp != nil || p.twoEvent {
+		if p.egressImp != nil {
+			// A token-bucket shaper stalls the transmitter before clocking
+			// the packet out, so sub-line rates build standing queue
+			// upstream.
+			txTime += p.egressImp.rateWait(p.Eng.Now(), pkt.Wire)
+		}
+		p.busy = true
+		p.Eng.ScheduleArg(txTime, p.txDoneFn, pkt)
+		return
+	}
+	r := p.Eng.Reserve(txTime)
+	if p.remote != nil {
+		p.Eng.ScheduleRemoteChildArg(p.remote, &r, 0, p.Delay, p.deliverFn, pkt)
+	} else {
+		p.Eng.ScheduleChildArg(&r, 0, p.Delay, p.deliverFn, pkt)
+	}
+	if p.Q.Len() > 0 {
+		p.Eng.InsertReserved(&r, txNext, p)
+		p.busy = true
+	} else {
+		p.lateTx, p.late = r, true
+	}
 }
 
-// txDone fires when the last bit is on the wire: deliver after propagation,
-// then start the next packet. Cross-shard links route the delivery through
-// the group's deterministic merge.
+// txDone fires when the last bit is on the wire, on the two-event path:
+// deliver after propagation (through the egress impairments, if any), then
+// start the next packet. Cross-shard links route the delivery through the
+// group's deterministic merge.
 func (p *Port) txDone(arg any) {
 	if p.egressImp != nil {
 		p.egressImp.Forward(arg.(*Packet)) // owns it; schedules delivery
@@ -240,6 +291,11 @@ func (p *Port) txDone(arg any) {
 	}
 	p.transmitNext()
 }
+
+// txNext is the one-event path's completion: the delivery is already
+// scheduled, so it only starts the next packet. A plain function with the
+// port as its argument costs no bound-method closure per port.
+func txNext(a any) { a.(*Port).transmitNext() }
 
 // scheduleDeliver queues the delivery event after propagation plus any
 // impairment-added extra delay (extra >= 0, so a cross-shard link's delay

@@ -9,9 +9,12 @@ import "fmt"
 // of ports, in which case the port is chosen by a hash of the flow's
 // 4-tuple — per-flow stable, so no reordering within a connection.
 type Switch struct {
-	Name   string
-	ports  []*Port
-	routes map[NodeID]int
+	Name  string
+	ports []*Port
+	// routes is the output port by destination NodeID, -1 for none: one
+	// bounds check per hop instead of a map hash. ECMP destinations have
+	// -1 here and their member ports in groups.
+	routes []int32
 	groups map[NodeID][]int
 
 	// MaxHops guards against routing loops in misbuilt topologies.
@@ -22,7 +25,6 @@ type Switch struct {
 func NewSwitch(name string) *Switch {
 	return &Switch{
 		Name:    name,
-		routes:  make(map[NodeID]int),
 		groups:  make(map[NodeID][]int),
 		MaxHops: 16,
 	}
@@ -54,10 +56,13 @@ func (s *Switch) NumPorts() int { return len(s.ports) }
 
 // Route installs "destination host -> output port index".
 func (s *Switch) Route(dst NodeID, port int) {
-	if port < 0 || port >= len(s.ports) {
+	if port < 0 || port >= len(s.ports) || dst < 0 {
 		panic(fmt.Sprintf("netem: %s route to %d via invalid port %d", s.Name, dst, port))
 	}
-	s.routes[dst] = port
+	for int(dst) >= len(s.routes) {
+		s.routes = append(s.routes, -1)
+	}
+	s.routes[dst] = int32(port)
 	delete(s.groups, dst)
 }
 
@@ -73,7 +78,9 @@ func (s *Switch) RouteECMP(dst NodeID, ports []int) {
 		}
 	}
 	s.groups[dst] = append([]int(nil), ports...)
-	delete(s.routes, dst)
+	if uint(dst) < uint(len(s.routes)) {
+		s.routes[dst] = -1
+	}
 }
 
 // flowHash is a small FNV-1a over the 4-tuple, matching how switch ASICs
@@ -100,8 +107,8 @@ func (s *Switch) Deliver(pkt *Packet) {
 	if pkt.Hops > s.MaxHops {
 		panic(fmt.Sprintf("netem: %s hop limit exceeded for %s (routing loop?)", s.Name, pkt))
 	}
-	if idx, ok := s.routes[pkt.Dst]; ok {
-		s.ports[idx].Send(pkt)
+	if d := uint(pkt.Dst); d < uint(len(s.routes)) && s.routes[d] >= 0 {
+		s.ports[s.routes[d]].Send(pkt)
 		return
 	}
 	if group, ok := s.groups[pkt.Dst]; ok {

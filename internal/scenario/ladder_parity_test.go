@@ -13,12 +13,14 @@ import (
 // ladder and incast storms: every rung's digest must match its checked-in
 // single-loop golden at shards ∈ {1, 2, 4} × GOMAXPROCS ∈ {1, 8}. The
 // storm rungs are the interesting half — thousands of open-loop flows give
-// cross-shard same-instant ties every window.
+// cross-shard same-instant ties every window. Each rung also fires as many
+// events as at shards=1.
 func TestLadderShardParityMatrix(t *testing.T) {
 	type combo struct{ shards, procs int }
 	matrix := []combo{{1, 1}, {1, 8}, {2, 1}, {2, 8}, {4, 1}, {4, 8}}
 	if testing.Short() {
-		matrix = []combo{{2, 8}, {4, 1}}
+		// The event reference still needs one shards=1 cell.
+		matrix = []combo{{1, 8}, {2, 8}, {4, 1}}
 	}
 	raw, err := os.ReadFile(ladderGoldenPath)
 	if err != nil {
@@ -31,6 +33,7 @@ func TestLadderShardParityMatrix(t *testing.T) {
 
 	defer SetDefaultShards(0)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	wantEvents := map[string]uint64{} // from the first cell, at shards=1
 	for _, c := range matrix {
 		t.Run(fmt.Sprintf("shards=%d,procs=%d", c.shards, c.procs), func(t *testing.T) {
 			SetDefaultShards(c.shards)
@@ -47,6 +50,11 @@ func TestLadderShardParityMatrix(t *testing.T) {
 				}
 				if g := run.DigestHex(); g != w {
 					t.Errorf("rung %s: digest %s, golden %s", name, g, w)
+				}
+				if n, ok := wantEvents[name]; !ok {
+					wantEvents[name] = run.Events
+				} else if run.Events != n {
+					t.Errorf("rung %s: %d events, %d at shards=1", name, run.Events, n)
 				}
 			}
 		})

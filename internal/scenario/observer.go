@@ -106,6 +106,15 @@ type RunContext struct {
 	senderFns []func() []*tcp.Sender
 }
 
+// horizon is the instant the run stops: Duration, plus the dumbbell's
+// drain.
+func (rc *RunContext) horizon() int64 {
+	if rc.Dumbbell != nil {
+		return rc.Duration + rc.DumbbellP.DrainAfter
+	}
+	return rc.Duration
+}
+
 // WatchSenders registers a dynamic TCP-sender source (workloads create
 // senders over time) for the invariant checker.
 func (rc *RunContext) WatchSenders(f func() []*tcp.Sender) {
@@ -149,6 +158,12 @@ func (o *telemetryObserver) Start(rc *RunContext, run *Run) {
 	if rc.SampleEvery <= 0 || rc.Bottleneck == nil {
 		return
 	}
+	// One sample per period from 0 to the horizon: size the series once
+	// instead of growing them by doubling.
+	n := int(rc.horizon()/rc.SampleEvery) + 2
+	run.QueuePkts.Grow(n)
+	run.QueueBytes.Grow(n)
+	o.util.Series.Grow(n)
 	eng := rc.Eng
 	var sample func()
 	sample = func() {
@@ -163,6 +178,7 @@ func (o *telemetryObserver) Start(rc *RunContext, run *Run) {
 
 func (o *telemetryObserver) Finish(rc *RunContext, run *Run) {
 	// Utilization as a fraction of line rate.
+	run.Utilization.Grow(o.util.Series.Len())
 	for i := range o.util.Series.T {
 		run.Utilization.Add(o.util.Series.T[i], o.util.Series.V[i]/float64(rc.LineRateBps))
 	}
@@ -284,10 +300,7 @@ func (RecoveryObserver) Finish(rc *RunContext, run *Run) {
 		run.InvariantViolations = append(run.InvariantViolations,
 			"recovery: "+fmt.Sprintf(format, args...))
 	}
-	horizon := rc.Duration
-	if rc.Dumbbell != nil {
-		horizon += rc.DumbbellP.DrainAfter
-	}
+	horizon := rc.horizon()
 	if rc.Injector != nil && rc.Injector.LastClear() >= horizon {
 		viol("fault schedule clears at %d ns, at or after the run horizon %d ns — nothing left to recover in",
 			rc.Injector.LastClear(), horizon)

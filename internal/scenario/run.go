@@ -55,7 +55,10 @@ type Run struct {
 	// the scenario, not the scenario itself, so Digest excludes them.
 	WallNs int64 // wall-clock time spent inside the event loop
 	// Events counts simulator events executed. An idle Rule 1 epoch of a
-	// tracked flow is not one: see ShimStats.EpochsSkipped.
+	// tracked flow is not one (see ShimStats.EpochsSkipped), and neither
+	// is the completion of a packet after which its port's queue was
+	// empty and stayed so (see sim.Reservation). The count is the same at
+	// any shard count.
 	Events uint64
 
 	// InvariantViolations holds the checker's findings when checking was

@@ -327,7 +327,7 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 			Hosts:         hosts,
 		},
 	}
-	return s.execute(ctx, rc, run, p.Duration+p.DrainAfter)
+	return s.execute(ctx, rc, run)
 }
 
 // hardenShims arms the shim degradation fallbacks whenever a fault
@@ -466,7 +466,7 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 			Hosts:         ls.AllHosts(),
 		},
 	}
-	return s.execute(ctx, rc, run, p.Duration)
+	return s.execute(ctx, rc, run)
 }
 
 // execute wires the workload, starts the observers, runs the engine and
@@ -474,7 +474,7 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 // cancellation and Progress reporting both ride the engines' out-of-band
 // poll hook, so an uninterrupted run is byte-identical to one executed
 // with neither.
-func (s *Spec) execute(ctx context.Context, rc *RunContext, run *Run, runUntil int64) (*Run, error) {
+func (s *Spec) execute(ctx context.Context, rc *RunContext, run *Run) (*Run, error) {
 	w := s.Workload
 	if w == nil {
 		if rc.Dumbbell != nil {
@@ -520,10 +520,10 @@ func (s *Spec) execute(ctx context.Context, rc *RunContext, run *Run, runUntil i
 
 	start := time.Now() //hwatchvet:allow detrand WallNs is an operator-facing speed metric, excluded from digests
 	if rc.Group != nil {
-		rc.Group.RunUntil(runUntil)
+		rc.Group.RunUntil(rc.horizon())
 		run.Events = rc.Group.Processed()
 	} else {
-		rc.Eng.RunUntil(runUntil)
+		rc.Eng.RunUntil(rc.horizon())
 		run.Events = rc.Eng.Processed
 	}
 	run.WallNs = time.Since(start).Nanoseconds() //hwatchvet:allow detrand WallNs is an operator-facing speed metric, excluded from digests

@@ -84,7 +84,11 @@ type event struct {
 	fn   func(any)
 	arg  any
 	eng  *Engine // owning engine; fixed for the slot's lifetime
-	idx  int
+	idx  int32
+	// kids is the child index the callback's first Schedule takes: 0, or
+	// for an event inserted from a Reservation, the children it already
+	// has (see reserve.go).
+	kids uint32
 	// gen counts the slot's occupancies. Firing or cancelling the occupant
 	// bumps it, which is what turns every outstanding Handle stale before
 	// the slot can be handed out again.
@@ -140,7 +144,7 @@ func (h Handle) Cancel() {
 	e := ev.eng
 	e.live--
 	if ev.idx >= 0 {
-		heap.Remove(&e.pq, ev.idx)
+		heap.Remove(&e.pq, int(ev.idx))
 		e.release(ev)
 	}
 }
@@ -222,9 +226,11 @@ type Engine struct {
 	inDispatch   bool
 	dispatchBase uint64
 	dispatchIdx  uint64
-	// The running dispatch's own (sched, rank), for Periodic.idle.
+	// The running dispatch's own (sched, rank, seq), for Periodic.idle and
+	// Owed.
 	firingSched int64
 	firingRank  uint64
+	firingSeq   uint64
 
 	// Event store: slots are carved from slab in slabSize chunks and
 	// recycled LIFO through the free list, so the slot an event just
@@ -250,7 +256,8 @@ type Engine struct {
 
 	// Processed counts events executed; useful for progress reporting
 	// and as a runaway guard in tests. A parked Chain's idle periods are
-	// not events.
+	// not events, and neither is a Reservation that is never inserted (a
+	// port's txDone when nothing is enqueued before it would fire).
 	Processed uint64
 }
 
@@ -383,22 +390,27 @@ func (e *Engine) ScheduleRemoteArg(dst *Engine, delay int64, fn func(any), arg a
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
+	seq := e.nextSeq()
+	e.sendRemote(dst, e.now+delay, e.now, e.nextRank(seq), seq, fn, arg)
+}
+
+// sendRemote delivers an event with a fixed identity to dst: directly
+// outside a parallel window, else through the outbox, at least a lookahead
+// after now.
+func (e *Engine) sendRemote(dst *Engine, t, sched int64, rank, seq uint64, fn func(any), arg any) {
 	g := e.group
 	if dst == e || g == nil || !g.parallel {
 		if dst.group != g {
-			panic("sim: ScheduleRemoteArg across unrelated engines")
+			panic("sim: remote event across unrelated engines")
 		}
-		seq := e.nextSeq()
-		dst.insertRemote(e.now+delay, e.now, e.nextRank(seq), seq, fn, arg)
+		dst.insertRemote(t, sched, rank, seq, fn, arg)
 		return
 	}
-	if delay < g.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard delay %d below lookahead %d", delay, g.lookahead))
+	if t-e.now < g.lookahead {
+		panic(fmt.Sprintf("sim: cross-shard delay %d below lookahead %d", t-e.now, g.lookahead))
 	}
-	seq := e.nextSeq()
 	e.outbox = append(e.outbox, remoteMsg{
-		dst: dst.shard, time: e.now + delay, sched: e.now,
-		rank: e.nextRank(seq), seq: seq, fn: fn, arg: arg,
+		dst: dst.shard, time: t, sched: sched, rank: rank, seq: seq, fn: fn, arg: arg,
 	})
 }
 
@@ -485,6 +497,7 @@ func (e *Engine) release(ev *event) {
 	if e.noSlab {
 		return
 	}
+	ev.kids = 0
 	scrubOnRelease(ev)
 	ev.next = e.free
 	e.free = ev
@@ -777,9 +790,9 @@ func (e *Engine) runHeap(horizon int64) {
 func (e *Engine) fire(ev *event) {
 	e.now = ev.Time
 	fn, arg := ev.fn, ev.arg
-	e.firingSched, e.firingRank = ev.sched, ev.rank
+	e.firingSched, e.firingRank, e.firingSeq = ev.sched, ev.rank, ev.seq
 	e.dispatchBase = mix64(ev.rank)
-	e.dispatchIdx = 0
+	e.dispatchIdx = uint64(ev.kids)
 	e.inDispatch = true
 	ev.gen++
 	ev.fn = nil
@@ -799,12 +812,12 @@ func (h eventHeap) Len() int           { return len(h) }
 func (h eventHeap) Less(i, j int) bool { return eventBefore(h[i], h[j]) }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].idx = int32(i)
+	h[j].idx = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	ev := x.(*event)
-	ev.idx = len(*h)
+	ev.idx = int32(len(*h))
 	*h = append(*h, ev)
 }
 func (h *eventHeap) Pop() any {

@@ -8,8 +8,9 @@ import (
 // seqShardSpan partitions the uint64 sequence space between shards: shard
 // i's runtime events draw from [(i+1)<<48, (i+2)<<48), while the group's
 // shared setup counter owns [0, 1<<48). seq is therefore globally unique
-// across the group, which keeps the (Time, rank, seq) order total even if
-// two causal rank chains ever hash to the same value.
+// across the group — a Reservation's children share its seq, but differ
+// from it and from each other in rank — which keeps the (Time, rank, seq)
+// order total even if two causal rank chains ever hash to the same value.
 const seqShardSpan = 1 << 48
 
 // remoteMsg is one cross-shard event in flight: staged in the sender's

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -181,6 +182,12 @@ func (ts *TimeSeries) Add(t int64, v float64) {
 	}
 	ts.T = append(ts.T, t)
 	ts.V = append(ts.V, v)
+}
+
+// Grow makes room for n more points without reallocating.
+func (ts *TimeSeries) Grow(n int) {
+	ts.T = slices.Grow(ts.T, n)
+	ts.V = slices.Grow(ts.V, n)
 }
 
 // Len returns the number of points.
