@@ -12,17 +12,24 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"hwatch/internal/scenario"
 	"hwatch/internal/server"
 )
 
-// Client talks to one hwatchd instance.
+// Client talks to one hwatchd instance. It is safe for concurrent use.
 type Client struct {
 	base string
 	hc   *http.Client
+	// bodies holds response buffers (*[]byte) between requests. Every
+	// decoded value copies what it keeps out of the body, so a buffer is
+	// free again as soon as the body is decoded, and a warm client reads a
+	// response without allocating for it.
+	bodies sync.Pool
 }
 
 // New builds a client for the server at base (e.g. "http://127.0.0.1:8080").
@@ -69,25 +76,39 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 // a few MiB.
 const maxResponseBytes = 64 << 20
 
-// readBody reads a response body of at most limit bytes into a buffer
-// sized from Content-Length, so a response that declares its length — every
-// result does — costs one allocation; an undeclared length only grows the
-// buffer. A longer body is an error naming the limit, never a truncated
-// body handed to the JSON decoder.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
+// readBody reads a response body of at most limit bytes into buf's
+// backing array and returns the filled slice. A response that declares its
+// length — every result does — grows buf at most once, to that length
+// (plus the room to see EOF), and not at all when buf is already that big;
+// an undeclared length only grows it. A longer body is an error naming the
+// limit, never a truncated body handed to the JSON decoder. buf comes back
+// on error too, so its array can be reused.
+func readBody(buf []byte, resp *http.Response, limit int64) ([]byte, error) {
 	if resp.ContentLength > limit {
-		return nil, fmt.Errorf("response of %d bytes exceeds the %d MiB limit", resp.ContentLength, limit>>20)
+		return buf, fmt.Errorf("response of %d bytes exceeds the %d MiB limit", resp.ContentLength, limit>>20)
 	}
-	// ReadFrom wants MinRead bytes free before every read, the one that
-	// finds EOF included.
-	buf := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
-		return nil, err
+	if need := int(max(resp.ContentLength, 0)) + bytes.MinRead; cap(buf) < need {
+		buf = make([]byte, 0, need)
 	}
-	if int64(buf.Len()) > limit {
-		return nil, fmt.Errorf("response of more than %d bytes exceeds the %d MiB limit", limit, limit>>20)
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, bytes.MinRead)
+		}
+		// Never read past limit+1 bytes: one more than the limit is
+		// enough to know the body is too long.
+		n, err := resp.Body.Read(buf[len(buf):min(int64(cap(buf)), limit+1)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return buf, fmt.Errorf("response of more than %d bytes exceeds the %d MiB limit", limit, limit>>20)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	return buf.Bytes(), nil
 }
 
 func (c *Client) do(req *http.Request, out any) error {
@@ -96,10 +117,16 @@ func (c *Client) do(req *http.Request, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp, maxResponseBytes)
+	buf, _ := c.bodies.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer c.bodies.Put(buf)
+	*buf, err = readBody(*buf, resp, maxResponseBytes)
 	if err != nil {
 		return err
 	}
+	body := *buf
 	if resp.StatusCode/100 != 2 {
 		var e struct {
 			Error string `json:"error"`
@@ -201,15 +228,9 @@ func (c *Client) Stats(ctx context.Context) (*server.Stats, error) {
 }
 
 // Runs reconstructs the result's scenario runs, re-verifying each wire
-// digest against the recomputed one.
+// digest against the recomputed one. Runs sampled on one time grid share
+// one timestamp array, each through a window whose capacity is its length:
+// an append to one run's series copies and leaves the others be.
 func Runs(res *server.Result) ([]*scenario.Run, error) {
-	runs := make([]*scenario.Run, 0, len(res.Runs))
-	for _, w := range res.Runs {
-		r, err := w.Run()
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
+	return res.ScenarioRuns()
 }

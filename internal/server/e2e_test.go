@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -499,9 +500,9 @@ func (d *discardWriter) Write(p []byte) (int, error) {
 // TestHitAllocationDoesNotScaleWithBody is the guard on the tentpole: a
 // cache hit hands the stored bytes to the ResponseWriter, so what the
 // handler allocates per hit — routing and headers, plus parsing the request
-// on a submit — is a few KB whether the entry is the 60 KB of a small spec
-// or the 340 KB of Fig. 8; and on the other end the client decodes every
-// array at its final length.
+// on a submit — is a few KB whether the entry is the 19 KB of a small spec
+// or the 115 KB of Fig. 8 (its three time axes travel as grids); and on the
+// other end the client decodes every array at its final length.
 func TestHitAllocationDoesNotScaleWithBody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full fig8 at scale 0.1")
@@ -513,11 +514,11 @@ func TestHitAllocationDoesNotScaleWithBody(t *testing.T) {
 		minBody     int
 		submitLimit uint64
 	}{
-		{"fig8@0.1", &server.JobRequest{Kind: "fig", Name: "fig8", Scale: 0.1}, 300 << 10, 4 << 10},
+		{"fig8@0.1", &server.JobRequest{Kind: "fig", Name: "fig8", Scale: 0.1}, 110 << 10, 4 << 10},
 		// A spec submission is addressed by its canonical digest, so even
 		// a hit pays scenario.ParseSpec and CanonicalDigest on the request:
 		// some 7 KB, none of it a function of the result.
-		{"small spec", &server.JobRequest{Kind: "spec", Spec: []byte(tinySpec)}, 40 << 10, 12 << 10},
+		{"small spec", &server.JobRequest{Kind: "spec", Spec: []byte(tinySpec)}, 16 << 10, 12 << 10},
 	} {
 		res, err := cl.Submit(context.Background(), c.req)
 		if err != nil {
@@ -565,6 +566,97 @@ func TestHitAllocationDoesNotScaleWithBody(t *testing.T) {
 				t.Errorf("%s: %s allocates %d bytes per hit, want at most %d", c.name, route.method, perHit, route.limit)
 			}
 		}
+	}
+}
+
+// TestE2EGridAxesAreSharedReadOnly: the four Fig. 8 runs are sampled on
+// one grid, so client.Runs materialises one timestamp array and every time
+// axis of every run is a window of it — with no room past its end, so an
+// append to one run's axes copies instead of writing into the next window.
+func TestE2EGridAxesAreSharedReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full fig8 at scale 0.1")
+	}
+	_, _, cl := newTestServer(t, server.Config{Parallel: 2})
+	res, err := cl.Submit(context.Background(), &server.JobRequest{Kind: "fig", Name: "fig8", Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := client.Runs(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes := func(r *scenario.Run) []*[]int64 { return []*[]int64{&r.QueuePkts.T, &r.QueueBytes.T, &r.Utilization.T} }
+	base := runs[0].QueuePkts.T
+	for _, r := range runs {
+		for k, ts := range axes(r) {
+			ts := *ts
+			if len(ts) < 2 || cap(ts) != len(ts) {
+				t.Fatalf("run %s axis %d: %d points, cap %d", r.Label, k, len(ts), cap(ts))
+			}
+			if len(ts) > len(base) || ts[0] < base[0] {
+				base = ts
+			}
+		}
+	}
+	dt := base[1] - base[0]
+	for _, r := range runs {
+		for k, ts := range axes(r) {
+			if off := ((*ts)[0] - base[0]) / dt; &(*ts)[0] != &base[off] {
+				t.Errorf("run %s axis %d is not a window of the one materialised grid", r.Label, k)
+			}
+		}
+	}
+
+	fresh, err := client.Runs(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := runs[0]
+	victim.QueuePkts.T = append(victim.QueuePkts.T, 1<<62)
+	victim.Utilization.T = append(victim.Utilization.T, 1<<62)
+	for i, r := range runs {
+		for k, ts := range axes(r) {
+			want := *axes(fresh[i])[k]
+			if r == victim && k != 1 {
+				want = append(want[:len(want):len(want)], 1<<62)
+			}
+			if !slices.Equal(*ts, want) {
+				t.Errorf("after appending to run %s: run %s axis %d changed", victim.Label, r.Label, k)
+			}
+		}
+		if r != victim && r.DigestHex() != res.Runs[i].Digest {
+			t.Errorf("after appending to run %s: run %s digests %s, want %s", victim.Label, r.Label, r.DigestHex(), res.Runs[i].Digest)
+		}
+	}
+}
+
+// TestE2EClientReusesItsResponseBuffer: a client reads every response into
+// a pooled buffer, so the second of two submissions overwrites the bytes
+// the first was decoded from — and the first result, which must not alias
+// them, still verifies.
+func TestE2EClientReusesItsResponseBuffer(t *testing.T) {
+	_, _, cl := newTestServer(t, server.Config{Parallel: 2})
+	ctx := context.Background()
+	first, err := cl.SubmitSpec(ctx, []byte(tinySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := first.Runs[0].Digest
+	second, err := cl.SubmitSpec(ctx, []byte(strings.Replace(tinySpec, `"seed":42`, `"seed":43`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Digest == first.Digest || second.Runs[0].Digest == digest {
+		t.Fatal("the two submissions are the same job")
+	}
+	for _, res := range []*server.Result{first, second} {
+		if _, err := client.Runs(res); err != nil {
+			t.Errorf("result %s: %v", res.Digest, err)
+		}
+	}
+	if first.Runs[0].Digest != digest {
+		t.Errorf("the first result's run digest changed from %s to %s", digest, first.Runs[0].Digest)
 	}
 }
 

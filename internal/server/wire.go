@@ -64,10 +64,12 @@ type Result struct {
 const CacheHeader = "X-Hwatch-Cache"
 
 // RunWire is a scenario.Run in wire form: every digest-relevant series and
-// total, plus the execution metadata the CLIs print. Run() reconstructs
-// the scenario.Run and recomputes its digest, so a wire round trip that
-// lost a single sample is detected mechanically — byte-identical parity
-// between the server path and the CLI path is enforced, not assumed.
+// total, plus the execution metadata the CLIs print. A series' time axis
+// travels as a grid when it is one (see axis), and is nil when the series
+// is empty. Run() reconstructs the
+// scenario.Run and recomputes its digest, so a wire round trip that lost a
+// single sample is detected mechanically — byte-identical parity between
+// the server path and the CLI path is enforced, not assumed.
 type RunWire struct {
 	Label  string `json:"label"`
 	Digest string `json:"digest"`
@@ -79,11 +81,11 @@ type RunWire struct {
 	LongGoodputBps floats  `json:"long_goodput_bps,omitempty"`
 	LongFairness   float64 `json:"long_fairness,omitempty"`
 
-	QueuePktsT   ints   `json:"queue_pkts_t,omitempty"`
+	QueuePktsT   *axis  `json:"queue_pkts_t,omitempty"`
 	QueuePktsV   floats `json:"queue_pkts_v,omitempty"`
-	QueueBytesT  ints   `json:"queue_bytes_t,omitempty"`
+	QueueBytesT  *axis  `json:"queue_bytes_t,omitempty"`
 	QueueBytesV  floats `json:"queue_bytes_v,omitempty"`
-	UtilizationT ints   `json:"utilization_t,omitempty"`
+	UtilizationT *axis  `json:"utilization_t,omitempty"`
 	UtilizationV floats `json:"utilization_v,omitempty"`
 
 	Drops     int64 `json:"drops"`
@@ -108,11 +110,11 @@ func WireRun(r *scenario.Run) *RunWire {
 		ShortRetrans:   r.ShortRetrans.Values(),
 		LongGoodputBps: r.LongGoodputBps.Values(),
 		LongFairness:   r.LongFairness,
-		QueuePktsT:     r.QueuePkts.T,
+		QueuePktsT:     axisOf(r.QueuePkts.T),
 		QueuePktsV:     r.QueuePkts.V,
-		QueueBytesT:    r.QueueBytes.T,
+		QueueBytesT:    axisOf(r.QueueBytes.T),
 		QueueBytesV:    r.QueueBytes.V,
-		UtilizationT:   r.Utilization.T,
+		UtilizationT:   axisOf(r.Utilization.T),
 		UtilizationV:   r.Utilization.V,
 		Drops:          r.Drops,
 		Marks:          r.Marks,
@@ -128,8 +130,37 @@ func WireRun(r *scenario.Run) *RunWire {
 
 // Run reconstructs the scenario.Run and verifies that its recomputed
 // digest matches the recorded one — the wire format cannot silently drop
-// or reorder a sample without failing here.
+// or reorder a sample without failing here. The run's grid axes share one
+// materialised array (see timeAxes).
 func (w *RunWire) Run() (*scenario.Run, error) {
+	ts, err := timeAxes([]*RunWire{w})
+	if err != nil {
+		return nil, err
+	}
+	return w.run(ts[0])
+}
+
+// ScenarioRuns reconstructs every run of the result as RunWire.Run does,
+// digest check included, but materialises each distinct time grid once
+// for all of them: the four runs of a figure sampled on one grid carry
+// one timestamp array between them.
+func (res *Result) ScenarioRuns() ([]*scenario.Run, error) {
+	ts, err := timeAxes(res.Runs)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]*scenario.Run, len(res.Runs))
+	for i, w := range res.Runs {
+		if runs[i], err = w.run(ts[i]); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// run reconstructs the run on the time axes t (queue packets, queue
+// bytes, utilization) and checks its digest.
+func (w *RunWire) run(t [3][]int64) (*scenario.Run, error) {
 	r := &scenario.Run{
 		Label:        w.Label,
 		LongFairness: w.LongFairness,
@@ -158,14 +189,9 @@ func (w *RunWire) Run() (*scenario.Run, error) {
 	for _, v := range w.LongGoodputBps {
 		r.LongGoodputBps.Add(v)
 	}
-	if len(w.QueuePktsT) != len(w.QueuePktsV) ||
-		len(w.QueueBytesT) != len(w.QueueBytesV) ||
-		len(w.UtilizationT) != len(w.UtilizationV) {
-		return nil, fmt.Errorf("run %q: mismatched series lengths", w.Label)
-	}
-	r.QueuePkts.T, r.QueuePkts.V = w.QueuePktsT, w.QueuePktsV
-	r.QueueBytes.T, r.QueueBytes.V = w.QueueBytesT, w.QueueBytesV
-	r.Utilization.T, r.Utilization.V = w.UtilizationT, w.UtilizationV
+	r.QueuePkts.T, r.QueuePkts.V = t[0], w.QueuePktsV
+	r.QueueBytes.T, r.QueueBytes.V = t[1], w.QueueBytesV
+	r.Utilization.T, r.Utilization.V = t[2], w.UtilizationV
 
 	if got := r.DigestHex(); got != w.Digest {
 		return nil, fmt.Errorf("run %q: reconstructed digest %s does not match recorded %s", w.Label, got, w.Digest)
@@ -173,8 +199,9 @@ func (w *RunWire) Run() (*scenario.Run, error) {
 	return r, nil
 }
 
-// floats and ints are the number arrays of a RunWire. They encode as
-// plain JSON arrays; decoding is their own, because encoding/json grows a
+// floats and ints are the number arrays of a RunWire: its value arrays,
+// and the points of a time axis that is not a grid. They encode as plain
+// JSON arrays; decoding is their own, because encoding/json grows a
 // slice by doubling, through reflection, one element at a time, and for a
 // figure's series that allocates several times what the decoded arrays
 // hold. These count the elements, allocate once at the final length and
