@@ -13,8 +13,8 @@
 // rung reports (flows-done, fct-ms, events) is a pure function of the model
 // and must equal the record exactly; gc-cpu-fraction is the exception, a
 // measurement, recorded but not compared. allocs/op may grow by allocsGrowth
-// and B/op by bytesGrowth (beyond bytesSlack): pool refills under GC move
-// both a little with the rungs' live flow sets, a real per-packet or
+// and B/op by bytesGrowth (beyond bytesSlack): GC timing moves both a
+// little with the rungs' live flow sets, a real per-packet or
 // per-flow allocation moves them by orders of magnitude more. ns/op is
 // recorded and printed, with the events/s it implies, and never fails a
 // check: on a shared host it wanders by a third.

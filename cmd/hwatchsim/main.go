@@ -24,7 +24,6 @@ import (
 	"syscall"
 
 	"hwatch"
-	"hwatch/internal/netem"
 	"hwatch/internal/sim"
 )
 
@@ -51,7 +50,6 @@ func main() {
 		listSchemes = flag.Bool("list-schemes", false, "list every registered scheme and exit")
 		listRungs   = flag.Bool("list-rungs", false, "list every registered ladder rung and exit")
 		listFaults  = flag.Bool("list-faults", false, "list every fault kind for -faults files and exit")
-		noPool      = flag.Bool("nopool", false, "disable packet pooling (escape hatch; digests must not change)")
 		noWheel     = flag.Bool("nowheel", false, "schedule on the plain binary heap instead of the timer wheel")
 	)
 	flag.Parse()
@@ -61,9 +59,6 @@ func main() {
 	hwatch.SetParallel(*parallel)
 	hwatch.SetShards(*shards)
 	hwatch.SetInvariantChecks(*check)
-	if *noPool {
-		netem.SetPacketPooling(false)
-	}
 	if *noWheel {
 		sim.SetDefaultOptions(sim.Options{NoWheel: true, NoSlab: true})
 	}

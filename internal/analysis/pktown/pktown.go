@@ -1,7 +1,7 @@
 // Package pktown defines an analyzer that mechanically checks the pooled
 // packet linear-ownership contract (DESIGN.md §6e): a *Packet obtained
-// from the pool must, on every path, be released exactly once or have its
-// ownership transferred (enqueued, delivered, scheduled, returned or
+// from a free list must, on every path, be released exactly once or have
+// its ownership transferred (enqueued, delivered, scheduled, returned or
 // stored). It flags
 //
 //   - use-after-release: reading a packet variable after ReleasePacket,
@@ -12,7 +12,8 @@
 //
 // The analysis is intra-procedural over the go/cfg control-flow graph,
 // name-based and deliberately conservative. Tracked variables are locals
-// initialized from an allocator (AllocPacket / ClonePacket) and *Packet
+// initialized from an allocator (AllocPacket / ClonePacket, as a function
+// or as a method such as Host.AllocPacket) and *Packet
 // parameters of functions that release them (a function releasing a
 // parameter on one path has accepted the release obligation on all paths).
 // Ownership transfers are recognized by callee name (Send, Deliver,
@@ -538,7 +539,9 @@ func (a *funcAnalysis) isAllocCall(e ast.Expr) bool {
 func isReleaseName(name string) bool { return name == "ReleasePacket" }
 
 // calleeName extracts the bare called name: ReleasePacket,
-// netem.ReleasePacket and q.Enqueue all yield their Sel/Ident name.
+// netem.ReleasePacket, h.ReleasePacket, p.free.ReleasePacket and q.Enqueue
+// all yield their Sel/Ident name, so the free-list methods match like the
+// package functions.
 func calleeName(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -167,3 +167,31 @@ func holdLeaksWithoutTransfer(e *Engine, skip bool) {
 	}
 	e.ScheduleArg(1, deliverArg, p)
 }
+
+// Host stands in for netem.Host: packets come from, and go back to, the
+// free list of the host's shard through methods named like the package
+// functions, and the analyzer matches them the same way.
+type Host struct{ free *Host }
+
+func (h *Host) AllocPacket() *Packet    { return &Packet{} }
+func (h *Host) ReleasePacket(p *Packet) {}
+
+func methodUseAfterRelease(h, x *Host) {
+	p := h.AllocPacket()
+	x.ReleasePacket(p)
+	_ = p.ID // want `use of packet p after ReleasePacket`
+}
+
+func methodDoubleRelease(h *Host) {
+	p := h.AllocPacket()
+	h.free.ReleasePacket(p)
+	h.ReleasePacket(p) // want `double release of packet p`
+}
+
+func methodLeak(h *Host, drop bool) {
+	p := h.AllocPacket()
+	if drop {
+		return // want `pooled packet p leaks on this path`
+	}
+	Send(p)
+}

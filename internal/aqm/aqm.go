@@ -23,20 +23,30 @@ type Stats struct {
 	MaxBytes  int
 }
 
-// fifo is the common packet buffer under every discipline.
+// fifo is the common packet buffer under every discipline: a ring that
+// doubles when full, so it holds at most twice the queue's peak occupancy
+// and a dequeue never copies.
 type fifo struct {
-	pkts  []*netem.Packet
+	ring  []*netem.Packet // length 0 or a power of two
 	head  int
+	n     int
 	bytes int
 	stats Stats
 }
 
 func (f *fifo) push(p *netem.Packet) {
-	f.pkts = append(f.pkts, p)
+	if f.n == len(f.ring) {
+		ring := make([]*netem.Packet, max(8, 2*len(f.ring)))
+		k := copy(ring, f.ring[f.head:])
+		copy(ring[k:], f.ring[:f.head])
+		f.ring, f.head = ring, 0
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
+	f.n++
 	f.bytes += p.Wire
 	f.stats.Enqueued++
-	if n := f.len(); n > f.stats.MaxLen {
-		f.stats.MaxLen = n
+	if f.n > f.stats.MaxLen {
+		f.stats.MaxLen = f.n
 	}
 	if f.bytes > f.stats.MaxBytes {
 		f.stats.MaxBytes = f.bytes
@@ -44,23 +54,18 @@ func (f *fifo) push(p *netem.Packet) {
 }
 
 func (f *fifo) pop() *netem.Packet {
-	if f.head >= len(f.pkts) {
+	if f.n == 0 {
 		return nil
 	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
 	f.bytes -= p.Wire
-	// Compact once the dead prefix dominates, to keep memory bounded.
-	if f.head > 64 && f.head*2 >= len(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		f.pkts = f.pkts[:n]
-		f.head = 0
-	}
 	return p
 }
 
-func (f *fifo) len() int { return len(f.pkts) - f.head }
+func (f *fifo) len() int { return f.n }
 
 // mark sets CE on an ECN-capable packet and counts it.
 func (f *fifo) mark(p *netem.Packet) {

@@ -57,6 +57,30 @@ func TestDropTailFIFOOrder(t *testing.T) {
 	if q.Dequeue() != nil {
 		t.Fatal("empty dequeue not nil")
 	}
+	// Interleaved on a fresh queue, so the buffer wraps before it grows.
+	q = NewDropTail(1000)
+	rng := rand.New(rand.NewSource(1))
+	var model []uint64
+	for i := 0; i < 5000; i++ {
+		if rng.Intn(5) < 3 {
+			p := pkt(10, netem.NotECT)
+			p.ID = uint64(i)
+			if q.Enqueue(p) {
+				model = append(model, p.ID)
+			}
+		} else if got := q.Dequeue(); len(model) == 0 {
+			if got != nil {
+				t.Fatal("empty dequeue not nil")
+			}
+		} else if got.ID != model[0] {
+			t.Fatalf("op %d: dequeued ID %d, want %d", i, got.ID, model[0])
+		} else {
+			model = model[1:]
+		}
+		if q.Len() != len(model) || q.Bytes() != 10*len(model) {
+			t.Fatalf("op %d: Len %d Bytes %d, want %d and %d", i, q.Len(), q.Bytes(), len(model), 10*len(model))
+		}
+	}
 }
 
 func TestDropTailNeverMarks(t *testing.T) {

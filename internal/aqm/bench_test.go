@@ -26,9 +26,3 @@ func BenchmarkMarkThresholdBytes(b *testing.B) {
 func BenchmarkWRED(b *testing.B) {
 	benchCycle(b, NewWRED(64, 16, 48, rand.New(rand.NewSource(1)).Float64))
 }
-
-func BenchmarkCoDel(b *testing.B) {
-	now := int64(0)
-	q := NewCoDel(64, 0, 10_000_000, true, func() int64 { now += 1200; return now })
-	benchCycle(b, q)
-}

@@ -188,7 +188,7 @@ func TestInboundRSTExpiresSenderEntry(t *testing.T) {
 		SrcPort: key.DstPort, DstPort: key.SrcPort,
 		Flags: netem.FlagRST | netem.FlagACK,
 	}
-	if v := s.inbound(rst); v != netem.VerdictPass {
+	if v := s.inbound(nil, rst); v != netem.VerdictPass { // no probe: no tap needed
 		t.Fatalf("inbound RST verdict %v", v)
 	}
 	if !e.closed {

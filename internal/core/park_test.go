@@ -53,10 +53,12 @@ type parkTwin struct {
 }
 
 func newParkTwin(cfg Config, unparked bool, steps []parkStep) *parkTwin {
-	eng := sim.New()
+	net := netem.NewNetwork()
+	eng := net.Eng
 	w := &parkTwin{eng: eng, s: NewShim(eng, cfg, 0), steps: steps}
 	w.s.unparked = unparked
-	w.tap = &hostTap{shim: w.s, injectOutFn: func(any) {}} // paced SYN-ACKs go nowhere
+	// Paced SYN-ACKs go nowhere; the host only lends its packet list.
+	w.tap = &hostTap{shim: w.s, host: net.NewHost("g"), injectOutFn: func(any) {}}
 	for i, st := range steps {
 		if st.lead < 0 {
 			eng.AtArg(st.at, w.apply, i)
@@ -73,7 +75,7 @@ func (w *parkTwin) apply(a any) {
 	i := a.(int)
 	st := w.steps[i]
 	// The table is keyed by data direction: guest 1 sends to local guest 2.
-	in := netem.AllocPacket()
+	in := w.tap.host.AllocPacket()
 	in.Src, in.Dst, in.SrcPort, in.DstPort = 1, 2, 1000+st.flow, 80
 	in.ECN, in.WScaleOpt = netem.ECT0, -1
 	if st.ce {
@@ -85,10 +87,10 @@ func (w *parkTwin) apply(a any) {
 	switch st.kind {
 	case stepProbe:
 		in.Probe = true
-		w.s.inbound(in) // consumed and released by the shim
+		w.s.inbound(w.tap, in) // consumed and released by the shim
 	case stepSYN:
 		in.Flags = netem.FlagSYN
-		w.s.inbound(in)
+		w.s.inbound(w.tap, in)
 	case stepSynAck:
 		out.Flags |= netem.FlagSYN
 		out.WScaleOpt = 7
@@ -97,21 +99,21 @@ func (w *parkTwin) apply(a any) {
 		rec.rwnd = out.Rwnd
 	case stepData:
 		in.Flags, in.Payload = netem.FlagACK, 1460
-		w.s.inbound(in)
+		w.s.inbound(w.tap, in)
 	case stepAck:
 		netem.SetChecksum(out)
 		w.s.outbound(w.tap, out)
 		rec.rwnd = out.Rwnd
 	case stepFIN:
 		in.Flags = netem.FlagFIN | netem.FlagACK
-		w.s.inbound(in)
+		w.s.inbound(w.tap, in)
 	case stepCrash:
 		w.s.Crash()
 	case stepRestart:
 		w.s.Restart()
 	}
 	if st.kind != stepProbe {
-		netem.ReleasePacket(in)
+		w.tap.host.ReleasePacket(in)
 	}
 	rec.tracked, rec.st = w.s.TrackedFlows(), w.s.Stats()
 	rec.st.EpochsSkipped = 0 // the one counter the twins may differ in

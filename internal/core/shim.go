@@ -123,7 +123,7 @@ func (t *hostTap) Outbound(p *netem.Packet) netem.Verdict {
 
 // Inbound implements netem.Filter.
 func (t *hostTap) Inbound(p *netem.Packet) netem.Verdict {
-	return t.shim.inbound(p)
+	return t.shim.inbound(t, p)
 }
 
 // injectOutbound is the ScheduleArg form of host.InjectOutbound.
@@ -307,7 +307,7 @@ func (s *Shim) sendProbeTrain(t *hostTap, k netem.FlowKey) {
 		if at >= s.cfg.ProbeSpan {
 			at = s.cfg.ProbeSpan - 1
 		}
-		probe := netem.AllocPacket()
+		probe := t.host.AllocPacket()
 		probe.ID = t.host.NextPacketID()
 		probe.Src = k.Src
 		probe.Dst = k.Dst
@@ -390,14 +390,14 @@ func (s *Shim) outEstablished(p *netem.Packet) netem.Verdict {
 }
 
 // inbound handles network -> guest packets for one attached host.
-func (s *Shim) inbound(p *netem.Packet) netem.Verdict {
+func (s *Shim) inbound(t *hostTap, p *netem.Packet) netem.Verdict {
 	if s.crashed {
 		// Pass-through, probes included: with the shim dead nothing steals
 		// them, so they fall off the host's demux like any unclaimed raw IP.
 		return netem.VerdictPass
 	}
 	if p.Probe {
-		return s.inProbe(p)
+		return s.inProbe(t, p)
 	}
 	switch {
 	case p.Flags.Has(netem.FlagSYN) && !p.Flags.Has(netem.FlagACK):
@@ -410,7 +410,7 @@ func (s *Shim) inbound(p *netem.Packet) netem.Verdict {
 
 // inProbe is the receiver-side probe counter: consume the probe, record
 // whether the fabric marked it.
-func (s *Shim) inProbe(p *netem.Packet) netem.Verdict {
+func (s *Shim) inProbe(t *hostTap, p *netem.Packet) netem.Verdict {
 	key := p.FlowKey()
 	if s.table.get(key) == nil && s.tombstoned(key) {
 		// Straggler outliving its flow: an impairment held this probe past
@@ -418,7 +418,7 @@ func (s *Shim) inProbe(p *netem.Packet) netem.Verdict {
 		// trains only exist at flow start, so minting here would leave a
 		// row no FIN will ever close.
 		s.stats.StaleRemints++
-		netem.ReleasePacket(p)
+		t.host.ReleasePacket(p)
 		return netem.VerdictStolen
 	}
 	e, created := s.table.ensure(key, roleReceiver)
@@ -432,7 +432,7 @@ func (s *Shim) inProbe(p *netem.Packet) netem.Verdict {
 		e.probesMarked++
 		s.stats.ProbesMarked++
 	}
-	netem.ReleasePacket(p) // stolen and consumed: probes never reach a guest
+	t.host.ReleasePacket(p) // stolen and consumed: probes never reach a guest
 	return netem.VerdictStolen
 }
 

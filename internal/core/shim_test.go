@@ -579,8 +579,9 @@ func TestTombstoneBlocksStaleRemint(t *testing.T) {
 	}
 
 	key := s.FlowKey()
+	tapB := &hostTap{shim: r.shimB, host: r.b}
 	straggler := func(probe bool) *netem.Packet {
-		p := netem.AllocPacket()
+		p := r.b.AllocPacket()
 		p.ID = r.a.NextPacketID()
 		p.Src, p.Dst = key.Src, key.Dst
 		p.SrcPort, p.DstPort = key.SrcPort, key.DstPort
@@ -595,14 +596,14 @@ func TestTombstoneBlocksStaleRemint(t *testing.T) {
 		return p
 	}
 
-	if v := r.shimB.inbound(straggler(true)); v != netem.VerdictStolen {
+	if v := r.shimB.inbound(tapB, straggler(true)); v != netem.VerdictStolen {
 		t.Fatalf("stale probe verdict = %v, want stolen", v)
 	}
 	synDup := straggler(false)
-	if v := r.shimB.inbound(synDup); v != netem.VerdictPass {
+	if v := r.shimB.inbound(tapB, synDup); v != netem.VerdictPass {
 		t.Fatalf("stale SYN verdict = %v, want pass", v)
 	}
-	netem.ReleasePacket(synDup)
+	r.b.ReleasePacket(synDup)
 	if n := r.shimB.TrackedFlows(); n != 0 {
 		t.Fatalf("straggler re-minted a flow row (%d tracked)", n)
 	}
@@ -613,7 +614,7 @@ func TestTombstoneBlocksStaleRemint(t *testing.T) {
 	// The tombstone has a bounded lifetime: past the TTL the guard steps
 	// aside (a straggler that late is the idle sweep's problem).
 	r.net.Eng.RunUntil(10*sim.Millisecond + tombstoneTTL + sim.Millisecond)
-	if v := r.shimB.inbound(straggler(true)); v != netem.VerdictStolen {
+	if v := r.shimB.inbound(tapB, straggler(true)); v != netem.VerdictStolen {
 		t.Fatalf("late probe verdict = %v, want stolen", v)
 	}
 	if n := r.shimB.TrackedFlows(); n != 1 {

@@ -3,29 +3,31 @@ package experiments
 import (
 	"testing"
 
-	"hwatch/internal/netem"
 	"hwatch/internal/sim"
 )
 
-// TestPoolingDigestParity proves packet pooling is semantically invisible:
-// a fig-scale scenario must produce byte-identical run digests with the
-// pool on and off. Any use-after-release or incomplete reset shows up as a
-// digest mismatch here (and louder still under -tags poolpoison, where CI
-// repeats this test with released packets filled with sentinel garbage).
+// TestPoolingDigestParity proves packet recycling is semantically
+// invisible: a fig-scale scenario must produce byte-identical run digests
+// with the networks' free lists on and off. Off is sim's NoSlab default,
+// the never-reusing oracle, under which networks keep no released packet
+// (and engines reuse no event slot). Any use-after-release or incomplete
+// reset shows up as a digest mismatch here, and louder still under
+// -tags poolpoison, where CI repeats the golden digests with released
+// packets filled with sentinel garbage.
 func TestPoolingDigestParity(t *testing.T) {
-	if !netem.PacketPooling() {
-		t.Fatal("pooling must be the default")
+	if sim.DefaultOptions().NoSlab {
+		t.Fatal("recycling must be the default")
 	}
-	defer netem.SetPacketPooling(true)
+	defer sim.SetDefaultOptions(sim.Options{})
 
 	pooled := mustFig(t, "fig8", 0.1)
-	netem.SetPacketPooling(false)
+	sim.SetDefaultOptions(sim.Options{NoSlab: true})
 	plain := mustFig(t, "fig8", 0.1)
-	netem.SetPacketPooling(true)
+	sim.SetDefaultOptions(sim.Options{})
 
 	for k, r := range pooled {
 		if a, b := r.DigestHex(), plain[k].DigestHex(); a != b {
-			t.Errorf("%v: digest %s with pooling, %s without", k, a, b)
+			t.Errorf("%v: digest %s with recycling, %s without", k, a, b)
 		}
 	}
 }
@@ -55,14 +57,12 @@ func TestWheelDigestParity(t *testing.T) {
 	}
 }
 
-// TestPooledParallelRuns exists for `go test -race ./...`: eight pooled
-// runs share one sync.Pool across worker goroutines, so a packet touched
-// after release — or released into two runs at once — trips the race
-// detector here even when digests happen to collide.
+// TestPooledParallelRuns exists for `go test -race ./...`: eight runs
+// recycle packets on worker goroutines at once, each through its own
+// network's free lists, so a list shared between runs — or a packet
+// touched after release — trips the race detector here even when digests
+// happen to collide.
 func TestPooledParallelRuns(t *testing.T) {
-	if !netem.PacketPooling() {
-		t.Fatal("pooling must be the default")
-	}
 	SetParallel(8)
 	defer SetParallel(0)
 	for k, r := range mustFig(t, "fig8", 0.1) {

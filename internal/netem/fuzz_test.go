@@ -65,14 +65,15 @@ func FuzzChecksumPatchChain(f *testing.F) {
 	})
 }
 
-// FuzzPacketPoolZeroed is the pooling contract's allocation half: whatever
-// garbage a released packet carried, the next AllocPacket must hand out a
-// fully zeroed packet (the model relies on zero defaults for every field a
-// sender does not set).
+// FuzzPacketPoolZeroed is the free-list contract's allocation half:
+// whatever garbage a released packet carried, the next AllocPacket from a
+// network's list must hand out a fully zeroed packet (the model relies on
+// zero defaults for every field a sender does not set).
 func FuzzPacketPoolZeroed(f *testing.F) {
 	f.Add(uint64(9), int32(1), int32(2), int64(3), int64(4), uint16(5), true, 6, 7)
+	h := NewNetwork().NewHost("h")
 	f.Fuzz(func(t *testing.T, id uint64, src, dst int32, seq, ack int64, rwnd uint16, probe bool, payload, hops int) {
-		p := AllocPacket()
+		p := h.AllocPacket()
 		p.ID = id
 		p.Src, p.Dst = NodeID(src), NodeID(dst)
 		p.Seq, p.Ack = seq, ack
@@ -81,11 +82,14 @@ func FuzzPacketPoolZeroed(f *testing.F) {
 		p.Payload = payload
 		p.Hops = hops
 		p.Sack = append(p.Sack, SackBlock{Start: seq, End: ack})
-		ReleasePacket(p)
-		q := AllocPacket()
+		h.ReleasePacket(p)
+		q := h.AllocPacket()
+		if q != p {
+			t.Fatal("AllocPacket did not recycle the packet just released")
+		}
 		if !reflect.DeepEqual(q, &Packet{}) {
 			t.Fatalf("AllocPacket returned non-zero packet: %+v", q)
 		}
-		ReleasePacket(q)
+		h.ReleasePacket(q)
 	})
 }

@@ -77,17 +77,16 @@ type Host struct {
 	VerifyChecksums bool
 
 	nextEphemeral uint16
-	pktID         *uint64 // shared packet-ID counter (per network)
+	shard         *shardState // packet IDs and free list, shared per shard
 }
 
-// NewHost returns a host with the given address. pktID is the network-wide
-// packet ID counter (see Network).
-func NewHost(eng *sim.Engine, id NodeID, name string, pktID *uint64) *Host {
+// newHost returns a host with the given address on the shard sh.
+func newHost(eng *sim.Engine, id NodeID, name string, sh *shardState) *Host {
 	return &Host{
 		ID: id, Name: name, Eng: eng,
 		listeners:     make(map[uint16]Listener),
 		nextEphemeral: 33000,
-		pktID:         pktID,
+		shard:         sh,
 	}
 }
 
@@ -108,9 +107,20 @@ func (h *Host) AddFilter(f Filter) {
 
 // NextPacketID allocates a unique packet ID.
 func (h *Host) NextPacketID() uint64 {
-	*h.pktID++
-	return *h.pktID
+	h.shard.pktID++
+	return h.shard.pktID
 }
+
+// AllocPacket returns a zeroed packet from the free list of the host's
+// shard. Transports and the shim allocate every packet they send here.
+func (h *Host) AllocPacket() *Packet { return h.shard.free.AllocPacket() }
+
+// ReleasePacket returns p to the free list of the host's shard; see the
+// ownership contract in pool.go.
+func (h *Host) ReleasePacket(p *Packet) { h.shard.free.ReleasePacket(p) }
+
+// ClonePacket returns a copy of p allocated from the host's shard.
+func (h *Host) ClonePacket(p *Packet) *Packet { return h.shard.free.ClonePacket(p) }
 
 // AllocPort returns a fresh ephemeral source port.
 func (h *Host) AllocPort() uint16 {
@@ -146,7 +156,7 @@ func (h *Host) Send(pkt *Packet) {
 		switch f.Outbound(pkt) {
 		case VerdictDrop:
 			h.stats.FilterDrops++
-			ReleasePacket(pkt)
+			h.ReleasePacket(pkt)
 			return
 		case VerdictStolen:
 			h.stats.FilterSteal++
@@ -181,7 +191,7 @@ func (h *Host) Deliver(pkt *Packet) {
 		switch f.Inbound(pkt) {
 		case VerdictDrop:
 			h.stats.FilterDrops++
-			ReleasePacket(pkt)
+			h.ReleasePacket(pkt)
 			return
 		case VerdictStolen:
 			h.stats.FilterSteal++
@@ -197,20 +207,20 @@ func (h *Host) Deliver(pkt *Packet) {
 func (h *Host) deliverUp(pkt *Packet) {
 	if h.VerifyChecksums && !pkt.Probe && !VerifyChecksum(pkt) {
 		h.stats.ChecksumDrops++
-		ReleasePacket(pkt)
+		h.ReleasePacket(pkt)
 		return
 	}
 	if pkt.Probe {
 		// Probes are hypervisor-to-hypervisor; a host without a shim (or a
 		// shim that declined it) must not surface them to guests.
 		h.stats.Orphans++
-		ReleasePacket(pkt)
+		h.ReleasePacket(pkt)
 		return
 	}
 	id := ConnID{LocalPort: pkt.DstPort, Remote: pkt.Src, RemotePort: pkt.SrcPort}
 	if hd := h.conns.get(id); hd != nil {
 		hd.HandlePacket(pkt)
-		ReleasePacket(pkt)
+		h.ReleasePacket(pkt)
 		return
 	}
 	if pkt.Flags.Has(FlagSYN) && !pkt.Flags.Has(FlagACK) {
@@ -218,13 +228,13 @@ func (h *Host) deliverUp(pkt *Packet) {
 			if hd := l(pkt); hd != nil {
 				h.Bind(id, hd)
 				hd.HandlePacket(pkt)
-				ReleasePacket(pkt)
+				h.ReleasePacket(pkt)
 				return
 			}
 		}
 	}
 	h.stats.Orphans++ // stray segment (e.g. retransmit after close)
-	ReleasePacket(pkt)
+	h.ReleasePacket(pkt)
 }
 
 // connTable is the host's demux table: linear probing on the packed

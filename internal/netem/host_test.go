@@ -7,7 +7,7 @@ import (
 )
 
 // recHandler records packets handed to a guest endpoint. It copies them:
-// the host releases a packet to the pool after HandlePacket returns, so
+// the host releases a packet to its free list after HandlePacket returns, so
 // retaining the pointer would violate the ownership contract.
 type recHandler struct{ pkts []*Packet }
 

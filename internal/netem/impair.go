@@ -158,7 +158,7 @@ func (im *Impairment) apply(p *Packet, inbound bool) Verdict {
 	}
 	if im.DupP > 0 && im.Rng.Float64() < im.DupP {
 		im.Duplicated++
-		clone := ClonePacket(p)
+		clone := im.host.ClonePacket(p)
 		clone.ID = im.host.NextPacketID()
 		im.inject(clone, inbound, 0)
 	}

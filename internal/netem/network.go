@@ -25,14 +25,26 @@ type Network struct {
 	switches []*Switch
 	swShard  map[*Switch]int
 	nextID   NodeID
-	// pktIDs holds one packet-ID counter per shard, shard i counting from
-	// i<<48 so ID streams stay disjoint without cross-shard coordination
-	// (and shard 0 — hence every single-loop run — counts from 0 exactly
-	// as before). Fixed length: hosts keep pointers into it.
-	pktIDs []uint64
+	// shards holds what each shard's nodes share. Fixed length: hosts and
+	// ports keep pointers into it.
+	shards []shardState
+	// spare holds the free packets balanceLists took from shards that
+	// release more than they allocate, for the shards that allocate more.
+	spare freeList
 	// minCross is the smallest cross-shard link delay seen (0 until the
 	// first cross-shard link); it becomes the group lookahead.
 	minCross int64
+}
+
+// shardState is what the nodes of one shard share, touched only by the
+// goroutine running that shard.
+type shardState struct {
+	// pktID is the shard's packet-ID counter. Shard i counts from i<<48,
+	// so ID streams stay disjoint without cross-shard coordination (and
+	// shard 0 — hence every single-loop run — counts from 0).
+	pktID uint64
+	// free recycles the packets whose lives end on this shard.
+	free freeList
 }
 
 // NewNetwork returns an empty single-loop network on a fresh engine.
@@ -40,7 +52,9 @@ func NewNetwork() *Network { return NewShardedNetwork(1) }
 
 // NewShardedNetwork returns an empty network partitioned into the given
 // number of shards. One shard is the plain single-loop configuration —
-// same engine type, no group, zero behavior change.
+// same engine type, no group, zero behavior change. Under sim's NoSlab
+// default option, the never-reusing oracle, its free lists recycle no
+// packets either.
 func NewShardedNetwork(shards int) *Network {
 	if shards < 1 {
 		shards = 1
@@ -49,10 +63,12 @@ func NewShardedNetwork(shards int) *Network {
 		hosts:   make(map[NodeID]*Host),
 		swShard: make(map[*Switch]int),
 		nextID:  1,
-		pktIDs:  make([]uint64, shards),
+		shards:  make([]shardState, shards),
 	}
-	for i := range n.pktIDs {
-		n.pktIDs[i] = uint64(i) << 48
+	off := sim.DefaultOptions().NoSlab
+	for i := range n.shards {
+		n.shards[i].pktID = uint64(i) << 48
+		n.shards[i].free.off = off
 	}
 	if shards == 1 {
 		n.Eng = sim.New()
@@ -64,7 +80,32 @@ func NewShardedNetwork(shards int) *Network {
 		n.engines = append(n.engines, n.group.Engine(i))
 	}
 	n.Eng = n.engines[0]
+	n.group.OnBarrier(n.balanceLists)
 	return n
+}
+
+// listKeep is how many free packets a shard keeps across a barrier: more
+// than a shard typically allocates in one lookahead window, so a shard
+// that allocates more than it releases rarely reaches for a fresh packet.
+const listKeep = 256
+
+// balanceLists evens out the shards' free lists at every barrier, while
+// no shard runs. A packet is released on the shard its life ends on,
+// which for a flow's data is not the shard that allocated it, so without
+// this one list would grow for good while another allocated afresh. A
+// list above listKeep gives its surplus to the spare list; a list below
+// takes back from it.
+func (n *Network) balanceLists(int64) {
+	for i := range n.shards {
+		if l := &n.shards[i].free; l.n > listKeep {
+			n.spare.move(l, l.n-listKeep)
+		}
+	}
+	for i := range n.shards {
+		if l := &n.shards[i].free; l.n < listKeep {
+			l.move(&n.spare, min(listKeep-l.n, n.spare.n))
+		}
+	}
 }
 
 // Shards returns the shard count (1 for a single-loop network).
@@ -104,7 +145,7 @@ func (n *Network) NewHostIn(shard int, name string) *Host {
 	if name == "" {
 		name = fmt.Sprintf("h%d", id)
 	}
-	h := NewHost(n.engines[shard], id, name, &n.pktIDs[shard])
+	h := newHost(n.engines[shard], id, name, &n.shards[shard])
 	n.hosts[id] = h
 	return h
 }
@@ -142,10 +183,17 @@ func (n *Network) Switches() []*Switch { return n.switches }
 // builders take one so every output port gets its own buffer.
 type QueueFactory func() Queue
 
-// CrossBind marks p's peer as living on dst's shard (no-op when src owns
-// both ends) and folds the link delay into the lookahead bound. Topology
-// builders use it for hand-wired ports; Link* call it internally.
+// CrossBind binds p to the free list of the shard that runs it, marks p's
+// peer as living on dst's shard (no-op when src owns both ends) and folds
+// the link delay into the lookahead bound. Topology builders use it for
+// hand-wired ports; Link* call it internally. A port never bound releases
+// its dropped packets to the GC.
 func (n *Network) CrossBind(p *Port, dst *sim.Engine) {
+	for i, e := range n.engines {
+		if e == p.Eng {
+			p.free = &n.shards[i].free
+		}
+	}
 	if p.Eng == dst {
 		return
 	}

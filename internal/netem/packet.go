@@ -168,6 +168,10 @@ type Packet struct {
 
 	// Hops counts forwarding steps, as a routing-loop guard.
 	Hops int
+
+	// next links a released packet into its shard's free list; nil while
+	// the packet is live. It fills what the 160 B size class would pad.
+	next *Packet
 }
 
 // SackBlock is one selective-acknowledgment range [Start, End).

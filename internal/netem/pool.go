@@ -1,66 +1,84 @@
 package netem
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Packet pooling. The hot path recycles packets through a sync.Pool with a
-// strict linear-ownership contract (documented in DESIGN.md §6e):
+// Packet recycling. Every shard of a Network owns one free list of packets,
+// and a packet's life follows a strict linear-ownership contract
+// (documented in DESIGN.md §6e):
 //
 //   - Whoever allocates a packet owns it until ownership transfers: handing
 //     it to Port.Send, Host.Send, Deliver or InjectInbound/InjectOutbound
 //     gives it away; a filter returning VerdictStolen takes it.
 //   - The owner at the end of a packet's life — a drop site, or the host
 //     after the transport handler returns — calls ReleasePacket exactly
-//     once. Touching a packet after release is a bug; build with
-//     -tags poolpoison to make such bugs corrupt digests loudly instead of
-//     silently reading recycled-then-zeroed memory.
+//     once, on the list of the shard it runs on. Touching a packet after
+//     release is a bug; build with -tags poolpoison to make such bugs
+//     corrupt digests loudly instead of silently reading recycled-then-
+//     zeroed memory.
 //   - Packets parked in queues or in-flight engine events are owned by
 //     those structures; anything still parked when a run ends is simply
-//     garbage collected.
+//     garbage collected, together with the network's lists.
 //
-// Pooling is semantically invisible: AllocPacket always returns a fully
-// zeroed packet, so a model built on it behaves identically with the pool
-// disabled (SetPacketPooling(false), or hwatchsim -nopool).
+// Recycling is semantically invisible: AllocPacket always returns a fully
+// zeroed packet. A list belongs to one run, so a packet released in one
+// run can never surface in another.
 
-var pktPool = sync.Pool{New: func() any { return new(Packet) }}
+// freeList is one shard's recycled packets, a stack linked through
+// Packet.next: the packet released last is allocated next, still
+// cache-hot, and the list grows without allocating. Only the goroutine
+// running the shard touches it, so it takes no lock; a packet may migrate
+// between shards' lists, released where its life ends. A nil list
+// recycles nothing: it allocates fresh packets and leaves released ones to
+// the GC, and so does a list that is off.
+type freeList struct {
+	head *Packet
+	n    int
+	// off makes the list keep nothing it is given: the oracle a network
+	// built under sim's NoSlab option uses, against which recycling must
+	// be invisible.
+	off bool
+}
 
-// poolOff gates pooling globally; the default (false) keeps pooling on.
-var poolOff atomic.Bool
-
-// SetPacketPooling enables or disables packet recycling. With pooling off,
-// AllocPacket falls back to plain allocation and ReleasePacket is a no-op,
-// which is the escape hatch if a use-after-release is suspected.
-func SetPacketPooling(on bool) { poolOff.Store(!on) }
-
-// PacketPooling reports whether packet recycling is enabled.
-func PacketPooling() bool { return !poolOff.Load() }
-
-// AllocPacket returns a zeroed packet, recycled when pooling is enabled.
-func AllocPacket() *Packet {
-	if poolOff.Load() {
+// AllocPacket returns a zeroed packet, recycled when the list has one.
+func (l *freeList) AllocPacket() *Packet {
+	if l == nil || l.head == nil {
 		return new(Packet)
 	}
-	p := pktPool.Get().(*Packet)
+	p := l.head
+	l.head, p.next = p.next, nil
+	l.n--
 	resetOnAlloc(p)
 	return p
 }
 
-// ReleasePacket returns p to the pool. p must not be touched afterwards;
+// ReleasePacket returns p to the list. p must not be touched afterwards;
 // nil is accepted so drop sites can release unconditionally.
-func ReleasePacket(p *Packet) {
-	if p == nil || poolOff.Load() {
+func (l *freeList) ReleasePacket(p *Packet) {
+	if l == nil || p == nil || l.off {
 		return
 	}
 	scrubOnRelease(p)
-	pktPool.Put(p)
+	p.next, l.head = l.head, p
+	l.n++
 }
 
-// ClonePacket returns a pool-allocated copy of p (the Sack slice backing
-// array is shared; releasing either copy only drops its reference).
-func ClonePacket(p *Packet) *Packet {
-	q := AllocPacket()
+// move transfers k packets from the top of src to the top of l.
+func (l *freeList) move(src *freeList, k int) {
+	for i := 0; i < k; i++ {
+		p := src.head
+		src.head, p.next, l.head = p.next, l.head, p
+	}
+	src.n -= k
+	l.n += k
+}
+
+// ClonePacket returns a copy of p allocated from the list (the Sack slice
+// backing array is shared; releasing either copy only drops its reference).
+func (l *freeList) ClonePacket(p *Packet) *Packet {
+	q := l.AllocPacket()
 	*q = *p
 	return q
 }
+
+// AllocPacket returns a fresh zeroed packet, for callers that send into a
+// network from outside it (benchmarks, tests). Code running on a shard
+// allocates from its host's list instead (Host.AllocPacket).
+func AllocPacket() *Packet { return new(Packet) }

@@ -6,11 +6,14 @@ package netem
 // sentinel garbage and only zeroed again when reallocated. Any code that
 // keeps reading a packet after releasing it now sees nonsense values, so a
 // use-after-release shows up as a digest mismatch, an invariant violation
-// or a panic instead of a silent read of zeroed memory. CI runs the
-// pool-parity digest test under this tag.
+// or a panic instead of a silent read of zeroed memory; a write after
+// release breaks the sentinel and panics at the next allocation. CI runs
+// the golden digests under this tag.
+
+const poisonID = 0x5a5a5a5a5a5a5a5a
 
 func scrubOnRelease(p *Packet) {
-	p.ID = 0x5a5a5a5a5a5a5a5a
+	p.ID = poisonID
 	p.Src, p.Dst = -0x5a5a5a5a, -0x5a5a5a5a
 	p.SrcPort, p.DstPort = 0x5a5a, 0x5a5a
 	p.Seq, p.Ack = -0x5a5a5a5a, -0x5a5a5a5a
@@ -28,4 +31,9 @@ func scrubOnRelease(p *Packet) {
 	p.Hops = -0x5a5a
 }
 
-func resetOnAlloc(p *Packet) { *p = Packet{} }
+func resetOnAlloc(p *Packet) {
+	if p.ID != poisonID || p.Hops != -0x5a5a || p.Sack != nil {
+		panic("netem: free-list packet written after release")
+	}
+	*p = Packet{}
+}

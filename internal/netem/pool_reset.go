@@ -2,7 +2,7 @@
 
 package netem
 
-// In the normal build, packets are zeroed at release so AllocPacket can
+// In the normal build, packets are zeroed at release so a free list can
 // hand them straight out.
 
 func scrubOnRelease(p *Packet) { *p = Packet{} }

@@ -56,6 +56,11 @@ type Port struct {
 	peer  Deliverer
 	stats PortStats
 
+	// free is the free list of the shard that runs the port, where its
+	// drop sites release (nil for a port no Network bound: the GC takes
+	// its drops).
+	free *freeList
+
 	// busy: a completion event is in the queue. late: the completion of
 	// the packet on the wire is only reserved, because its queue was
 	// empty after the dequeue; the first Enqueue while it is still owed
@@ -90,7 +95,7 @@ type Port struct {
 }
 
 // clockedQueue is implemented by disciplines that read simulation time
-// (RED idle aging, CoDel sojourn). NewPort rebinds them to the engine that
+// (RED idle aging). NewPort rebinds them to the engine that
 // owns the port, so the queue never reads another shard's clock.
 type clockedQueue interface{ SetClock(func() int64) }
 
@@ -179,7 +184,7 @@ func (p *Port) Send(pkt *Packet) {
 	}
 	if p.down {
 		p.stats.DownDrops++
-		ReleasePacket(pkt)
+		p.free.ReleasePacket(pkt)
 		return
 	}
 	if p.stripECN && pkt.ECN != NotECT {
@@ -188,12 +193,12 @@ func (p *Port) Send(pkt *Packet) {
 	}
 	if p.dropProbes && pkt.Probe {
 		p.stats.ProbeDrops++
-		ReleasePacket(pkt)
+		p.free.ReleasePacket(pkt)
 		return
 	}
 	if p.lossFn != nil && p.lossFn(pkt) {
 		p.stats.FaultDrops++
-		ReleasePacket(pkt)
+		p.free.ReleasePacket(pkt)
 		return
 	}
 	if p.ingressImp != nil {
@@ -220,7 +225,7 @@ func (p *Port) injectQueue(pkt *Packet) {
 		}
 	}
 	if !ok {
-		ReleasePacket(pkt) // dropped by the discipline
+		p.free.ReleasePacket(pkt) // dropped by the discipline
 		return
 	}
 	if !p.busy {

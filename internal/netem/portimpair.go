@@ -253,14 +253,14 @@ func (im *PortImpair) Forward(pkt *Packet) {
 		pkt.Rwnd ^= 0x0040 // bit flip; checksum left stale on purpose
 		if im.corruptDrop > 0 && im.corruptRng.Float64() < im.corruptDrop {
 			im.stats.CorruptDrops++
-			ReleasePacket(pkt)
+			im.port.free.ReleasePacket(pkt)
 			return
 		}
 	}
 	if im.dupP > 0 && im.dupRng.Float64() < im.dupP {
 		for i := 0; i < im.dupCopies; i++ {
 			im.stats.Duplicated++
-			clone := ClonePacket(pkt)
+			clone := im.port.free.ClonePacket(pkt)
 			if im.egress {
 				im.port.scheduleDeliver(clone, 0)
 			} else {

@@ -45,7 +45,10 @@ const (
 	tickBits = 12 // 4.096 µs per tick
 	numSlots = 256
 	slotMask = numSlots - 1
-	slabSize = 256
+	// slabSize events of 96 B plus the 8 B header the runtime puts before
+	// a large pointer-bearing object fill the 24 KiB size class; 256 would
+	// spill into the next one.
+	slabSize = 255
 )
 
 // pollEvery is the fired-event cadence between poll-hook invocations:
@@ -89,14 +92,22 @@ type event struct {
 	// for an event inserted from a Reservation, the children it already
 	// has (see reserve.go).
 	kids uint32
+	// postponed marks a Timer expiry whose timer was since Reset to a
+	// later identity: when the event surfaces it is filed again under that
+	// identity instead of firing (see Timer.Reset).
+	postponed bool
 	// gen counts the slot's occupancies. Firing or cancelling the occupant
 	// bumps it, which is what turns every outstanding Handle stale before
 	// the slot can be handed out again.
 	gen uint64
-	// next links vacant slots into the engine's free list; it is stale
-	// while the slot is occupied.
+	// next chains the events of one wheel slot in arrival order, and links
+	// vacant slots into the engine's free list; it is stale while the
+	// event sits in the agenda or the overflow heap.
 	next *event
 }
+
+// slotList is one wheel slot: a FIFO list of events chained through next.
+type slotList struct{ head, tail *event }
 
 // callFunc adapts a plain func() to the internal func(any) representation.
 // Func values are pointer-shaped, so storing fn in the arg slot does not
@@ -159,7 +170,8 @@ type Options struct {
 	// NoSlab allocates every event individually and never reuses one,
 	// instead of recycling slots carved from slabs. Handles behave
 	// identically either way; the equivalence tests use it as the oracle
-	// for the recycling store.
+	// for the recycling store. As a default option it also turns off the
+	// packet free lists of every netem network built under it.
 	NoSlab bool
 }
 
@@ -210,8 +222,9 @@ type Engine struct {
 	runs     []int
 
 	// slots hold events for ticks in (curTick, curTick+numSlots], one
-	// tick per slot; occupied is a bitmap over slot indices.
-	slots      [numSlots][]*event
+	// tick per slot, each an intrusive list that costs no allocation;
+	// occupied is a bitmap over slot indices.
+	slots      [numSlots]slotList
 	occupied   [numSlots / 64]uint64
 	wheelCount int
 
@@ -451,7 +464,7 @@ func (e *Engine) PeekTime() int64 {
 	}
 	if e.wheelCount > 0 {
 		s := int(e.nextOccupiedTick() & slotMask)
-		for _, ev := range e.slots[s] {
+		for ev := e.slots[s].head; ev != nil; ev = ev.next {
 			if ev.Time < t {
 				t = ev.Time
 			}
@@ -498,6 +511,7 @@ func (e *Engine) release(ev *event) {
 		return
 	}
 	ev.kids = 0
+	ev.postponed = false
 	scrubOnRelease(ev)
 	ev.next = e.free
 	e.free = ev
@@ -517,14 +531,27 @@ func (e *Engine) insert(ev *event) {
 		ev.idx = idxStaged
 		e.dueInsert(ev)
 	case tick <= e.curTick+numSlots:
-		ev.idx = idxStaged
-		s := int(tick & slotMask)
-		e.slots[s] = append(e.slots[s], ev)
-		e.occupied[s>>6] |= 1 << uint(s&63)
-		e.wheelCount++
+		e.slotAppend(tick, ev)
 	default:
 		heap.Push(&e.pq, ev)
 	}
+}
+
+// slotAppend stages ev at the tail of its tick's slot, so a slot drains in
+// arrival order.
+func (e *Engine) slotAppend(tick int64, ev *event) {
+	ev.idx = idxStaged
+	ev.next = nil
+	s := int(tick & slotMask)
+	l := &e.slots[s]
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
+	e.occupied[s>>6] |= 1 << uint(s&63)
+	e.wheelCount++
 }
 
 // eventBefore is the engine's total event order: (Time, sched, rank, seq).
@@ -533,17 +560,21 @@ func (e *Engine) insert(ev *event) {
 // therefore every digest, is too. seq (globally unique across a group) is
 // the fallback for the astronomically rare rank collision, and keeps the
 // order total.
-func eventBefore(a, b *event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
+func eventBefore(a, b *event) bool { return sortsBefore(a, b.Time, b.sched, b.rank, b.seq) }
+
+// sortsBefore is eventBefore against an identity that need not belong to
+// an event yet (a Timer's re-arm).
+func sortsBefore(a *event, t, sched int64, rank, seq uint64) bool {
+	if a.Time != t {
+		return a.Time < t
 	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
+	if a.sched != sched {
+		return a.sched < sched
 	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
+	if a.rank != rank {
+		return a.rank < rank
 	}
-	return a.seq < b.seq
+	return a.seq < seq
 }
 
 // dueInsert places ev into the unconsumed agenda suffix, keeping it sorted
@@ -588,12 +619,10 @@ func (e *Engine) refillDue(horizon int64) bool {
 		}
 		e.curTick = next
 		s := int(e.curTick & slotMask)
-		slot := e.slots[s]
-		e.due = append(e.due, slot...)
-		for i := range slot {
-			slot[i] = nil
+		for ev := e.slots[s].head; ev != nil; ev = ev.next {
+			e.due = append(e.due, ev)
 		}
-		e.slots[s] = slot[:0]
+		e.slots[s] = slotList{}
 		e.occupied[s>>6] &^= 1 << uint(s&63)
 		e.wheelCount -= len(e.due)
 	}
@@ -601,15 +630,10 @@ func (e *Engine) refillDue(horizon int64) bool {
 	// window, which keeps the slot scan above sufficient on later refills.
 	for len(e.pq) > 0 && e.pq[0].Time>>tickBits <= e.curTick+numSlots {
 		ev := heap.Pop(&e.pq).(*event)
-		ev.idx = idxStaged
-		tick := ev.Time >> tickBits
-		if tick == e.curTick {
+		if tick := ev.Time >> tickBits; tick == e.curTick {
 			e.due = append(e.due, ev)
 		} else {
-			s := int(tick & slotMask)
-			e.slots[s] = append(e.slots[s], ev)
-			e.occupied[s>>6] |= 1 << uint(s&63)
-			e.wheelCount++
+			e.slotAppend(tick, ev)
 		}
 	}
 	e.sortDue()
@@ -762,6 +786,10 @@ func (e *Engine) runWheel(horizon int64) {
 			e.release(ev) // cancelled while staged
 			continue
 		}
+		if ev.postponed {
+			e.refile(ev)
+			continue
+		}
 		e.fire(ev)
 		if e.poll != nil {
 			e.pollTick()
@@ -776,11 +804,26 @@ func (e *Engine) runHeap(horizon int64) {
 			return
 		}
 		heap.Pop(&e.pq)
+		if ev.postponed {
+			e.refile(ev)
+			continue
+		}
 		e.fire(ev)
 		if e.poll != nil {
 			e.pollTick()
 		}
 	}
+}
+
+// refile queues a postponed timer expiry again, under the identity its
+// timer's last Reset took. A refile is not an event: no callback runs, and
+// the clock, Processed, the poll tick and the dispatch context stay as they
+// are, so the expiry fires exactly where an eagerly re-armed one would.
+func (e *Engine) refile(ev *event) {
+	t := ev.arg.(*Timer)
+	ev.Time, ev.sched, ev.rank, ev.seq = t.at, t.sched, t.rank, t.seq
+	ev.postponed = false
+	e.insert(ev)
 }
 
 // fire runs ev's callback. The slot is vacated first — generation bumped,

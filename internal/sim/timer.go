@@ -1,12 +1,25 @@
 package sim
 
+import "fmt"
+
 // Timer is a restartable one-shot timer bound to an engine, in the style of
 // a TCP retransmission timer: Reset re-arms it, Stop disarms it, and the
 // callback supplied at construction fires when it expires.
+//
+// Re-arming to a later deadline — a retransmission timer pushed back by
+// every ACK — moves no queue entry: the queued expiry stays where it is,
+// marked postponed, and the timer records the identity the eager re-arm
+// would have taken. When the expiry surfaces the engine files it again
+// under that identity (Engine.refile), so it fires exactly where, and
+// with the same children, as the eager re-arm.
 type Timer struct {
 	eng *Engine
 	ev  Handle
 	fn  func()
+	// The (Time, sched, rank, seq) of the last postponing Reset; live
+	// only while ev is pending and marked postponed.
+	at, sched int64
+	rank, seq uint64
 }
 
 // NewTimer returns a disarmed timer that will invoke fn on expiry.
@@ -23,13 +36,28 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 func timerExpire(a any) { a.(*Timer).fn() }
 
 // Reset (re-)arms the timer to fire after d nanoseconds, cancelling any
-// previously armed expiry.
+// previously armed expiry. It takes the identity Engine.Reserve(d) would
+// (the seq and child index ScheduleArg consumes), and when the queued
+// expiry sorts strictly before that identity it only records it: the
+// expiry is postponed, not moved.
 func (t *Timer) Reset(d int64) {
+	e := t.eng
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", d))
+	}
+	seq := e.nextSeq()
+	rank := e.nextRank(seq)
+	if ev := t.ev.ev; t.ev.Pending() && sortsBefore(ev, e.now+d, e.now, rank, seq) {
+		ev.postponed = true
+		t.at, t.sched, t.rank, t.seq = e.now+d, e.now, rank, seq
+		return
+	}
 	t.ev.Cancel()
-	t.ev = t.eng.ScheduleArg(d, timerExpire, t)
+	t.ev = e.insertRemote(e.now+d, e.now, rank, seq, timerExpire, t)
 }
 
-// Stop disarms the timer. Reports whether a pending expiry was cancelled.
+// Stop disarms the timer, removing a far-future expiry from the queue at
+// once. Reports whether a pending expiry was cancelled.
 func (t *Timer) Stop() bool {
 	armed := t.ev.Pending()
 	t.ev.Cancel()
@@ -40,7 +68,12 @@ func (t *Timer) Stop() bool {
 func (t *Timer) Armed() bool { return t.ev.Pending() }
 
 // Deadline returns the absolute expiry time, or -1 if disarmed.
-func (t *Timer) Deadline() int64 { return t.ev.Time() }
+func (t *Timer) Deadline() int64 {
+	if t.ev.Pending() && t.ev.ev.postponed {
+		return t.at
+	}
+	return t.ev.Time()
+}
 
 // Periodic is a class of self-rescheduling timers sharing an engine, a
 // period and a callback; a Chain driven through it fires fn(arg) once per

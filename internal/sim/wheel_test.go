@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // wheelOp is one step of a generated scheduler workload. The same op list
@@ -54,7 +56,7 @@ func (e *Engine) stagedShells() int {
 		}
 	}
 	for s := range e.slots {
-		for _, ev := range e.slots[s] {
+		for ev := e.slots[s].head; ev != nil; ev = ev.next {
 			if ev.fn == nil {
 				n++
 			}
@@ -407,6 +409,54 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { tc.run(e, tm) }); n != 0 {
 			t.Errorf("%s: %v allocs per run in steady state, want 0", tc.name, n)
 		}
+	}
+}
+
+// TestWheelAllocatesOnlySlabs pins the wheel's fixed cost: a fresh engine
+// that schedules and fires 100 k events across every tick of the wheel and
+// through the overflow heap allocates its event slabs and the buffers it
+// reuses (due, mergeBuf, runs, the heap's array), and nothing per slot.
+func TestWheelAllocatesOnlySlabs(t *testing.T) {
+	const chains, total = 20_000, 100_000
+	const span = int64(numSlots) << tickBits
+	e := New()
+	x, fired := uint64(1), 0
+	var step func(any)
+	step = func(any) {
+		if fired++; fired+chains > total {
+			return
+		}
+		x = mix64(x)
+		d := 1 + int64(x%uint64(span)) // anywhere in the wheel ...
+		if x>>58 == 0 {
+			d += 2 * span // ... or, one time in 64, the overflow heap
+		}
+		e.ScheduleArg(d, step, nil)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < chains; i++ {
+		x = mix64(x)
+		e.ScheduleArg(int64(x%uint64(span)), step, nil)
+	}
+	e.Run()
+	runtime.ReadMemStats(&after)
+	if fired != total {
+		t.Fatalf("fired %d events, want %d", fired, total)
+	}
+
+	const page = 8192
+	slabBytes := (slabSize*int(unsafe.Sizeof(event{})) + 8 + page - 1) / page * page
+	if slabBytes > 24<<10 {
+		t.Errorf("a slab takes %d B with its allocation header: resize slabSize to fit 24 KiB", slabBytes)
+	}
+	slabs := (e.minted + slabSize - 1) / slabSize
+	// Append growth allocates each buffer's history, at most ~5x its
+	// final capacity; the fixed slack covers the closure and the runtime.
+	bufs := 6 * 8 * (cap(e.due) + cap(e.mergeBuf) + cap(e.runs) + cap(e.pq))
+	budget := uint64(slabs*slabBytes + bufs + 64<<10)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("engine allocated %d B, budget %d B (%d slabs, buffers %d B)", got, budget, slabs, bufs)
 	}
 }
 

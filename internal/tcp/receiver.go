@@ -372,7 +372,7 @@ func (r *Receiver) window() int64 {
 }
 
 func (r *Receiver) newPacket() *netem.Packet {
-	p := netem.AllocPacket()
+	p := r.host.AllocPacket()
 	p.ID = r.host.NextPacketID()
 	p.Src = r.host.ID
 	p.Dst = r.peer

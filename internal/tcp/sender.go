@@ -170,11 +170,11 @@ func (s *Sender) sendSYN() {
 	s.timer.Reset(s.rto)
 }
 
-// newPacket fills the fields common to every outgoing segment. Packets are
-// pool-allocated; ownership passes to the host on transmit and the far end
-// releases them.
+// newPacket fills the fields common to every outgoing segment. Packets come
+// from the host's free list; ownership passes to the host on transmit and
+// the far end releases them.
 func (s *Sender) newPacket() *netem.Packet {
-	p := netem.AllocPacket()
+	p := s.host.AllocPacket()
 	p.ID = s.host.NextPacketID()
 	p.Src = s.host.ID
 	p.Dst = s.dst

@@ -51,11 +51,13 @@ func AddVirtualizedServer(net *netem.Network, fabric *netem.Switch, name string,
 	up := netem.NewPort(net.Eng, cfg.UplinkQ(), cfg.UplinkRate, cfg.UplinkDelay)
 	up.Label = name + ".up"
 	up.Connect(fabric)
+	net.CrossBind(up, net.Eng)
 	srv.VSwitch.AddPort(up)
 
 	down := netem.NewPort(net.Eng, cfg.UplinkQ(), cfg.UplinkRate, cfg.UplinkDelay)
 	down.Label = name + ".down"
 	down.Connect(srv.VSwitch)
+	net.CrossBind(down, net.Eng)
 	downIdx := fabric.AddPort(down)
 
 	for i := 0; i < cfg.VMs; i++ {
