@@ -7,7 +7,7 @@ LADDER_BASELINE ?= $(lastword $(sort $(wildcard BENCH_LADDER_*.json)))
 PARENT ?= HEAD~1
 PAIR_TREE ?= /tmp/hwatch-bench-pair-parent
 
-.PHONY: all build test race lint lint-json vet bench bench-pair \
+.PHONY: all build test race lint lint-json vet deadcode bench bench-pair \
 	bench-ladder bench-ladder-check fuzz-smoke poison chaos server-e2e
 
 all: build test
@@ -41,9 +41,16 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# Reachability gate: link every main package with inlining off, union the
+# linker's dependency edges, and fail on any function of internal/... that
+# no main reaches and deadcode.allow does not name with a reason, or on an
+# allow line that names no unreachable function (deadcode_test.go).
+deadcode:
+	$(GO) test -tags deadcode -run '^TestDeadcode$$' -count=1 .
+
 # The micro-benchmarks that have no twin among bench/'s layer drivers
-# (heap oracle, port throughput, filter chain, byte-mode AQMs, rwnd rewrite,
-# GC sweep, token bucket). Interactive; nothing gates on them.
+# (heap oracle, port throughput, filter chain, byte-mode threshold queue,
+# rwnd rewrite, GC sweep, token bucket). Interactive; nothing gates on them.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
@@ -83,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReorderBuffer -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalDigest -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzNumberArrayDecode -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzAxisRoundTrip -fuzztime 10s ./internal/server
 
 # Chaos gate: the fault-injection goldens, the recurring-chaos shard
 # parity suite, and both example schedules under the recovery observer.

@@ -5,7 +5,7 @@
 // It bundles a deterministic packet-level network simulator (the ns-2
 // stand-in), segment-level TCP stacks (NewReno, ECN-responsive and
 // non-responsive flavours, DCTCP), the AQM disciplines of commodity
-// switches (DropTail, RED, WRED, DCTCP threshold marking), and — the
+// switches (DropTail, RED, DCTCP threshold marking), and — the
 // paper's contribution — the HWatch hypervisor shim that watches ECN
 // statistics and steers unmodified guests by rewriting TCP receive
 // windows and pacing connection setup.

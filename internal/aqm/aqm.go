@@ -1,7 +1,7 @@
 // Package aqm implements the queue disciplines the paper's switches run:
-// plain DropTail, RED (Floyd/Jacobson with optional gentle mode), the
-// two-threshold WRED marking HWatch relies on, and the single instantaneous
-// threshold marking DCTCP recommends.
+// plain DropTail, RED (Floyd/Jacobson with optional gentle mode), and the
+// single instantaneous threshold marking DCTCP recommends — which is also
+// the WRED profile the paper configures for HWatch (min = max).
 //
 // All disciplines implement netem.Queue. Marking sets the IP ECN codepoint
 // to CE when the packet is ECN-capable; non-capable packets are dropped

@@ -135,48 +135,38 @@ func TestMarkThresholdOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestWREDRegions(t *testing.T) {
-	rng := rand.New(rand.NewSource(1)).Float64
-	q := NewWRED(250, 10, 20, rng)
-	// Below Low: never marked.
-	for i := 0; i < 10; i++ {
-		q.Enqueue(pkt(1500, netem.ECT0))
+func TestMarkThresholdByteMode(t *testing.T) {
+	q := NewMarkThresholdBytes(30_000, 7_500)
+	// Fill to the byte threshold with unmarkable packets.
+	for q.Bytes() < 7_500 {
+		if !q.Enqueue(pkt(1500, netem.NotECT)) {
+			t.Fatal("dropped below byte capacity")
+		}
 	}
 	if q.Stats().Marked != 0 {
-		t.Fatal("marked below Low")
+		t.Fatal("non-ECT marked")
 	}
-	// Fill past High: arrivals at len >= High always marked.
-	for i := 0; i < 15; i++ {
+	// ECT arrivals at/above the byte threshold are always marked.
+	for i := 0; i < 5; i++ {
 		q.Enqueue(pkt(1500, netem.ECT0))
 	}
-	before := q.Stats().Marked
-	for i := 0; i < 10; i++ {
-		q.Enqueue(pkt(1500, netem.ECT0))
+	if got := q.Stats().Marked; got != 5 {
+		t.Fatalf("marked = %d, want 5", got)
 	}
-	if got := q.Stats().Marked - before; got != 10 {
-		t.Fatalf("above-High marks = %d, want 10", got)
+	// Byte overflow drops.
+	for q.Enqueue(pkt(1500, netem.ECT0)) {
 	}
-}
-
-func TestWREDRampProbabilistic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2)).Float64
-	marked := 0
-	const trials = 2000
-	for i := 0; i < trials; i++ {
-		q := NewWRED(250, 10, 30, rng)
-		for j := 0; j < 20; j++ { // leave queue at 20: inside the ramp
-			q.Enqueue(pkt(1500, netem.ECT0))
+	if q.Bytes() > 30_000 {
+		t.Fatalf("bytes %d exceed capacity", q.Bytes())
+	}
+	if q.Stats().Dropped == 0 {
+		t.Fatal("no overflow drop recorded")
+	}
+	// Tiny probe-sized packets still fit when a full MTU would not.
+	for q.Bytes()+1500 > 30_000 && q.Bytes()+38 <= 30_000 {
+		if !q.Enqueue(pkt(38, netem.ECT0)) {
+			t.Fatal("probe-sized packet rejected despite byte headroom")
 		}
-		p := pkt(1500, netem.ECT0)
-		q.Enqueue(p)
-		if p.ECN == netem.CE {
-			marked++
-		}
-	}
-	// At len 20 with [10,30] the ramp gives ~(20-10+1)/(30-10+1) ≈ 0.52.
-	frac := float64(marked) / trials
-	if frac < 0.40 || frac < 0.0 || frac > 0.65 {
-		t.Fatalf("ramp mark fraction = %.3f, want ≈0.52", frac)
 	}
 }
 
@@ -311,9 +301,6 @@ func TestPropertyQueueConservation(t *testing.T) {
 		"droptail": func() netem.Queue { return NewDropTail(64) },
 		"bytes":    func() netem.Queue { return NewDropTailBytes(64 * 1500) },
 		"markth":   func() netem.Queue { return NewMarkThreshold(64, 16) },
-		"wred": func() netem.Queue {
-			return NewWRED(64, 16, 48, rand.New(rand.NewSource(9)).Float64)
-		},
 		"red": func() netem.Queue {
 			cfg := DefaultRED(64, true, 1200, clock)
 			return NewRED(cfg, rand.New(rand.NewSource(10)).Float64)
@@ -341,41 +328,5 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 	if q.Len() != 0 || q.Bytes() != 0 {
 		t.Fatalf("residual len=%d bytes=%d", q.Len(), q.Bytes())
-	}
-}
-
-func TestWREDByteMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(8)).Float64
-	q := NewWREDBytes(30_000, 7_500, 7_500, rng)
-	// Fill to the byte threshold with unmarkable packets.
-	for q.Bytes() < 7_500 {
-		if !q.Enqueue(pkt(1500, netem.NotECT)) {
-			t.Fatal("dropped below byte capacity")
-		}
-	}
-	if q.Stats().Marked != 0 {
-		t.Fatal("non-ECT marked")
-	}
-	// ECT arrivals at/above the byte threshold are always marked.
-	for i := 0; i < 5; i++ {
-		q.Enqueue(pkt(1500, netem.ECT0))
-	}
-	if got := q.Stats().Marked; got != 5 {
-		t.Fatalf("marked = %d, want 5", got)
-	}
-	// Byte overflow drops.
-	for q.Enqueue(pkt(1500, netem.ECT0)) {
-	}
-	if q.Bytes() > 30_000 {
-		t.Fatalf("bytes %d exceed capacity", q.Bytes())
-	}
-	if q.Stats().Dropped == 0 {
-		t.Fatal("no overflow drop recorded")
-	}
-	// Tiny probe-sized packets still fit when a full MTU would not.
-	for q.Bytes()+1500 > 30_000 && q.Bytes()+38 <= 30_000 {
-		if !q.Enqueue(pkt(38, netem.ECT0)) {
-			t.Fatal("probe-sized packet rejected despite byte headroom")
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package aqm
 
 import (
-	"math/rand"
 	"testing"
 
 	"hwatch/internal/netem"
@@ -21,8 +20,4 @@ func benchCycle(b *testing.B, q netem.Queue) {
 
 func BenchmarkMarkThresholdBytes(b *testing.B) {
 	benchCycle(b, NewMarkThresholdBytes(64*1500, 16*1500))
-}
-
-func BenchmarkWRED(b *testing.B) {
-	benchCycle(b, NewWRED(64, 16, 48, rand.New(rand.NewSource(1)).Float64))
 }

@@ -65,73 +65,3 @@ func (q *MarkThreshold) Bytes() int { return q.bytes }
 
 // Stats returns a copy of the discipline counters.
 func (q *MarkThreshold) Stats() Stats { return q.stats }
-
-// WRED is the two-threshold weighted-RED marking profile entry-level data
-// center switches expose and the paper configures for HWatch: packets are
-// marked with a probability ramping 0..1 between Low and High
-// (instantaneous occupancy) and always at or above High. Occupancy is in
-// packets by default or in bytes via NewWREDBytes.
-type WRED struct {
-	fifo
-	CapPkts   int
-	Low, High int
-	byteMode  bool
-	rng       func() float64
-}
-
-// NewWRED returns a packet-counted WRED queue; rng supplies uniform [0,1)
-// variates.
-func NewWRED(capPkts, low, high int, rng func() float64) *WRED {
-	if high < low {
-		high = low
-	}
-	return &WRED{CapPkts: capPkts, Low: low, High: high, rng: rng}
-}
-
-// NewWREDBytes returns the byte-accounted variant (cap and thresholds in
-// bytes).
-func NewWREDBytes(capBytes, lowBytes, highBytes int, rng func() float64) *WRED {
-	q := NewWRED(capBytes, lowBytes, highBytes, rng)
-	q.byteMode = true
-	return q
-}
-
-// Enqueue implements netem.Queue.
-func (q *WRED) Enqueue(p *netem.Packet) bool {
-	occ := q.len()
-	if q.byteMode {
-		occ = q.bytes
-		if q.bytes+p.Wire > q.CapPkts {
-			q.stats.Dropped++
-			return false
-		}
-	} else if q.len() >= q.CapPkts {
-		q.stats.Dropped++
-		return false
-	}
-	if p.ECN.Capable() {
-		switch {
-		case occ >= q.High:
-			q.mark(p)
-		case occ >= q.Low:
-			frac := float64(occ-q.Low+1) / float64(q.High-q.Low+1)
-			if q.rng() < frac {
-				q.mark(p)
-			}
-		}
-	}
-	q.push(p)
-	return true
-}
-
-// Dequeue implements netem.Queue.
-func (q *WRED) Dequeue() *netem.Packet { return q.pop() }
-
-// Len implements netem.Queue.
-func (q *WRED) Len() int { return q.len() }
-
-// Bytes implements netem.Queue.
-func (q *WRED) Bytes() int { return q.bytes }
-
-// Stats returns a copy of the discipline counters.
-func (q *WRED) Stats() Stats { return q.stats }

@@ -1,3 +1,9 @@
+// Package binpack holds the temporal bin packing of HWatch's theory. The
+// paper models switch-buffer overflow as bin packing over buffer drain
+// rounds (Section III-A): items are packets, bins are the buffer states at
+// successive drain times, and Next Fit's only-look-at-the-current-bin
+// property is what makes the scheme workable as a distributed online
+// algorithm. Batcher is that Next Fit.
 package binpack
 
 // Batcher is the temporal Next Fit of HWatch's theory (Section IV): given
@@ -48,17 +54,6 @@ func (p Plan) Total() int {
 		t += s
 	}
 	return t
-}
-
-// Rounds returns the number of non-empty batches.
-func (p Plan) Rounds() int {
-	n := 0
-	for _, s := range p.Sizes() {
-		if s > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Split assigns unmarked (X_UM) and marked (X_M) packet counts to batches

@@ -6,155 +6,10 @@ import (
 	"testing/quick"
 )
 
-func genItems(rng *rand.Rand, n, cap int) []int {
-	items := make([]int, n)
-	for i := range items {
-		items[i] = 1 + rng.Intn(cap)
-	}
-	return items
-}
-
-// packers under test, with their worst-case bin bounds relative to the
-// volume lower bound (NF ≤ 2·OPT; FF/BF ≤ 2·OPT loosely; FFD ≤ 2·OPT).
-var packers = map[string]func([]int, int) Result{
-	"nextfit":  NextFit,
-	"firstfit": FirstFit,
-	"bestfit":  BestFit,
-	"worstfit": WorstFit,
-	"ffd":      FirstFitDecreasing,
-}
-
-func TestPackersSimple(t *testing.T) {
-	items := []int{5, 5, 5, 5}
-	for name, pack := range packers {
-		r := pack(items, 10)
-		if r.NumBins() != 2 {
-			t.Errorf("%s: bins = %d, want 2", name, r.NumBins())
-		}
-	}
-}
-
-func TestNextFitClosesBins(t *testing.T) {
-	// 6,5,6,5: NF gets 4 bins (never looks back); FF gets 4 too with cap
-	// 10... use 6,4,6,4 cap 10: NF = [6,4],[6,4] = 2 bins.
-	r := NextFit([]int{6, 4, 6, 4}, 10)
-	if r.NumBins() != 2 {
-		t.Fatalf("bins = %d, want 2", r.NumBins())
-	}
-	// 6,6,4,4: NF = [6],[6,4],[4] = 3 bins; FF = [6,4],[6,4] = 2.
-	if n := NextFit([]int{6, 6, 4, 4}, 10).NumBins(); n != 3 {
-		t.Fatalf("NextFit bins = %d, want 3", n)
-	}
-	if n := FirstFit([]int{6, 6, 4, 4}, 10).NumBins(); n != 2 {
-		t.Fatalf("FirstFit bins = %d, want 2", n)
-	}
-}
-
-func TestBestFitPrefersFullest(t *testing.T) {
-	// Bins after 7, 5: fills 7 and 5. Item 3 fits both; BF puts it with 7.
-	r := BestFit([]int{7, 5, 3}, 10)
-	if r.NumBins() != 2 || r.Fill(0) != 10 {
-		t.Fatalf("BestFit result %+v", r.Bins)
-	}
-}
-
-func TestWorstFitPrefersEmptiest(t *testing.T) {
-	// Bins after 7, 5: item 3 fits both; WF balances onto the 5-bin.
-	r := WorstFit([]int{7, 5, 3}, 10)
-	if r.NumBins() != 2 || r.Fill(1) != 8 {
-		t.Fatalf("WorstFit result %+v", r.Bins)
-	}
-}
-
-func TestFFDBeatsOrEqualsFF(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		items := genItems(rng, 50, 100)
-		if FirstFitDecreasing(items, 100).NumBins() > FirstFit(items, 100).NumBins()+1 {
-			t.Fatalf("FFD much worse than FF on %v", items)
-		}
-	}
-}
-
-func TestFFDDoesNotMutateInput(t *testing.T) {
-	items := []int{3, 9, 1, 7}
-	FirstFitDecreasing(items, 10)
-	if items[0] != 3 || items[1] != 9 || items[2] != 1 || items[3] != 7 {
-		t.Fatal("FFD mutated its input")
-	}
-}
-
-// Property: every packer conserves items, never overfills a bin, never
-// leaves an empty bin, and respects its approximation bound vs. the volume
-// lower bound.
-func TestPropertyPackingInvariants(t *testing.T) {
-	f := func(seed int64, n uint8, capRaw uint8) bool {
-		cap := 1 + int(capRaw)
-		rng := rand.New(rand.NewSource(seed))
-		items := genItems(rng, int(n), cap)
-		lb := LowerBound(items, cap)
-		for name, pack := range packers {
-			r := pack(items, cap)
-			count := 0
-			for i := range r.Bins {
-				if len(r.Bins[i]) == 0 {
-					t.Logf("%s: empty bin", name)
-					return false
-				}
-				if r.Fill(i) > cap {
-					t.Logf("%s: overfilled bin", name)
-					return false
-				}
-				count += len(r.Bins[i])
-			}
-			if count != len(items) {
-				t.Logf("%s: item count %d != %d", name, count, len(items))
-				return false
-			}
-			if len(items) > 0 && r.NumBins() > 2*lb {
-				t.Logf("%s: %d bins > 2x lower bound %d", name, r.NumBins(), lb)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: NextFit preserves item order across bin boundaries (it is the
-// only packer HWatch can use online: packets cannot be reordered).
-func TestPropertyNextFitPreservesOrder(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		items := genItems(rng, int(n), 50)
-		r := NextFit(items, 50)
-		var flat []int
-		for _, b := range r.Bins {
-			flat = append(flat, b...)
-		}
-		if len(flat) != len(items) {
-			return false
-		}
-		for i := range flat {
-			if flat[i] != items[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPanicsOnBadInput(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero item":  func() { NextFit([]int{0}, 10) },
-		"big item":   func() { FirstFit([]int{11}, 10) },
-		"zero cap":   func() { BestFit([]int{1}, 0) },
-		"neg counts": func() { Batcher{}.Split(-1, 0) },
+		"neg unmarked": func() { Batcher{}.Split(-1, 0) },
+		"neg marked":   func() { Batcher{}.Split(0, -1) },
 	} {
 		func() {
 			defer func() {

@@ -1,36 +1,71 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hwatch/internal/aqm"
 	"hwatch/internal/netem"
 	"hwatch/internal/sim"
 	"hwatch/internal/tcp"
-	"hwatch/internal/topo"
 )
 
 // The OvS-style deployment: one shim per physical server, shared by all of
 // the server's VMs (Section IV-D of the paper).
 
-func buildTwoServers(t *testing.T, cfg Config) (*netem.Network, *topo.VirtualizedServer, *topo.VirtualizedServer, *Shim, *Shim) {
+// vServer is one physical machine running guest VMs behind a local
+// virtual switch (the paper's OvS): each VM is a host on a fast, short
+// virtual link to the vSwitch, which uplinks to the physical fabric.
+// Inter-VM traffic turns around inside the vSwitch.
+type vServer struct {
+	VMs     []*netem.Host
+	VSwitch *netem.Switch
+}
+
+// addServer builds a three-VM server inside n and cables its 1 Gb/s,
+// threshold-marking uplink into fabric, routing every VM from the fabric.
+func addServer(n *netem.Network, fabric *netem.Switch, name string) *vServer {
+	q := func() netem.Queue { return aqm.NewDropTailBytes(250 * 1500) }
+	markq := func() netem.Queue { return aqm.NewMarkThresholdBytes(250*1500, 50*1500) }
+	const upRate, upDelay = 1e9, 25 * sim.Microsecond
+	srv := &vServer{VSwitch: n.NewSwitch(name + ".ovs")}
+
+	// Uplink pair: vSwitch port 0 toward the fabric (the cross-server
+	// default route), and a fabric port back toward the vSwitch.
+	up := netem.NewPort(n.Eng, markq(), upRate, upDelay)
+	up.Label = name + ".up"
+	up.Connect(fabric)
+	n.CrossBind(up, n.Eng)
+	srv.VSwitch.AddPort(up)
+
+	down := netem.NewPort(n.Eng, markq(), upRate, upDelay)
+	down.Label = name + ".down"
+	down.Connect(srv.VSwitch)
+	n.CrossBind(down, n.Eng)
+	downIdx := fabric.AddPort(down)
+
+	// Memory-speed virtual NICs, one vhost queue hop each.
+	for i := 0; i < 3; i++ {
+		vm := n.NewHost(fmt.Sprintf("%s.vm%d", name, i))
+		n.LinkHostSwitch(vm, srv.VSwitch, q(), q(), 40e9, 5*sim.Microsecond)
+		srv.VMs = append(srv.VMs, vm)
+		fabric.Route(vm.ID, downIdx)
+	}
+	return srv
+}
+
+func buildTwoServers(t *testing.T, cfg Config) (*netem.Network, *vServer, *vServer, *Shim, *Shim) {
 	t.Helper()
 	n := netem.NewNetwork()
 	fabric := n.NewSwitch("tor")
-	q := func() netem.Queue { return aqm.NewDropTailBytes(250 * 1500) }
-	markq := func() netem.Queue { return aqm.NewMarkThresholdBytes(250*1500, 50*1500) }
-	scfg := topo.VirtualizedServerConfig{
-		VMs: 3, UplinkRate: 1e9, UplinkDelay: 25 * sim.Microsecond,
-		VQ: q, UplinkQ: markq,
-	}
-	s1 := topo.AddVirtualizedServer(n, fabric, "srv1", scfg)
-	s2 := topo.AddVirtualizedServer(n, fabric, "srv2", scfg)
-	// Cross-server routes at each vSwitch.
+	s1 := addServer(n, fabric, "srv1")
+	s2 := addServer(n, fabric, "srv2")
+	// Cross-server routes at each vSwitch: out the uplink (port 0).
 	for _, vm := range s2.VMs {
-		s1.RouteRemote(vm.ID)
+		s1.VSwitch.Route(vm.ID, 0)
 	}
 	for _, vm := range s1.VMs {
-		s2.RouteRemote(vm.ID)
+		s2.VSwitch.Route(vm.ID, 0)
 	}
 
 	// One shim per server, attached to every VM (the OvS datapath).

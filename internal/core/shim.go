@@ -113,9 +113,6 @@ type hostTap struct {
 	injectOutFn func(any)
 }
 
-// Name implements netem.Filter.
-func (t *hostTap) Name() string { return "hwatch" }
-
 // Outbound implements netem.Filter.
 func (t *hostTap) Outbound(p *netem.Packet) netem.Verdict {
 	return t.shim.outbound(t, p)

@@ -50,7 +50,7 @@ func testRTT(delay int64) int64 { return 4 * delay }
 func TestTransferThroughShimsCompletes(t *testing.T) {
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
-	r := newRig(t, aqm.NewWRED(250, 50, 50, sim.NewRNG(3).Float64), 1e9, delay, cfg)
+	r := newRig(t, aqm.NewMarkThreshold(250, 50), 1e9, delay, cfg)
 	tcfg := tcp.DefaultConfig()
 	var recvs []*tcp.Receiver
 	r.b.Listen(port, tcp.NewListener(r.b, tcfg, func(rc *tcp.Receiver) { recvs = append(recvs, rc) }))
@@ -85,7 +85,7 @@ func TestTransferThroughShimsCompletes(t *testing.T) {
 func TestCleanPathKeepsDefaultICW(t *testing.T) {
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
-	r := newRig(t, aqm.NewWRED(250, 50, 50, sim.NewRNG(3).Float64), 10e9, delay, cfg)
+	r := newRig(t, aqm.NewMarkThreshold(250, 50), 10e9, delay, cfg)
 	tcfg := tcp.DefaultConfig()
 	r.b.Listen(port, tcp.NewListener(r.b, tcfg, nil))
 	s := tcp.NewSender(r.a, r.b.ID, port, 1_000_000, tcfg)
@@ -106,8 +106,8 @@ func TestCleanPathKeepsDefaultICW(t *testing.T) {
 func TestCongestedPathShrinksStartWindow(t *testing.T) {
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
-	// Mark everything: WRED low=high=0 marks every capable packet.
-	q := aqm.NewWRED(250, 0, 0, sim.NewRNG(3).Float64)
+	// Mark everything: threshold 0 marks every capable packet.
+	q := aqm.NewMarkThreshold(250, 0)
 	r := newRig(t, q, 1e9, delay, cfg)
 	tcfg := tcp.DefaultConfig()
 	r.b.Listen(port, tcp.NewListener(r.b, tcfg, nil))
@@ -131,7 +131,7 @@ func TestCongestedStartWithMergedCredit(t *testing.T) {
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
 	cfg.StartMarkedCredit = 0.5
-	q := aqm.NewWRED(250, 0, 0, sim.NewRNG(3).Float64)
+	q := aqm.NewMarkThreshold(250, 0)
 	r := newRig(t, q, 1e9, delay, cfg)
 	tcfg := tcp.DefaultConfig()
 	r.b.Listen(port, tcp.NewListener(r.b, tcfg, nil))
@@ -148,7 +148,7 @@ func TestDyeAndClear(t *testing.T) {
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
 	// Low threshold so data is marked; plain (non-ECN) guests.
-	r := newRig(t, aqm.NewWRED(250, 5, 5, sim.NewRNG(3).Float64), 1e9, delay, cfg)
+	r := newRig(t, aqm.NewMarkThreshold(250, 5), 1e9, delay, cfg)
 	tcfg := tcp.DefaultConfig() // ECN off in guests
 	var recvs []*tcp.Receiver
 	r.b.Listen(port, tcp.NewListener(r.b, tcfg, func(rc *tcp.Receiver) { recvs = append(recvs, rc) }))
@@ -200,7 +200,7 @@ func TestGuestECNNotRepainted(t *testing.T) {
 func TestRule1ThrottlesLongFlow(t *testing.T) {
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
-	q := aqm.NewWRED(250, 50, 50, sim.NewRNG(3).Float64)
+	q := aqm.NewMarkThreshold(250, 50)
 	r := newRig(t, q, 1e9, delay, cfg)
 	tcfg := tcp.DefaultConfig()
 	r.b.Listen(port, tcp.NewListener(r.b, tcfg, nil))
@@ -249,7 +249,7 @@ func TestSynAckPacingStaggersIncast(t *testing.T) {
 	sw := n.NewSwitch("tor")
 	dst := n.NewHost("agg")
 	big := func() netem.Queue { return aqm.NewDropTail(100000) }
-	down := netem.NewPort(n.Eng, aqm.NewWRED(100, 20, 20, sim.NewRNG(4).Float64), 1e9, delay)
+	down := netem.NewPort(n.Eng, aqm.NewMarkThreshold(100, 20), 1e9, delay)
 	down.Connect(dst)
 	sw.Route(dst.ID, sw.AddPort(down))
 	up := netem.NewPort(n.Eng, big(), 1e9, delay)
@@ -315,7 +315,7 @@ func TestChecksumsSurviveRewrites(t *testing.T) {
 	// after the shim's rwnd/ECN rewrites.
 	delay := 25 * sim.Microsecond
 	cfg := DefaultConfig(testRTT(delay))
-	r := newRig(t, aqm.NewWRED(250, 10, 10, sim.NewRNG(5).Float64), 1e9, delay, cfg)
+	r := newRig(t, aqm.NewMarkThreshold(250, 10), 1e9, delay, cfg)
 	bad := 0
 	check := &checksumChecker{onBad: func() { bad++ }}
 	// Install *after* the shims so inbound runs post-shim... filter order
@@ -341,7 +341,6 @@ func TestChecksumsSurviveRewrites(t *testing.T) {
 
 type checksumChecker struct{ onBad func() }
 
-func (c *checksumChecker) Name() string { return "cksum" }
 func (c *checksumChecker) Inbound(p *netem.Packet) netem.Verdict {
 	if !netem.VerifyChecksum(p) {
 		c.onBad()
@@ -544,7 +543,6 @@ type probeDropper struct {
 	n     int
 }
 
-func (f *probeDropper) Name() string { return "probedrop" }
 func (f *probeDropper) Outbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }

@@ -98,9 +98,6 @@ func (c *Checker) Finish() []Violation {
 	return c.violations
 }
 
-// Violations returns what has been recorded so far.
-func (c *Checker) Violations() []Violation { return c.violations }
-
 func (c *Checker) report(format string, args ...any) {
 	if len(c.violations) >= c.limit {
 		return // one class of bug can fire every sweep; cap the noise

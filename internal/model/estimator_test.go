@@ -112,7 +112,6 @@ type estTap struct {
 	eng *sim.Engine
 }
 
-func (t *estTap) Name() string { return "est" }
 func (t *estTap) Outbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }

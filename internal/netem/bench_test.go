@@ -36,7 +36,7 @@ func BenchmarkHostFilterChain(b *testing.B) {
 	sw := n.NewSwitch("sw")
 	n.LinkHostSwitch(a, sw, &unboundedQ{}, &unboundedQ{}, 100e9, 0)
 	n.LinkHostSwitch(bhost, sw, &unboundedQ{}, &unboundedQ{}, 100e9, 0)
-	f := &testFilter{name: "nop", inV: VerdictPass, outV: VerdictPass}
+	f := &testFilter{inV: VerdictPass, outV: VerdictPass}
 	a.AddFilter(f)
 	bhost.AddFilter(f)
 	bhost.Bind(ConnID{LocalPort: 80, Remote: a.ID, RemotePort: 1}, &recHandler{})

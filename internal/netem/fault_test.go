@@ -159,24 +159,3 @@ func TestGilbertElliottBurstStatistics(t *testing.T) {
 		t.Fatalf("same seed diverged: %d/%d vs %d/%d drops", h.Drops, h.Seen, g2.Drops, g2.Seen)
 	}
 }
-
-func TestImpairmentDisabledDrawsNoRandomness(t *testing.T) {
-	ref := sim.NewRNG(7)
-	a1, a2 := ref.Float64(), ref.Float64()
-
-	rng := sim.NewRNG(7)
-	if rng.Float64() != a1 {
-		t.Fatal("RNG not reproducible; test premise broken")
-	}
-	im := &Impairment{Eng: sim.New(), Rng: rng, DropP: 0.5, Disabled: true}
-	for i := 0; i < 100; i++ {
-		if v := im.apply(&Packet{Wire: 100}, true); v != VerdictPass {
-			t.Fatalf("disabled impairment returned %v", v)
-		}
-	}
-	// The stream must be untouched: toggling a fault window on and off
-	// must not perturb random draws outside the window.
-	if rng.Float64() != a2 {
-		t.Fatal("disabled impairment consumed RNG draws")
-	}
-}

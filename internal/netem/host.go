@@ -34,7 +34,6 @@ const (
 // OvS-datapath shim. Filters may mutate packets (e.g. rewrite rwnd and
 // patch the checksum) before passing them on.
 type Filter interface {
-	Name() string
 	Outbound(pkt *Packet) Verdict // guest -> network
 	Inbound(pkt *Packet) Verdict  // network -> guest
 }
@@ -118,9 +117,6 @@ func (h *Host) AllocPacket() *Packet { return h.shard.free.AllocPacket() }
 // ReleasePacket returns p to the free list of the host's shard; see the
 // ownership contract in pool.go.
 func (h *Host) ReleasePacket(p *Packet) { h.shard.free.ReleasePacket(p) }
-
-// ClonePacket returns a copy of p allocated from the host's shard.
-func (h *Host) ClonePacket(p *Packet) *Packet { return h.shard.free.ClonePacket(p) }
 
 // AllocPort returns a fresh ephemeral source port.
 func (h *Host) AllocPort() uint16 {

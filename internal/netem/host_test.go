@@ -15,7 +15,6 @@ func (r *recHandler) HandlePacket(p *Packet) { r.pkts = append(r.pkts, p.Clone()
 
 // testFilter applies scripted verdicts.
 type testFilter struct {
-	name     string
 	inV      Verdict
 	outV     Verdict
 	sawIn    []*Packet
@@ -24,7 +23,6 @@ type testFilter struct {
 	onOutMut func(*Packet)
 }
 
-func (f *testFilter) Name() string { return f.name }
 func (f *testFilter) Inbound(p *Packet) Verdict {
 	f.sawIn = append(f.sawIn, p)
 	if f.onInMut != nil {
@@ -114,7 +112,7 @@ func TestHostProbeNeverReachesGuest(t *testing.T) {
 
 func TestFilterChainOrderAndVerdicts(t *testing.T) {
 	n, a, b := newTestNet(t)
-	fDrop := &testFilter{name: "drop", inV: VerdictPass, outV: VerdictDrop}
+	fDrop := &testFilter{inV: VerdictPass, outV: VerdictDrop}
 	a.AddFilter(fDrop)
 	a.Send(&Packet{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Wire: 64})
 	n.Eng.Run()
@@ -132,7 +130,7 @@ func TestFilterStealAndReinject(t *testing.T) {
 	b.Bind(ConnID{LocalPort: 80, Remote: a.ID, RemotePort: 4000}, h)
 
 	var stolen *Packet
-	fSteal := &testFilter{name: "steal", inV: VerdictPass, outV: VerdictStolen}
+	fSteal := &testFilter{inV: VerdictPass, outV: VerdictStolen}
 	fSteal.onOutMut = func(p *Packet) { stolen = p }
 	a.AddFilter(fSteal)
 
@@ -157,7 +155,7 @@ func TestFilterMutationVisibleDownstream(t *testing.T) {
 	h := &recHandler{}
 	b.Bind(ConnID{LocalPort: 80, Remote: a.ID, RemotePort: 4000}, h)
 	// Receiver-side ingress filter rewrites rwnd like HWatch does.
-	fRW := &testFilter{name: "rw", inV: VerdictPass, outV: VerdictPass}
+	fRW := &testFilter{inV: VerdictPass, outV: VerdictPass}
 	fRW.onInMut = func(p *Packet) { p.Rwnd = 7 }
 	b.AddFilter(fRW)
 	a.Send(&Packet{Src: a.ID, Dst: b.ID, SrcPort: 4000, DstPort: 80, Wire: 100, Payload: 1, Rwnd: 1000})

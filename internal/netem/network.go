@@ -114,13 +114,6 @@ func (n *Network) Shards() int { return len(n.engines) }
 // Group returns the shard group, nil for a single-loop network.
 func (n *Network) Group() *sim.Group { return n.group }
 
-// Engine returns shard i's engine.
-func (n *Network) Engine(i int) *sim.Engine { return n.engines[i] }
-
-// Lookahead returns the minimum cross-shard link delay (0 when no link
-// crosses a shard boundary yet).
-func (n *Network) Lookahead() int64 { return n.minCross }
-
 // SealLookahead installs the observed minimum cross-shard delay as the
 // group's conservative window width. Topology builders call it once the
 // fabric is wired; it panics if a cross-shard link exists with no positive
@@ -175,9 +168,6 @@ func (n *Network) Host(id NodeID) *Host { return n.hosts[id] }
 
 // Hosts returns all hosts, indexed by address (callers must not mutate).
 func (n *Network) Hosts() map[NodeID]*Host { return n.hosts }
-
-// Switches returns all switches.
-func (n *Network) Switches() []*Switch { return n.switches }
 
 // QueueFactory builds a fresh queue discipline for each port; topology
 // builders take one so every output port gets its own buffer.

@@ -130,9 +130,6 @@ func (p *Port) BindRemote(dst *sim.Engine) {
 	p.remote = dst
 }
 
-// Peer returns the connected receiver (nil if unconnected).
-func (p *Port) Peer() Deliverer { return p.peer }
-
 // Stats returns a copy of the port counters.
 func (p *Port) Stats() PortStats { return p.stats }
 
@@ -163,9 +160,6 @@ func (p *Port) Down() bool { return p.down }
 // traffic as ECN-incapable, so it drops where it would have marked, and
 // upstream marks never reach the receiver.
 func (p *Port) SetStripECN(on bool) { p.stripECN = on }
-
-// StripsECN reports whether the port erases ECN codepoints.
-func (p *Port) StripsECN() bool { return p.stripECN }
 
 // SetDropProbes makes the port eat probe packets only (an ACL or middlebox
 // that discards the shim's raw-IP probes while TCP passes untouched).

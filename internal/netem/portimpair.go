@@ -174,9 +174,6 @@ func (p *Port) Impair(egress bool) *PortImpair {
 // Stats returns a copy of the per-kind counters.
 func (im *PortImpair) Stats() ImpairStats { return im.stats }
 
-// Egress reports which stage the pipeline is attached at.
-func (im *PortImpair) Egress() bool { return im.egress }
-
 // SetCorrupt arms per-packet bit-flip corruption: with probability p the
 // packet's Rwnd field is flipped and the checksum left stale (so
 // checksum-verifying receivers must discard it); a dropFrac fraction of

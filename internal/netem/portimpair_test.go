@@ -8,6 +8,32 @@ import (
 	"hwatch/internal/sim"
 )
 
+func impairNet(t *testing.T) (*Network, *Host, *Host) {
+	t.Helper()
+	n := NewNetwork()
+	a := n.NewHost("a")
+	b := n.NewHost("b")
+	sw := n.NewSwitch("sw")
+	n.LinkHostSwitch(a, sw, &unboundedQ{}, &unboundedQ{}, 1e9, sim.Microsecond)
+	n.LinkHostSwitch(b, sw, &unboundedQ{}, &unboundedQ{}, 1e9, sim.Microsecond)
+	return n, a, b
+}
+
+func sendN(n *Network, a, b *Host, count int) *recHandler {
+	h := &recHandler{}
+	b.Bind(ConnID{LocalPort: 80, Remote: a.ID, RemotePort: 1}, h)
+	for i := 0; i < count; i++ {
+		p := &Packet{
+			Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 80,
+			Seq: int64(i), Payload: 100, Wire: 158, Flags: FlagACK, WScaleOpt: -1,
+		}
+		SetChecksum(p)
+		a.Send(p)
+	}
+	n.Eng.Run()
+	return h
+}
+
 // portImpairNet builds the two-host network and returns the sender's
 // uplink port — the port every test impairs.
 func portImpairNet(t *testing.T) (*Network, *Host, *Host, *Port) {
@@ -192,6 +218,26 @@ func TestPortImpairRateLimitIngressPanics(t *testing.T) {
 	up.Impair(false).SetRate(1e6, 0)
 }
 
+func TestPortImpairRequiresRNG(t *testing.T) {
+	_, _, _, up := portImpairNet(t)
+	imp := up.Impair(false)
+	for name, arm := range map[string]func(){
+		"corrupt":   func() { imp.SetCorrupt(0.1, 0, nil) },
+		"duplicate": func() { imp.SetDuplicate(0.1, 1, nil) },
+		"reorder":   func() { imp.SetReorder(0.1, 0, nil) },
+		"jitter":    func() { imp.SetJitter(UniformDelay{Hi: 1}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: armed without an RNG", name)
+				}
+			}()
+			arm()
+		}()
+	}
+}
+
 func TestPortImpairDeterminism(t *testing.T) {
 	run := func() []int64 {
 		n, a, b, up := portImpairNet(t)
@@ -222,6 +268,40 @@ func TestPortImpairDeterminism(t *testing.T) {
 // checkCDF compares the empirical CDF of samples at each (x, p) knot
 // within ~4 sigma of Binomial(n, p), floored for the tails — the bound
 // the storm CDF conformance tests use.
+// A kind that was armed and then cleared draws nothing, at either stage:
+// faults relies on this to leave every random stream outside a fault
+// window untouched.
+func TestPortImpairDisarmedDrawsNothing(t *testing.T) {
+	n, a, b, up := portImpairNet(t)
+	var rngs []*sim.RNG
+	seeded := func() *sim.RNG {
+		r := sim.NewRNG(int64(len(rngs) + 1))
+		rngs = append(rngs, r)
+		return r
+	}
+	for _, egress := range []bool{false, true} {
+		imp := up.Impair(egress)
+		cr, dr, rr, jr := seeded(), seeded(), seeded(), seeded()
+		imp.SetCorrupt(0.5, 0.5, cr)
+		imp.SetDuplicate(0.5, 1, dr)
+		imp.SetReorder(0.5, sim.Microsecond, rr)
+		imp.SetJitter(UniformDelay{Lo: 0, Hi: sim.Microsecond}, jr)
+		// Cleared but still holding their RNGs, so a draw would show.
+		imp.SetCorrupt(0, 0, cr)
+		imp.SetDuplicate(0, 0, dr)
+		imp.SetReorder(0, 0, rr)
+		imp.SetJitter(nil, jr)
+	}
+	if h := sendN(n, a, b, 100); len(h.pkts) != 100 {
+		t.Fatalf("delivered %d, want 100", len(h.pkts))
+	}
+	for i, r := range rngs {
+		if got, want := r.Uint64(), sim.NewRNG(int64(i+1)).Uint64(); got != want {
+			t.Fatalf("rng %d drew while its kind was clear", i+1)
+		}
+	}
+}
+
 func checkCDF(t *testing.T, name string, samples []int64, xs []int64, ps []float64) {
 	t.Helper()
 	sorted := append([]int64(nil), samples...)

@@ -58,12 +58,10 @@ func twinQueue(k int, eng *sim.Engine, seed int64) netem.Queue {
 		return aqm.NewDropTail(6)
 	case 1:
 		return aqm.NewMarkThreshold(8, 2)
-	case 2:
-		return aqm.NewWRED(8, 1, 4, u)
 	default:
 		return aqm.NewRED(aqm.REDConfig{
 			CapPkts: 8, MinTh: 0.5, MaxTh: 2, MaxP: 0.5, Wq: 0.3, Gentle: true,
-			ECN: k == 3, MeanPktTime: 4000, Clock: eng.Now,
+			ECN: k == 2, MeanPktTime: 4000, Clock: eng.Now,
 		}, u)
 	}
 }
@@ -149,7 +147,7 @@ func TestTwinPortOneEventHopQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ops := genTwinOps(rng)
-		k := rng.Intn(5)
+		k := rng.Intn(4)
 		delay := []int64{0, 1000, 4000, 12000}[rng.Intn(4)]
 		impair := rng.Intn(3) == 0
 		want := runTwin(true, k, seed, delay, impair, ops)

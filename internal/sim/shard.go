@@ -101,9 +101,6 @@ func (g *Group) SetLookahead(d int64) {
 	g.lookahead = d
 }
 
-// Lookahead returns the window width.
-func (g *Group) Lookahead() int64 { return g.lookahead }
-
 // OnBarrier registers fn to run (on the coordinator goroutine, with all
 // shards quiescent) after every window's merge, receiving the window's end
 // time. Observers that need a consistent cross-shard view — e.g. the

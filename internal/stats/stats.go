@@ -1,6 +1,7 @@
 // Package stats provides the measurement machinery behind the paper's
-// figures: exact empirical CDFs for FCT and goodput, online mean/variance,
-// sampled time series (queue occupancy, utilization), and rate meters.
+// figures: exact empirical CDFs for FCT and goodput, Jain's fairness
+// index, sampled time series (queue occupancy, utilization), and rate
+// meters.
 package stats
 
 import (
@@ -139,34 +140,22 @@ func (s *Sample) Summary(unit string) string {
 		s.N(), s.Mean(), unit, s.Quantile(0.5), s.Quantile(0.99), s.Max())
 }
 
-// Welford is an online mean/variance accumulator for streams too large to
-// retain.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add feeds one observation.
-func (w *Welford) Add(v float64) {
-	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// N returns the count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
+// JainIndex computes Jain's fairness index over the values: 1 = perfectly
+// fair, 1/n = maximally unfair. Used to quantify the coexistence study's
+// unfairness (Fig. 2).
+func JainIndex(values []float64) float64 {
+	if len(values) == 0 {
 		return 0
 	}
-	return w.m2 / float64(w.n)
+	var sum, sumSq float64
+	for _, v := range values {
+		sum += v
+		sumSq += v * v
+	}
+	if sumSq == 0 {
+		return 1 // all zeros: degenerate but not unfair
+	}
+	return sum * sum / (float64(len(values)) * sumSq)
 }
 
 // TimeSeries is a sequence of (t, v) samples, appended in time order.

@@ -114,23 +114,23 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 	}
 }
 
-// Property: Welford matches the exact two-pass computation.
-func TestPropertyWelfordMatchesExact(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var w Welford
-		var s Sample
-		for i := 0; i < int(n)+2; i++ {
-			v := rng.NormFloat64()*50 + 10
-			w.Add(v)
-			s.Add(v)
-		}
-		return math.Abs(w.Mean()-s.Mean()) < 1e-9 &&
-			math.Abs(w.Var()-s.Var()) < 1e-6 &&
-			w.N() == int64(s.N())
+func TestJainIndex(t *testing.T) {
+	if JainIndex(nil) != 0 {
+		t.Fatal("empty")
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if v := JainIndex([]float64{5, 5, 5, 5}); math.Abs(v-1) > 1e-12 {
+		t.Fatalf("equal shares: %f", v)
+	}
+	// One flow hogs everything: index -> 1/n.
+	if v := JainIndex([]float64{10, 0, 0, 0}); math.Abs(v-0.25) > 1e-12 {
+		t.Fatalf("hog: %f", v)
+	}
+	mid := JainIndex([]float64{8, 2, 2, 2})
+	if mid <= 0.25 || mid >= 1 {
+		t.Fatalf("mid = %f", mid)
+	}
+	if JainIndex([]float64{0, 0}) != 1 {
+		t.Fatal("all-zero degenerate case")
 	}
 }
 

@@ -14,7 +14,6 @@ type ackCounter struct {
 	ece  int
 }
 
-func (c *ackCounter) Name() string { return "ackcount" }
 func (c *ackCounter) Inbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }

@@ -15,7 +15,6 @@ type rwndWatcher struct {
 	seen  bool
 }
 
-func (w *rwndWatcher) Name() string { return "rwndwatch" }
 func (w *rwndWatcher) Inbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }

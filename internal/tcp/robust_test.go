@@ -10,31 +10,53 @@ import (
 )
 
 // Robustness suite: TCP must deliver exactly the requested bytes and
-// terminate under every network fault the impairment filter can inject.
+// terminate under every network fault the production fault path can inject.
 
-func runImpaired(t *testing.T, imp *netem.Impairment, size int64, horizon int64) (*Sender, *Receiver) {
+// uplinkFaults are the per-packet fault probabilities impairUplink arms.
+type uplinkFaults struct {
+	loss, corrupt, dup, reorder float64
+	hold                        int64 // reorder hold bound; 0 = the default
+}
+
+// impairUplink arms h's uplink with the faults internal/faults stages: a
+// seeded Bernoulli loss process, and corruption, duplication and
+// hold-and-release reordering at the port's ingress stage. It returns the
+// ingress pipeline, whose Stats count what was injected.
+func impairUplink(h *netem.Host, seed int64, f uplinkFaults) *netem.PortImpair {
+	rng := sim.NewRNG(seed)
+	up := h.Uplink()
+	if f.loss > 0 {
+		up.SetLoss(func(*netem.Packet) bool { return rng.Float64() < f.loss })
+	}
+	imp := up.Impair(false)
+	imp.SetCorrupt(f.corrupt, 0, rng)
+	imp.SetDuplicate(f.dup, 1, rng)
+	imp.SetReorder(f.reorder, f.hold, rng)
+	return imp
+}
+
+func runImpaired(t *testing.T, seed int64, f uplinkFaults, size int64, horizon int64) (*Sender, *Receiver, *netem.PortImpair) {
 	t.Helper()
 	tn := newTestNet(aqm.NewDropTail(1000), 1e9, 50*sim.Microsecond)
 	cfg := DefaultConfig()
 	rs := tn.listen(cfg)
 	tn.a.VerifyChecksums = true
 	tn.b.VerifyChecksums = true
-	netem.AttachImpairment(tn.a, imp)
+	imp := impairUplink(tn.a, seed, f)
 	s := NewSender(tn.a, tn.b.ID, testPort, size, cfg)
 	s.Start()
 	run(tn, horizon)
 	if len(*rs) == 0 {
 		t.Fatal("connection never established")
 	}
-	return s, (*rs)[0]
+	return s, (*rs)[0], imp
 }
 
 func TestRobustRandomLoss(t *testing.T) {
 	for _, p := range []float64{0.01, 0.05} {
 		p := p
 		t.Run(fmt.Sprintf("loss=%v", p), func(t *testing.T) {
-			imp := &netem.Impairment{Rng: sim.NewRNG(21), DropP: p, SkipInbound: true}
-			s, r := runImpaired(t, imp, 200_000, 120*sim.Second)
+			s, r, _ := runImpaired(t, 21, uplinkFaults{loss: p}, 200_000, 120*sim.Second)
 			if !s.Done() {
 				t.Fatalf("flow incomplete under %.0f%% loss: %v", p*100, s)
 			}
@@ -49,11 +71,8 @@ func TestRobustRandomLoss(t *testing.T) {
 }
 
 func TestRobustReordering(t *testing.T) {
-	imp := &netem.Impairment{
-		Rng: sim.NewRNG(22), ReorderP: 0.05,
-		ReorderDelay: 300 * sim.Microsecond, SkipInbound: true,
-	}
-	s, r := runImpaired(t, imp, 300_000, 120*sim.Second)
+	f := uplinkFaults{reorder: 0.05, hold: 300 * sim.Microsecond}
+	s, r, _ := runImpaired(t, 22, f, 300_000, 120*sim.Second)
 	if !s.Done() || r.Delivered() != 300_000 {
 		t.Fatalf("reordering broke delivery: done=%v delivered=%d", s.Done(), r.Delivered())
 	}
@@ -62,8 +81,7 @@ func TestRobustReordering(t *testing.T) {
 }
 
 func TestRobustDuplication(t *testing.T) {
-	imp := &netem.Impairment{Rng: sim.NewRNG(23), DupP: 0.2, SkipInbound: true}
-	s, r := runImpaired(t, imp, 200_000, 60*sim.Second)
+	s, r, _ := runImpaired(t, 23, uplinkFaults{dup: 0.2}, 200_000, 60*sim.Second)
 	if !s.Done() {
 		t.Fatal("duplication broke the flow")
 	}
@@ -73,23 +91,18 @@ func TestRobustDuplication(t *testing.T) {
 }
 
 func TestRobustCorruption(t *testing.T) {
-	imp := &netem.Impairment{Rng: sim.NewRNG(24), CorruptP: 0.03, SkipInbound: true}
-	s, r := runImpaired(t, imp, 150_000, 120*sim.Second)
+	s, r, imp := runImpaired(t, 24, uplinkFaults{corrupt: 0.03}, 150_000, 120*sim.Second)
 	if !s.Done() || r.Delivered() != 150_000 {
 		t.Fatalf("corruption broke delivery: done=%v delivered=%d", s.Done(), r.Delivered())
 	}
-	if imp.Corrupted == 0 {
+	if imp.Stats().Corrupted == 0 {
 		t.Fatal("no corruption exercised")
 	}
 }
 
 func TestRobustEverythingAtOnce(t *testing.T) {
-	imp := &netem.Impairment{
-		Rng:   sim.NewRNG(25),
-		DropP: 0.02, DupP: 0.05, ReorderP: 0.03, CorruptP: 0.02,
-		ReorderDelay: 200 * sim.Microsecond, SkipInbound: true,
-	}
-	s, r := runImpaired(t, imp, 250_000, 300*sim.Second)
+	f := uplinkFaults{loss: 0.02, dup: 0.05, reorder: 0.03, corrupt: 0.02, hold: 200 * sim.Microsecond}
+	s, r, _ := runImpaired(t, 25, f, 250_000, 300*sim.Second)
 	if !s.Done() || r.Delivered() != 250_000 {
 		t.Fatalf("combined faults broke delivery: done=%v delivered=%d stats=%+v",
 			s.Done(), r.Delivered(), s.Stats())
@@ -109,8 +122,6 @@ type flowControlChecker struct {
 	sawAck     bool
 	violations int
 }
-
-func (c *flowControlChecker) Name() string { return "fcck" }
 
 func (c *flowControlChecker) Inbound(p *netem.Packet) netem.Verdict {
 	if p.Flags.Has(netem.FlagSYN) && p.Flags.Has(netem.FlagACK) && p.WScaleOpt >= 0 {
@@ -153,10 +164,7 @@ func TestRobustWindowInvariant(t *testing.T) {
 	tn.b.Listen(testPort, NewListener(tn.b, rcfg, func(r *Receiver) { rs = append(rs, r) }))
 	check := &flowControlChecker{t: t, mss: int64(cfg.MSS)}
 	tn.a.AddFilter(check)
-	netem.AttachImpairment(tn.a, &netem.Impairment{
-		Rng: sim.NewRNG(26), DropP: 0.03, ReorderP: 0.02,
-		ReorderDelay: 200 * sim.Microsecond, SkipInbound: true,
-	})
+	impairUplink(tn.a, 26, uplinkFaults{loss: 0.03, reorder: 0.02, hold: 200 * sim.Microsecond})
 	s := NewSender(tn.a, tn.b.ID, testPort, 500_000, cfg)
 	s.Start()
 	run(tn, 60*sim.Second)
@@ -177,9 +185,7 @@ func TestRobustShimUnderLoss(t *testing.T) {
 	cfg := DefaultConfig()
 	tn.listen(cfg)
 	tn.b.AddFilter(&rwndRewriter{clampBytes: 3 * int64(cfg.MSS)})
-	netem.AttachImpairment(tn.b, &netem.Impairment{
-		Rng: sim.NewRNG(27), DropP: 0.03, SkipInbound: true, // lose ACKs
-	})
+	impairUplink(tn.b, 27, uplinkFaults{loss: 0.03}) // lose ACKs
 	s := NewSender(tn.a, tn.b.ID, testPort, 150_000, cfg)
 	s.Start()
 	run(tn, 120*sim.Second)

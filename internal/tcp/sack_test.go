@@ -132,7 +132,6 @@ type dropBurst struct {
 	count    int
 }
 
-func (f *dropBurst) Name() string { return "burst" }
 func (f *dropBurst) Inbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }
@@ -183,9 +182,7 @@ func TestSACKExactDeliveryUnderRandomLoss(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SACK = true
 	rs := tn.listen(cfg)
-	netem.AttachImpairment(tn.a, &netem.Impairment{
-		Rng: sim.NewRNG(31), DropP: 0.05, SkipInbound: true,
-	})
+	impairUplink(tn.a, 31, uplinkFaults{loss: 0.05})
 	s := NewSender(tn.a, tn.b.ID, testPort, 300_000, cfg)
 	s.Start()
 	run(tn, 120*sim.Second)

@@ -139,7 +139,6 @@ type lossFilter struct {
 	dropped bool
 }
 
-func (f *lossFilter) Name() string { return "loss" }
 func (f *lossFilter) Inbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }
@@ -231,7 +230,6 @@ func TestSynLossRecovered(t *testing.T) {
 
 type synDropper struct{ dropped bool }
 
-func (f *synDropper) Name() string { return "syndrop" }
 func (f *synDropper) Inbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }
@@ -441,7 +439,6 @@ func TestRwndClampLimitsSender(t *testing.T) {
 // rwndRewriter mimics HWatch: clamps the rwnd of ACKs leaving the receiver.
 type rwndRewriter struct{ clampBytes int64 }
 
-func (f *rwndRewriter) Name() string { return "rw" }
 func (f *rwndRewriter) Inbound(p *netem.Packet) netem.Verdict {
 	return netem.VerdictPass
 }
@@ -619,7 +616,6 @@ func TestChecksumsValidEndToEnd(t *testing.T) {
 
 type verifier struct{ onBad func() }
 
-func (v *verifier) Name() string { return "verify" }
 func (v *verifier) check(p *netem.Packet) {
 	if !netem.VerifyChecksum(p) {
 		v.onBad()

@@ -200,8 +200,6 @@ type binTap struct {
 	host *netem.Host
 }
 
-func (t *binTap) Name() string { return "bintrace" }
-
 func (t *binTap) Outbound(p *netem.Packet) netem.Verdict {
 	t.w.Write(t.host.Eng.Now(), Out, t.host.Name, p)
 	return netem.VerdictPass

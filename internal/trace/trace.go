@@ -142,8 +142,6 @@ type tap struct {
 	host   *netem.Host
 }
 
-func (tp *tap) Name() string { return "trace" }
-
 func (tp *tap) Outbound(p *netem.Packet) netem.Verdict {
 	tp.tracer.record(tp.host.Eng, tp.host.Name, Out, p)
 	return netem.VerdictPass

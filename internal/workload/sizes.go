@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"sort"
 
 	"hwatch/internal/sim"
@@ -12,47 +11,6 @@ type SizeDist interface {
 	Sample(rng *sim.RNG) int64
 	// Mean returns the distribution's expected size (for load math).
 	Mean() float64
-}
-
-// Constant always returns the same size.
-type Constant int64
-
-// Sample implements SizeDist.
-func (c Constant) Sample(*sim.RNG) int64 { return int64(c) }
-
-// Mean implements SizeDist.
-func (c Constant) Mean() float64 { return float64(c) }
-
-// UniformSize samples uniformly in [Lo, Hi].
-type UniformSize struct{ Lo, Hi int64 }
-
-// Sample implements SizeDist.
-func (u UniformSize) Sample(r *sim.RNG) int64 { return r.UniformRange(u.Lo, u.Hi) }
-
-// Mean implements SizeDist.
-func (u UniformSize) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
-
-// ParetoSize is a bounded Pareto (heavy tail), the classic model for flow
-// sizes.
-type ParetoSize struct {
-	Shape    float64
-	Min, Max int64
-}
-
-// Sample implements SizeDist.
-func (p ParetoSize) Sample(r *sim.RNG) int64 { return r.Pareto(p.Shape, p.Min, p.Max) }
-
-// Mean implements SizeDist (approximated numerically for the bounded tail).
-func (p ParetoSize) Mean() float64 {
-	// E[X] for bounded Pareto with shape a on [L,H]:
-	// a*L^a/(a-1) * (L^(1-a) - H^(1-a)) / (1 - (L/H)^a), a != 1.
-	a := p.Shape
-	l, h := float64(p.Min), float64(p.Max)
-	if a == 1 {
-		return l * h / (h - l) * math.Log(h/l)
-	}
-	la := math.Pow(l, a)
-	return a * la / (a - 1) * (math.Pow(l, 1-a) - math.Pow(h, 1-a)) / (1 - math.Pow(l/h, a))
 }
 
 // Empirical is an inverse-CDF sampler over (probability, size) knots with

@@ -26,45 +26,12 @@ func empiricalMean(v []int64) float64 {
 	return sum / float64(len(v))
 }
 
-func TestConstantDist(t *testing.T) {
-	d := Constant(11500)
-	for _, v := range sampleMany(d, 100, 1) {
-		if v != 11500 {
-			t.Fatal("constant varied")
-		}
-	}
-	if d.Mean() != 11500 {
-		t.Fatal("mean")
-	}
-}
+// constant always returns the same size: the flat law the load and
+// Poisson tests reason with.
+type constant int64
 
-func TestUniformDist(t *testing.T) {
-	d := UniformSize{Lo: 1000, Hi: 2000}
-	vs := sampleMany(d, 50000, 2)
-	for _, v := range vs {
-		if v < 1000 || v > 2000 {
-			t.Fatalf("out of range: %d", v)
-		}
-	}
-	if m := empiricalMean(vs); math.Abs(m-d.Mean()) > 20 {
-		t.Fatalf("mean %f vs %f", m, d.Mean())
-	}
-}
-
-func TestParetoDist(t *testing.T) {
-	d := ParetoSize{Shape: 1.2, Min: 1000, Max: 10_000_000}
-	vs := sampleMany(d, 200000, 3)
-	for _, v := range vs {
-		if v < 1000 || v > 10_000_000 {
-			t.Fatalf("out of range: %d", v)
-		}
-	}
-	m := empiricalMean(vs)
-	want := d.Mean()
-	if m < 0.85*want || m > 1.15*want {
-		t.Fatalf("empirical mean %.0f vs analytic %.0f", m, want)
-	}
-}
+func (c constant) Sample(*sim.RNG) int64 { return int64(c) }
+func (c constant) Mean() float64         { return float64(c) }
 
 func TestEmpiricalDistributions(t *testing.T) {
 	for name, d := range map[string]Empirical{
@@ -111,7 +78,7 @@ func TestPropertyEmpiricalBounds(t *testing.T) {
 }
 
 func TestLoadFor(t *testing.T) {
-	d := Constant(12500) // 100 kbit flows
+	d := constant(12500) // 100 kbit flows
 	// 50% of 1 Gb/s = 5e8 bit/s => 5000 flows/s.
 	rate := LoadFor(0.5, 1e9, d)
 	if math.Abs(rate-5000) > 1 {
@@ -159,10 +126,10 @@ func TestPoissonValidation(t *testing.T) {
 	d := smallDumbbell(1)
 	for name, fn := range map[string]func(){
 		"no rng": func() {
-			RunPoisson(d.Senders, d.Receiver.ID, tcp.DefaultConfig(), PoissonConfig{ArrivalRate: 1, Dist: Constant(1)}, nil)
+			RunPoisson(d.Senders, d.Receiver.ID, tcp.DefaultConfig(), PoissonConfig{ArrivalRate: 1, Dist: constant(1)}, nil)
 		},
 		"no rate": func() {
-			RunPoisson(d.Senders, d.Receiver.ID, tcp.DefaultConfig(), PoissonConfig{Rng: sim.NewRNG(1), Dist: Constant(1)}, nil)
+			RunPoisson(d.Senders, d.Receiver.ID, tcp.DefaultConfig(), PoissonConfig{Rng: sim.NewRNG(1), Dist: constant(1)}, nil)
 		},
 	} {
 		func() {

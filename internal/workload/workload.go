@@ -105,15 +105,10 @@ type Incast struct {
 	finalized bool
 }
 
-// RunIncast schedules the epochs. onDone (optional) fires once per
-// completed flow with its FCT, from Finalize, in plan order.
-func RunIncast(srcs []*netem.Host, dst netem.NodeID, tcfg tcp.Config, cfg IncastConfig, onDone FlowDone) *Incast {
-	return RunIncastConfigs(srcs, dst, func(*netem.Host) tcp.Config { return tcfg }, cfg, onDone)
-}
-
-// RunIncastConfigs is RunIncast with a per-host guest configuration — the
-// coexistence scenarios give different tenants different congestion
-// controllers.
+// RunIncastConfigs schedules the epochs, each host's flows under the guest
+// configuration cfgFor gives it — the coexistence scenarios give different
+// tenants different congestion controllers. onDone (optional) fires once
+// per completed flow with its FCT, from Finalize, in plan order.
 func RunIncastConfigs(srcs []*netem.Host, dst netem.NodeID, cfgFor func(*netem.Host) tcp.Config, cfg IncastConfig, onDone FlowDone) *Incast {
 	if cfg.Rng == nil {
 		panic("workload: incast needs an RNG")

@@ -56,7 +56,7 @@ func TestIncastEpochsCountsAndFCTs(t *testing.T) {
 	d.Receiver.Listen(port, tcp.NewListener(d.Receiver, tcfg, nil))
 	rng := sim.NewRNG(2)
 	var fcts []int64
-	inc := RunIncast(d.Senders, d.Receiver.ID, tcfg, IncastConfig{
+	inc := RunIncastConfigs(d.Senders, d.Receiver.ID, func(*netem.Host) tcp.Config { return tcfg }, IncastConfig{
 		Port: port, FlowSize: 10_000, Epochs: 3,
 		FirstEpoch:    10 * sim.Millisecond,
 		EpochInterval: 100 * sim.Millisecond,
@@ -89,7 +89,7 @@ func TestIncastDeterministicWithSeed(t *testing.T) {
 		tcfg := tcp.DefaultConfig()
 		d.Receiver.Listen(port, tcp.NewListener(d.Receiver, tcfg, nil))
 		var fcts []int64
-		inc := RunIncast(d.Senders, d.Receiver.ID, tcfg, IncastConfig{
+		inc := RunIncastConfigs(d.Senders, d.Receiver.ID, func(*netem.Host) tcp.Config { return tcfg }, IncastConfig{
 			Port: port, FlowSize: 10_000, Epochs: 2,
 			FirstEpoch:    sim.Millisecond,
 			EpochInterval: 50 * sim.Millisecond,
@@ -139,25 +139,6 @@ func TestWebWorkload(t *testing.T) {
 	want := 3 * 3 * 2 * 2 // servers * clients * parallel * epochs
 	if w.Started != want || w.Completed != want {
 		t.Fatalf("started=%d completed=%d want %d", w.Started, w.Completed, want)
-	}
-}
-
-func TestOnOff(t *testing.T) {
-	d := smallDumbbell(1)
-	tcfg := tcp.DefaultConfig()
-	d.Receiver.Listen(port, tcp.NewListener(d.Receiver, tcfg, nil))
-	oo := StartOnOff(d.Senders[0], d.Receiver.ID, tcfg, OnOffConfig{
-		Port: port, BurstSize: 50_000,
-		MeanOff: 2 * sim.Millisecond,
-		StartAt: 0, StopAt: 200 * sim.Millisecond,
-		Rng: sim.NewRNG(4),
-	}, nil)
-	d.Net.Eng.RunUntil(sim.Second)
-	if oo.Bursts < 10 {
-		t.Fatalf("only %d bursts in 200ms with ~2ms off periods", oo.Bursts)
-	}
-	if oo.Completed != oo.Bursts {
-		t.Fatalf("bursts=%d completed=%d", oo.Bursts, oo.Completed)
 	}
 }
 
