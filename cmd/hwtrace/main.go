@@ -1,11 +1,12 @@
-// Command hwtrace runs a scenario with packet tracing and emits the trace
-// — as human-readable text or as a compact HWT1 binary stream — for
-// offline analysis of HWatch's datapath behaviour (probe trains, SYN
-// holding, rwnd rewrites).
+// Command hwtrace runs a small built-in HWatch demo fabric (-flows flows
+// of -kb KB each through one marking bottleneck, shims on both ends) with
+// packet tracing and emits the trace — as human-readable text or as a
+// compact HWT1 binary stream — for offline analysis of HWatch's datapath
+// behaviour (probe trains, SYN holding, rwnd rewrites).
 //
-//	hwtrace -spec run.json -o trace.hwt          # binary
-//	hwtrace -spec run.json -text | head -100     # text to stdout
-//	hwtrace -decode trace.hwt                    # print a binary trace
+//	hwtrace -o trace.hwt                    # binary
+//	hwtrace -text -flows 5 -kb 50 | head    # text to stdout
+//	hwtrace -decode trace.hwt               # print a binary trace
 package main
 
 import (

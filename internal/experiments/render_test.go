@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hwatch/internal/scenario"
+	"hwatch/internal/stats"
 )
 
 // syntheticRun builds a Run with known values so rendering can be checked
@@ -22,11 +23,10 @@ func syntheticRun(label string) *scenario.Run {
 	r.LongGoodputBps.Add(4e9)
 	r.LongGoodputBps.Add(6e9)
 	r.LongFairness = 0.96
-	for i := int64(0); i < 5; i++ {
-		r.QueuePkts.Add(i*1000, float64(10*i))
-		r.QueueBytes.Add(i*1000, float64(15000*i))
-		r.Utilization.Add(i*1000, 0.5)
-	}
+	t := []int64{0, 1000, 2000, 3000, 4000}
+	r.QueuePkts = stats.TimeSeries{T: t, V: []float64{0, 10, 20, 30, 40}}
+	r.QueueBytes = stats.TimeSeries{T: t, V: []float64{0, 15000, 30000, 45000, 60000}}
+	r.Utilization = stats.TimeSeries{T: t, V: []float64{0.5, 0.5, 0.5, 0.5, 0.5}}
 	r.Drops, r.Marks, r.Timeouts = 7, 11, 2
 	r.ShortDone, r.ShortAll = 4, 4
 	return r

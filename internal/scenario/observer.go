@@ -149,38 +149,52 @@ type Observer interface {
 }
 
 // telemetryObserver samples the bottleneck queue and utilization on the
-// run's sampling period and harvests the queue's drop/mark totals.
+// run's sampling period and harvests the queue's drop/mark totals. Every
+// sample lands on one time axis; the three series share it (see Run).
 type telemetryObserver struct {
-	util stats.RateMeter
+	t           []int64   // the sample instants, one per period from 0
+	pkts, bytes []float64 // queue occupancy at t[i]
+	util        []float64 // util[i-1]: fraction of line rate over (t[i-1], t[i]]
 }
 
 func (o *telemetryObserver) Start(rc *RunContext, run *Run) {
 	if rc.SampleEvery <= 0 || rc.Bottleneck == nil {
 		return
 	}
-	// One sample per period from 0 to the horizon: size the series once
+	// One sample per period from 0 to the horizon: size the arrays once
 	// instead of growing them by doubling.
 	n := int(rc.horizon()/rc.SampleEvery) + 2
-	run.QueuePkts.Grow(n)
-	run.QueueBytes.Grow(n)
-	o.util.Series.Grow(n)
+	o.t = make([]int64, 0, n)
+	o.pkts = make([]float64, 0, n)
+	o.bytes = make([]float64, 0, n)
+	o.util = make([]float64, 0, n-1)
 	eng := rc.Eng
+	var lastTx int64
 	var sample func()
 	sample = func() {
-		now := eng.Now()
-		run.QueuePkts.Add(now, float64(rc.Bottleneck.Len()))
-		run.QueueBytes.Add(now, float64(rc.Bottleneck.Bytes()))
-		o.util.Observe(now, rc.BottleneckPort.Stats().TxBytes)
+		now, tx := eng.Now(), rc.BottleneckPort.Stats().TxBytes
+		if k := len(o.t); k > 0 {
+			rate := float64(tx-lastTx) * 8 * 1e9 / float64(now-o.t[k-1])
+			o.util = append(o.util, rate/float64(rc.LineRateBps))
+		}
+		o.t = append(o.t, now)
+		o.pkts = append(o.pkts, float64(rc.Bottleneck.Len()))
+		o.bytes = append(o.bytes, float64(rc.Bottleneck.Bytes()))
+		lastTx = tx
 		eng.Schedule(rc.SampleEvery, sample)
 	}
 	eng.Schedule(0, sample)
 }
 
 func (o *telemetryObserver) Finish(rc *RunContext, run *Run) {
-	// Utilization as a fraction of line rate.
-	run.Utilization.Grow(o.util.Series.Len())
-	for i := range o.util.Series.T {
-		run.Utilization.Add(o.util.Series.T[i], o.util.Series.V[i]/float64(rc.LineRateBps))
+	// Windows with cap == len: an append to one series copies instead of
+	// writing into the axis the others read.
+	if k := len(o.t); k > 0 {
+		run.QueuePkts = stats.TimeSeries{T: o.t[:k:k], V: o.pkts}
+		run.QueueBytes = stats.TimeSeries{T: o.t[:k:k], V: o.bytes}
+		if k > 1 {
+			run.Utilization = stats.TimeSeries{T: o.t[1:k:k], V: o.util}
+		}
 	}
 	if qs, ok := rc.Bottleneck.(queueStats); ok {
 		st := qs.Stats()

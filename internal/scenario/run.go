@@ -31,7 +31,11 @@ type Run struct {
 	// (quantifies the Fig. 2 unfairness).
 	LongFairness float64
 
-	// Bottleneck telemetry (Fig. 1d/2b/8c/9c and 2d/8d/9d).
+	// Bottleneck telemetry (Fig. 1d/2b/8c/9c and 2d/8d/9d), sampled once
+	// per period on one time axis that the three series share read-only:
+	// QueuePkts.T and QueueBytes.T are the whole axis, Utilization.T the
+	// axis from its second sample (a window's rate is stamped at its end).
+	// Each T is a window with cap == len, so an append copies.
 	QueuePkts   stats.TimeSeries
 	QueueBytes  stats.TimeSeries
 	Utilization stats.TimeSeries // fraction of line rate per sample window

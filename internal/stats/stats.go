@@ -1,13 +1,11 @@
 // Package stats provides the measurement machinery behind the paper's
 // figures: exact empirical CDFs for FCT and goodput, Jain's fairness
-// index, sampled time series (queue occupancy, utilization), and rate
-// meters.
+// index, and sampled time series (queue occupancy, utilization).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -158,25 +156,11 @@ func JainIndex(values []float64) float64 {
 	return sum * sum / (float64(len(values)) * sumSq)
 }
 
-// TimeSeries is a sequence of (t, v) samples, appended in time order.
+// TimeSeries is a sequence of (t, v) samples in time order: V[i] is the
+// value at T[i].
 type TimeSeries struct {
 	T []int64
 	V []float64
-}
-
-// Add appends one point; t must be nondecreasing.
-func (ts *TimeSeries) Add(t int64, v float64) {
-	if len(ts.T) > 0 && t < ts.T[len(ts.T)-1] {
-		panic("stats: time series must be appended in order")
-	}
-	ts.T = append(ts.T, t)
-	ts.V = append(ts.V, v)
-}
-
-// Grow makes room for n more points without reallocating.
-func (ts *TimeSeries) Grow(n int) {
-	ts.T = slices.Grow(ts.T, n)
-	ts.V = slices.Grow(ts.V, n)
 }
 
 // Len returns the number of points.

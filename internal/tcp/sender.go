@@ -71,10 +71,6 @@ type Sender struct {
 	// OnComplete fires once when the FIN is acknowledged, with the flow
 	// completion time (ns since Start).
 	OnComplete func(fct int64)
-	// OnEstablished fires once when the SYN-ACK is processed (MPTCP uses
-	// it to join additional subflows only after the first connection is
-	// up, as the protocol requires).
-	OnEstablished func()
 }
 
 // NewSender prepares a connection from host to dst:dport carrying size
@@ -354,9 +350,6 @@ func (s *Sender) handleSynAck(p *netem.Packet) {
 	}
 	s.state = stateEstablished
 	s.sndUna = 1
-	if s.OnEstablished != nil {
-		s.OnEstablished()
-	}
 	if p.WScaleOpt >= 0 {
 		s.peerWScale = p.WScaleOpt
 	}
