@@ -75,6 +75,20 @@ type Ablation struct {
 // in case order; a failed or cancelled case returns the error and no rows.
 func (a Ablation) Run(ctx context.Context, scale float64) ([]AblationPoint, error) {
 	cases := a.cases()
+	runs, err := runSpecs(ctx, a.specs(scale))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationPoint, len(runs))
+	for i, r := range runs {
+		out[i] = point(cases[i].label, r, 0)
+	}
+	return out, nil
+}
+
+// specs declares the sweep's scenarios, one per case in case order.
+func (a Ablation) specs(scale float64) []*scenario.Spec {
+	cases := a.cases()
 	specs := make([]*scenario.Spec, len(cases))
 	for i, c := range cases {
 		p := ablationBase(scale)
@@ -87,15 +101,7 @@ func (a Ablation) Run(ctx context.Context, scale float64) ([]AblationPoint, erro
 		specs[i] = dumbbellSpec(scenario.HWatch, p)
 		specs[i].Guest = c.guest
 	}
-	runs, err := runSpecs(ctx, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationPoint, len(runs))
-	for i, r := range runs {
-		out[i] = point(cases[i].label, r, 0)
-	}
-	return out, nil
+	return specs
 }
 
 var ablations = []Ablation{

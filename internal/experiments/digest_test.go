@@ -14,9 +14,12 @@ import (
 	"hwatch/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the golden digest files of the tests that run")
 
-const goldenPath = "testdata/golden_digests.json"
+const (
+	goldenPath         = "testdata/golden_digests.json"
+	ablationGoldenPath = "testdata/ablation_digests.json"
+)
 
 // goldenRuns executes the small-scale Fig. 2, Fig. 8 and Fig. 11
 // scenarios and the chaos schedules, and returns their digests and event
@@ -120,29 +123,71 @@ func faultGoldenRuns(t testing.TB) map[string]*scenario.Run {
 //	go test ./internal/experiments -run TestGoldenDigests -args -update
 func TestGoldenDigests(t *testing.T) {
 	got, _ := goldenRuns(t)
+	matchGolden(t, goldenPath, got)
 
+	// Same seed twice => identical digests, independent of golden state.
+	again, _ := goldenRuns(t)
+	for k, g := range got {
+		if again[k] != g {
+			t.Errorf("%s: rerun digest %s != first run %s — nondeterminism", k, again[k], g)
+		}
+	}
+}
+
+// TestAblationGoldenDigests locks every ablation row's run digest at
+// scale 0.1, keyed ablation/row label. It stays out of goldenRuns, so
+// the shard-parity matrix does not grow by these rows. Regenerate with
+//
+//	go test ./internal/experiments -run TestAblationGoldenDigests -args -update
+func TestAblationGoldenDigests(t *testing.T) {
+	var keys []string
+	var specs []*scenario.Spec
+	for _, a := range Ablations() {
+		for _, c := range a.cases() {
+			keys = append(keys, a.Name+"/"+c.label)
+		}
+		specs = append(specs, a.specs(0.1)...)
+	}
+	runs, err := runSpecs(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for i, r := range runs {
+		got[keys[i]] = r.DigestHex()
+	}
+	if len(got) != len(runs) {
+		t.Fatalf("%d rows share %d keys: row labels must be unique per ablation", len(runs), len(got))
+	}
+	matchGolden(t, ablationGoldenPath, got)
+}
+
+// matchGolden compares digests against the golden file at path, or
+// rewrites the file under -update.
+func matchGolden(t *testing.T, path string, got map[string]string) {
+	t.Helper()
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d digests", goldenPath, len(got))
+		t.Logf("rewrote %s with %d digests", path, len(got))
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden digests (regenerate with -args -update): %v", err)
 	}
 	want := map[string]string{}
 	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
+		t.Fatalf("parsing %s: %v", path, err)
 	}
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d entries, run produced %d", len(want), len(got))
@@ -152,14 +197,6 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("%s: missing from run", k)
 		} else if g != w {
 			t.Errorf("%s: digest %s, golden %s", k, g, w)
-		}
-	}
-
-	// Same seed twice => identical digests, independent of golden state.
-	again, _ := goldenRuns(t)
-	for k, g := range got {
-		if again[k] != g {
-			t.Errorf("%s: rerun digest %s != first run %s — nondeterminism", k, again[k], g)
 		}
 	}
 }
