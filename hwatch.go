@@ -118,7 +118,8 @@ func LookupScheme(name string) (SchemeDef, bool) { return scenario.Lookup(name) 
 
 // Scenario is the declarative description the unified run path executes:
 // a topology kind, one or more registered schemes (more than one = mixed
-// tenancy), a workload and observers; Scenario.RunContext(ctx) runs it.
+// tenancy), a workload and observers, and as data the guest-stack and
+// shim-setting overrides (Guest, Shim); Scenario.RunContext(ctx) runs it.
 // Every figure, ablation and study is a list of these.
 type Scenario = scenario.Spec
 
@@ -240,7 +241,9 @@ func FigRuns(ctx context.Context, name string, scale float64) ([]*Run, error) {
 }
 
 // Ablation is one row of the ablation table (see DESIGN.md §5): name,
-// caption and Run(ctx, scale), which returns one AblationPoint per case.
+// caption and Run(ctx, scale), which returns one AblationPoint per
+// configuration. A configuration is data: a marking threshold, shim
+// settings (Scenario.Shim) or a guest stack (Scenario.Guest).
 type Ablation = experiments.Ablation
 
 // Ablations lists the sweeps over HWatch's design choices: probes, k,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hwatch/internal/core"
 	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 	"hwatch/internal/tcp"
@@ -53,13 +52,14 @@ func ablationBase(scale float64) scenario.DumbbellParams {
 	return p
 }
 
-// ablationCase is one row of an ablation sweep: a label, an optional
-// scenario adjustment, and an optional explicit guest stack (used by the
-// R3 agnosticism study instead of the scheme's default).
-type ablationCase struct {
-	label string
-	prep  func(*scenario.DumbbellParams)
-	guest *tcp.Config
+// ablationRow is one configuration of an ablation sweep, as data: a
+// label, a marking threshold (0 = the base's), the shim settings, and an
+// explicit guest stack (the R3 agnosticism study; nil = the scheme's).
+type ablationRow struct {
+	label    string
+	markFrac float64
+	shim     scenario.ShimParams
+	guest    *tcp.Config
 }
 
 // Ablation is one row of the ablation table: a named sweep over one of
@@ -68,49 +68,83 @@ type Ablation struct {
 	// Name is what sweep -what and hwatchd "ablation" jobs call the sweep.
 	Name    string
 	Caption string
-	cases   func() []ablationCase
+	rows    []ablationRow
 }
 
-// Run executes the sweep's cases under ctx and returns one point per case
-// in case order; a failed or cancelled case returns the error and no rows.
+// Run executes the sweep's rows under ctx and returns one point per row
+// in row order; a failed or cancelled row returns the error and no rows.
 func (a Ablation) Run(ctx context.Context, scale float64) ([]AblationPoint, error) {
-	cases := a.cases()
 	runs, err := runSpecs(ctx, a.specs(scale))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]AblationPoint, len(runs))
 	for i, r := range runs {
-		out[i] = point(cases[i].label, r, 0)
+		out[i] = point(a.rows[i].label, r, 0)
 	}
 	return out, nil
 }
 
-// specs declares the sweep's scenarios, one per case in case order.
+// specs declares the sweep's scenarios, one per row in row order.
 func (a Ablation) specs(scale float64) []*scenario.Spec {
-	cases := a.cases()
-	specs := make([]*scenario.Spec, len(cases))
-	for i, c := range cases {
+	specs := make([]*scenario.Spec, len(a.rows))
+	for i, r := range a.rows {
 		p := ablationBase(scale)
-		if c.prep != nil {
-			c.prep(&p)
+		if r.markFrac > 0 {
+			p.MarkFrac = r.markFrac
 		}
-		// An explicit guest replaces the scheme's default stack; the shims
-		// keep the scheme's default guest view, as a hypervisor module
-		// would: it cannot know what stack the tenant boots.
 		specs[i] = dumbbellSpec(scenario.HWatch, p)
-		specs[i].Guest = c.guest
+		specs[i].Shim = r.shim
+		specs[i].Guest = r.guest
 	}
 	return specs
 }
 
 var ablations = []Ablation{
-	{"probes", "probe count per connection setup", probesCases},
-	{"k", "ECN marking threshold (fraction of buffer)", thresholdCases},
-	{"icw", "initial-window policy (probe credit)", startWindowCases},
-	{"batch", "Rule 1 batch merge and growth cadence", batchesCases},
-	{"pacing", "SYN-ACK token-bucket pacing", pacingCases},
-	{"guests", "guest stack agnosticism (R3)", guestStackCases},
+	// The probe count, and uniform against jittered spacing at the
+	// paper's count (the paper argues for 10 probes, jittered).
+	{"probes", "probe count per connection setup", []ablationRow{
+		{label: "probes=0", shim: scenario.ShimParams{ProbeCount: ptr(0)}},
+		{label: "probes=2", shim: scenario.ShimParams{ProbeCount: ptr(2)}},
+		{label: "probes=5", shim: scenario.ShimParams{ProbeCount: ptr(5)}},
+		{label: "probes=10", shim: scenario.ShimParams{ProbeCount: ptr(10)}},
+		{label: "probes=20", shim: scenario.ShimParams{ProbeCount: ptr(20)}},
+		{label: "probes=10 uniform", shim: scenario.ShimParams{UniformProbeSpacing: ptr(true)}},
+	}},
+	// The marking threshold as a fraction of the buffer (the paper fixes
+	// 20%).
+	{"k", "ECN marking threshold (fraction of buffer)", []ablationRow{
+		{label: "K=5%", markFrac: 0.05},
+		{label: "K=10%", markFrac: 0.10},
+		{label: "K=20%", markFrac: 0.20},
+		{label: "K=35%", markFrac: 0.35},
+		{label: "K=50%", markFrac: 0.50},
+	}},
+	// Initial-window policies: the cautious default (marked probes earn
+	// nothing), the Corollary IV.2.2 credit (marked probes earn half),
+	// full credit (probing only confirms reachability), and probing
+	// disabled (stock ICW always).
+	{"icw", "initial-window policy (probe credit)", []ablationRow{
+		{label: "credit=0 (cautious)", shim: scenario.ShimParams{StartMarkedCredit: ptr(0.0), ProbeCount: ptr(10)}},
+		{label: "credit=0.5 (merged)", shim: scenario.ShimParams{StartMarkedCredit: ptr(0.5), ProbeCount: ptr(10)}},
+		{label: "credit=1.0", shim: scenario.ShimParams{StartMarkedCredit: ptr(1.0), ProbeCount: ptr(10)}},
+		{label: "no probing (ICW)", shim: scenario.ShimParams{StartMarkedCredit: ptr(0.0), ProbeCount: ptr(0)}},
+	}},
+	// Rule 1 batch policies: merged first+second batches (Cor IV.2.2)
+	// against the strict three-batch split, and the growth cadence.
+	{"batch", "Rule 1 batch merge and growth cadence", []ablationRow{
+		{label: "merge batches, grow/4", shim: scenario.ShimParams{MergeBatch1: ptr(true), GrowthEvery: ptr(4)}},
+		{label: "merge batches, grow/1", shim: scenario.ShimParams{MergeBatch1: ptr(true), GrowthEvery: ptr(1)}},
+		{label: "3 batches, grow/4", shim: scenario.ShimParams{MergeBatch1: ptr(false), GrowthEvery: ptr(4)}},
+		{label: "3 batches, grow/1", shim: scenario.ShimParams{MergeBatch1: ptr(false), GrowthEvery: ptr(1)}},
+	}},
+	// The SYN-ACK token bucket.
+	{"pacing", "SYN-ACK token-bucket pacing", []ablationRow{
+		{label: "pacing on (default)", shim: scenario.ShimParams{SynAckBurst: ptr(4)}},
+		{label: "pacing off", shim: scenario.ShimParams{SynAckBurst: ptr(0)}},
+		{label: "pacing slow", shim: scenario.ShimParams{SynAckBurst: ptr(2), RefillEvery: ptr(200 * sim.Microsecond)}},
+	}},
+	{"guests", "guest stack agnosticism (R3)", guestRows()},
 }
 
 // Ablations lists the ablation sweeps in the order sweep -what all runs
@@ -122,157 +156,21 @@ func LookupAblation(name string) (Ablation, error) {
 	return find("ablation", ablations, func(a Ablation) string { return a.Name }, name)
 }
 
-// probesCases sweeps the probe count and compares uniform vs. non-uniform
-// spacing (the paper argues for 10 probes, jittered).
-func probesCases() []ablationCase {
-	var cases []ablationCase
-	for _, n := range []int{0, 2, 5, 10, 20} {
-		n := n
-		cases = append(cases, ablationCase{
-			label: fmt.Sprintf("probes=%d", n),
-			prep: func(p *scenario.DumbbellParams) {
-				p.ShimTweak = func(c *core.Config) { c.ProbeCount = n }
-			},
-		})
-	}
-	// Spacing comparison at the paper's probe count.
-	cases = append(cases, ablationCase{
-		label: "probes=10 uniform",
-		prep: func(p *scenario.DumbbellParams) {
-			p.ShimTweak = func(c *core.Config) { c.UniformProbeSpacing = true }
-		},
-	})
-	return cases
-}
-
-// thresholdCases sweeps the ECN marking threshold as a fraction of the
-// buffer (the paper fixes 20%).
-func thresholdCases() []ablationCase {
-	var cases []ablationCase
-	for _, frac := range []float64{0.05, 0.10, 0.20, 0.35, 0.50} {
-		frac := frac
-		cases = append(cases, ablationCase{
-			label: fmt.Sprintf("K=%.0f%%", frac*100),
-			prep:  func(p *scenario.DumbbellParams) { p.MarkFrac = frac },
-		})
-	}
-	return cases
-}
-
-// startWindowCases compares initial-window policies: the cautious
-// default (marked probes earn nothing), the Corollary IV.2.2 credit
-// (marked probes earn half), full credit (probing only confirms
-// reachability), and probing disabled (stock ICW always).
-func startWindowCases() []ablationCase {
-	cases := []struct {
-		label  string
-		credit float64
-		probes int
-	}{
-		{"credit=0 (cautious)", 0, 10},
-		{"credit=0.5 (merged)", 0.5, 10},
-		{"credit=1.0", 1.0, 10},
-		{"no probing (ICW)", 0, 0},
-	}
-	var rows []ablationCase
-	for _, c := range cases {
-		c := c
-		rows = append(rows, ablationCase{
-			label: c.label,
-			prep: func(p *scenario.DumbbellParams) {
-				p.ShimTweak = func(cc *core.Config) {
-					cc.StartMarkedCredit = c.credit
-					cc.ProbeCount = c.probes
-				}
-			},
-		})
-	}
-	return rows
-}
-
-// batchesCases compares Rule 1 batch policies: merged first+second
-// batches (Cor IV.2.2) vs. the strict three-batch split, and the growth
-// cadence.
-func batchesCases() []ablationCase {
-	cases := []struct {
-		label string
-		merge bool
-		every int
-	}{
-		{"merge batches, grow/4", true, 4},
-		{"merge batches, grow/1", true, 1},
-		{"3 batches, grow/4", false, 4},
-		{"3 batches, grow/1", false, 1},
-	}
-	var rows []ablationCase
-	for _, c := range cases {
-		c := c
-		rows = append(rows, ablationCase{
-			label: c.label,
-			prep: func(p *scenario.DumbbellParams) {
-				p.ShimTweak = func(cc *core.Config) {
-					cc.MergeBatch1 = c.merge
-					cc.GrowthEvery = c.every
-				}
-			},
-		})
-	}
-	return rows
-}
-
-// pacingCases toggles the SYN-ACK token bucket.
-func pacingCases() []ablationCase {
-	cases := []struct {
-		label string
-		burst int
-		every int64
-	}{
-		{"pacing on (default)", 4, 0}, // 0 = keep default refill
-		{"pacing off", 0, 0},
-		{"pacing slow", 2, 200 * sim.Microsecond},
-	}
-	var rows []ablationCase
-	for _, c := range cases {
-		c := c
-		rows = append(rows, ablationCase{
-			label: c.label,
-			prep: func(p *scenario.DumbbellParams) {
-				p.ShimTweak = func(cc *core.Config) {
-					cc.SynAckBurst = c.burst
-					if c.every > 0 {
-						cc.RefillEvery = c.every
-					}
-				}
-			},
-		})
-	}
-	return rows
-}
-
-// guestStackCases quantifies requirement R3 (VM autonomy): HWatch must
-// deliver its guarantee regardless of what the unmodified guest stack
-// happens to be. Each variant runs the 100-source scenario with a
-// different guest flavour under the same shims.
-func guestStackCases() []ablationCase {
-	newReno := tcp.DefaultConfig()
+// guestRows quantifies requirement R3 (VM autonomy): HWatch must deliver
+// its guarantee whatever the unmodified guest stack is, so each row runs
+// a different guest flavour under the same shims.
+func guestRows() []ablationRow {
 	sack := tcp.DefaultConfig()
 	sack.SACK = true
 	delack := tcp.DefaultConfig()
 	delack.DelayedAck = true
-	cubic := tcp.CubicConfig()
-	cases := []struct {
-		label string
-		cfg   tcp.Config
-	}{
-		{"guest=newreno", newReno},
-		{"guest=newreno+sack", sack},
-		{"guest=newreno+delack", delack},
-		{"guest=cubic", cubic},
+	return []ablationRow{
+		{label: "guest=newreno", guest: ptr(tcp.DefaultConfig())},
+		{label: "guest=newreno+sack", guest: &sack},
+		{label: "guest=newreno+delack", guest: &delack},
+		{label: "guest=cubic", guest: ptr(tcp.CubicConfig())},
 	}
-	var rows []ablationCase
-	for _, c := range cases {
-		cfg := c.cfg
-		rows = append(rows, ablationCase{label: c.label, guest: &cfg})
-	}
-	return rows
 }
+
+// ptr returns a pointer to a copy of v: a set field of a params struct.
+func ptr[T any](v T) *T { return &v }

@@ -143,8 +143,8 @@ func TestAblationGoldenDigests(t *testing.T) {
 	var keys []string
 	var specs []*scenario.Spec
 	for _, a := range Ablations() {
-		for _, c := range a.cases() {
-			keys = append(keys, a.Name+"/"+c.label)
+		for _, r := range a.rows {
+			keys = append(keys, a.Name+"/"+r.label)
 		}
 		specs = append(specs, a.specs(0.1)...)
 	}

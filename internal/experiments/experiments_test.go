@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"hwatch/internal/core"
 	"hwatch/internal/scenario"
 	"hwatch/internal/sim"
 	"hwatch/internal/tcp"
@@ -387,9 +386,9 @@ func TestPacingIsLoadBearingAt100Sources(t *testing.T) {
 
 	r1 := mustRun(t, dumbbellSpec(scenario.HWatch, base))
 
-	noPacing := base
-	noPacing.ShimTweak = func(c *core.Config) { c.SynAckBurst = 0 }
-	r2 := mustRun(t, dumbbellSpec(scenario.HWatch, noPacing))
+	noPacing := dumbbellSpec(scenario.HWatch, base)
+	noPacing.Shim.SynAckBurst = ptr(0)
+	r2 := mustRun(t, noPacing)
 
 	if r1.Drops != 0 || r1.Timeouts != 0 {
 		t.Fatalf("paced run not clean: %+v", Summarize(r1))

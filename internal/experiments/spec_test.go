@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -34,6 +36,64 @@ func TestSpecTestbedRun(t *testing.T) {
 	}
 	if run.ShortAll == 0 || run.ShortDone != run.ShortAll {
 		t.Fatalf("testbed spec run: %d/%d", run.ShortDone, run.ShortAll)
+	}
+}
+
+// TestParamsAreData: what a table row hands the scenario layer is plain
+// data. The params structs hold no func, chan or interface anywhere, and
+// every Figures and Ablations row's params, shim settings and guest stack
+// come back from an encoding/json round trip deeply equal, so a row can
+// be stored, compared and content-addressed.
+func TestParamsAreData(t *testing.T) {
+	for _, v := range []any{scenario.DumbbellParams{}, scenario.TestbedParams{}, scenario.ShimParams{}} {
+		assertPlainData(t, reflect.TypeOf(v).Name(), reflect.TypeOf(v))
+	}
+	for _, scale := range []float64{0.1, 1} {
+		var specs []*scenario.Spec
+		var names []string
+		for _, f := range Figures() {
+			for i, s := range f.specs(scale) {
+				specs, names = append(specs, s), append(names, f.Name+"/"+f.Keys[i])
+			}
+		}
+		for _, a := range Ablations() {
+			for i, s := range a.specs(scale) {
+				specs, names = append(specs, s), append(names, a.Name+"/"+a.rows[i].label)
+			}
+		}
+		for i, s := range specs {
+			for _, part := range []any{&s.Dumbbell, &s.Testbed, &s.Shim, &s.Guest} {
+				raw, err := json.Marshal(part)
+				if err != nil {
+					t.Fatalf("%s: %v", names[i], err)
+				}
+				back := reflect.New(reflect.TypeOf(part).Elem())
+				if err := json.Unmarshal(raw, back.Interface()); err != nil {
+					t.Fatalf("%s: %v", names[i], err)
+				}
+				if want := reflect.ValueOf(part).Elem().Interface(); !reflect.DeepEqual(back.Elem().Interface(), want) {
+					t.Errorf("%s at scale %v: %T does not survive JSON: %s", names[i], scale, want, raw)
+				}
+			}
+		}
+	}
+}
+
+// assertPlainData fails on any func, chan or interface reachable in typ.
+func assertPlainData(t *testing.T, path string, typ reflect.Type) {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+		t.Errorf("%s is a %v, not data", path, typ.Kind())
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		assertPlainData(t, path, typ.Elem())
+	case reflect.Map:
+		assertPlainData(t, path, typ.Key())
+		assertPlainData(t, path, typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			assertPlainData(t, path+"."+typ.Field(i).Name, typ.Field(i).Type)
+		}
 	}
 }
 

@@ -41,10 +41,6 @@ type DumbbellParams struct {
 	// conservation at the bottleneck, sequence monotonicity, window
 	// floors); violations land in Run.InvariantViolations.
 	Check bool
-
-	// ShimTweak, when non-nil, adjusts the HWatch configuration after the
-	// defaults are applied (ablation studies).
-	ShimTweak func(*core.Config)
 }
 
 // PaperDumbbell returns the paper's Fig. 8 parameters: 10 Gb/s links,
@@ -102,10 +98,6 @@ type TestbedParams struct {
 	// Check enables the physical-invariant checker for this run; findings
 	// land in Run.InvariantViolations.
 	Check bool
-
-	// ShimTweak, when non-nil, adjusts the HWatch configuration after the
-	// testbed's SYN-ACK pacing defaults are applied.
-	ShimTweak func(*core.Config)
 }
 
 // PaperTestbed returns the paper's counts at a time-compressed scale: the
@@ -131,5 +123,44 @@ func PaperTestbed() TestbedParams {
 		HWatchMinRTO:  4 * sim.Millisecond, // paper Sec. VI: "RTO of 4ms"
 		SampleEvery:   500 * sim.Microsecond,
 		Seed:          7,
+	}
+}
+
+// ShimParams overrides HWatch shim settings, the design choices
+// DESIGN.md §5 ablates. A nil field keeps the default; the fields are
+// pointers because 0 and false are real settings (no probes, pacing off,
+// three batches).
+type ShimParams struct {
+	ProbeCount          *int
+	UniformProbeSpacing *bool
+	StartMarkedCredit   *float64
+	MergeBatch1         *bool
+	GrowthEvery         *int
+	SynAckBurst         *int
+	RefillEvery         *int64
+}
+
+// apply writes every set field into c.
+func (o ShimParams) apply(c *core.Config) {
+	if o.ProbeCount != nil {
+		c.ProbeCount = *o.ProbeCount
+	}
+	if o.UniformProbeSpacing != nil {
+		c.UniformProbeSpacing = *o.UniformProbeSpacing
+	}
+	if o.StartMarkedCredit != nil {
+		c.StartMarkedCredit = *o.StartMarkedCredit
+	}
+	if o.MergeBatch1 != nil {
+		c.MergeBatch1 = *o.MergeBatch1
+	}
+	if o.GrowthEvery != nil {
+		c.GrowthEvery = *o.GrowthEvery
+	}
+	if o.SynAckBurst != nil {
+		c.SynAckBurst = *o.SynAckBurst
+	}
+	if o.RefillEvery != nil {
+		c.RefillEvery = *o.RefillEvery
 	}
 }

@@ -54,8 +54,9 @@ func AllSchemes() []Scheme { return []Scheme{DropTail, RED, HWatch, DCTCP} }
 
 // Env carries the fabric-level quantities a scheme definition may need:
 // buffer and marking-threshold sizes, the bottleneck's mean packet
-// service time, the topology's base RTT, guest overrides, and the run's
-// RNG and clock for randomized AQMs.
+// service time, the topology's base RTT, guest overrides, the run's RNG
+// and clock for randomized AQMs, and what shimConfig layers over the
+// shim defaults.
 type Env struct {
 	BufferPkts  int
 	MarkPkts    int
@@ -68,10 +69,13 @@ type Env struct {
 	Rng   *sim.RNG     // randomized AQMs fork from here at queue build time
 	Clock func() int64 // simulation clock (usable before the engine exists)
 
-	// ShimTweak, when non-nil, adjusts a shim-deploying scheme's HWatch
-	// configuration after the defaults are applied (ablation studies,
-	// testbed pacing).
-	ShimTweak func(*core.Config)
+	// Hardened arms the shims' degradation fallbacks: the spec stages a
+	// fault timeline.
+	Hardened bool
+	// FabricShim is the topology's own shim setting (the testbed's
+	// SYN-ACK pacing); Shim, the spec's explicit one, is applied after it.
+	FabricShim ShimParams
+	Shim       ShimParams
 }
 
 // BufferBytes is the byte-accounted buffer capacity.

@@ -52,9 +52,12 @@ type Spec struct {
 	// deployments still see the scheme's default guest, as a hypervisor
 	// module would: it cannot know what stack the tenant boots.
 	Guest *tcp.Config
+	// Shim overrides the HWatch shim settings of every deployment the run
+	// installs, scheme and overlay alike (the ablation studies).
+	Shim ShimParams
 	// ShimOverlay additionally installs HWatch shims on every host over
-	// whatever schemes run (the MIX+HWatch extension). Configured from
-	// the dumbbell's BaseRTT and ShimTweak.
+	// whatever schemes run (the MIX+HWatch extension). They are
+	// configured as a scheme's shims are, against the stock guest stack.
 	ShimOverlay bool
 
 	Dumbbell DumbbellParams
@@ -166,6 +169,8 @@ func RunTestbed(ctx context.Context, hwatch bool, p TestbedParams) (*Run, error)
 
 // materialize binds every scheme in the spec to env and expands the
 // share-weighted host pattern (host i runs pattern[i % len(pattern)]).
+// An explicit Spec.Guest replaces each scheme's guest stack only after
+// its shims were configured from the scheme's own.
 func (s *Spec) materialize(env Env) ([]Materialized, []int, error) {
 	if len(s.Schemes) == 0 {
 		return nil, nil, fmt.Errorf("scenario spec names no schemes")
@@ -176,6 +181,9 @@ func (s *Spec) materialize(env Env) ([]Materialized, []int, error) {
 		m, err := Materialize(sh.Scheme, env)
 		if err != nil {
 			return nil, nil, err
+		}
+		if s.Guest != nil {
+			m.TCPConfig = *s.Guest
 		}
 		mats = append(mats, m)
 		n := sh.Share
@@ -197,24 +205,6 @@ func (s *Spec) displayLabel(mats []Materialized) string {
 		return "MIX"
 	}
 	return mats[0].Label
-}
-
-// overlayDeployment is the MIX+HWatch extension's hypervisor overlay: one
-// shim per host, configured from the fabric's base RTT independently of
-// any tenant's stack.
-func overlayDeployment(env Env) Deployment {
-	cfg := core.DefaultConfig(env.BaseRTT)
-	cfg.MSS = netem.DefaultMSS
-	if env.ShimTweak != nil {
-		env.ShimTweak(&cfg)
-	}
-	return func(hosts []*netem.Host) []*core.Shim {
-		out := make([]*core.Shim, 0, len(hosts))
-		for _, h := range hosts {
-			out = append(out, core.Attach(h, cfg))
-		}
-		return out
-	}
 }
 
 func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
@@ -241,7 +231,8 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 		ByteBuffers: p.ByteBuffers,
 		Rng:         rng,
 		Clock:       clock,
-		ShimTweak:   s.hardenShims(p.ShimTweak),
+		Hardened:    len(s.Faults) > 0,
+		Shim:        s.Shim,
 	}
 	mats, pattern, err := s.materialize(env)
 	if err != nil {
@@ -253,11 +244,6 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 	}
 	if err := singleShardOnly(shards, names...); err != nil {
 		return nil, err
-	}
-	if s.Guest != nil {
-		for i := range mats {
-			mats[i].TCPConfig = *s.Guest
-		}
 	}
 
 	// Edge ports stay deep, as in ns-2; only the bottleneck is the scheme's.
@@ -286,7 +272,7 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 		shims = mats[0].Attach(hosts)
 	}
 	if s.ShimOverlay {
-		shims = append(shims, overlayDeployment(env)(hosts)...)
+		shims = append(shims, perHostShims(env, tcp.DefaultConfig())(hosts)...)
 	}
 
 	run := &Run{Label: s.displayLabel(mats)}
@@ -330,25 +316,6 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 	return s.execute(ctx, rc, run)
 }
 
-// hardenShims arms the shim degradation fallbacks whenever a fault
-// timeline is staged: a chaos-tested deployment must not clamp on a
-// signal path that faults can sever. The spec's own tweak runs last, so
-// explicit settings win.
-func (s *Spec) hardenShims(base func(*core.Config)) func(*core.Config) {
-	if len(s.Faults) == 0 {
-		return base
-	}
-	return func(c *core.Config) {
-		c.ProbeLossFallback = true
-		if c.EcnDarkEpochs == 0 {
-			c.EcnDarkEpochs = 8
-		}
-		if base != nil {
-			base(c)
-		}
-	}
-}
-
 func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 	if len(s.Schemes) != 1 {
 		return nil, fmt.Errorf("testbed scenarios take exactly one scheme, got %d", len(s.Schemes))
@@ -367,7 +334,6 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 	rng := sim.NewRNG(p.Seed)
 	bufBytes := p.BufferPkts * netem.DefaultMTU
 	markPkts := int(float64(p.BufferPkts) * p.MarkFrac)
-	kBytes := markPkts * netem.DefaultMTU
 	baseRTT := (&topo.LeafSpine{}).BaseRTT(topo.LeafSpineConfig{EdgeDelay: p.LinkDelay, CoreDelay: p.LinkDelay})
 
 	// The paper's testbed ran its shimmed configuration with an aggressive
@@ -393,25 +359,15 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 		ByteBuffers: true, // the testbed's switches account in bytes
 		Rng:         rng,
 		Clock:       clock,
-		// Pace connection admission at the drain rate of the marking
-		// threshold: one SYN-ACK per K-bytes drain time, small burst. With
-		// ~200 concurrent requests per client this is what spreads the
-		// incast over time instead of over the (tiny) buffer.
-		ShimTweak: s.hardenShims(func(c *core.Config) {
-			c.SynAckBurst = 2
-			c.RefillEvery = int64(kBytes) * 8 * sim.Second / p.RateBps
-			if p.ShimTweak != nil {
-				p.ShimTweak(c)
-			}
-		}),
+		Hardened:    len(s.Faults) > 0,
+		FabricShim:  testbedPacing(p),
+		Shim:        s.Shim,
 	}
-	mat, err := Materialize(scheme, env)
+	mats, _, err := s.materialize(env)
 	if err != nil {
 		return nil, err
 	}
-	if s.Guest != nil {
-		mat.TCPConfig = *s.Guest
-	}
+	mat := mats[0]
 
 	ls := topo.NewLeafSpine(topo.LeafSpineConfig{
 		Racks:        p.Racks,
@@ -434,7 +390,7 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 		shims = mat.Attach(ls.AllHosts())
 	}
 	if s.ShimOverlay {
-		shims = append(shims, overlayDeployment(env)(ls.AllHosts())...)
+		shims = append(shims, perHostShims(env, tcp.DefaultConfig())(ls.AllHosts())...)
 	}
 
 	run := &Run{Label: s.Label}
@@ -467,6 +423,17 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 		},
 	}
 	return s.execute(ctx, rc, run)
+}
+
+// testbedPacing paces connection admission at the drain rate of the
+// testbed's marking threshold: one SYN-ACK per K-bytes drain time, small
+// burst. With ~200 concurrent requests per client this is what spreads
+// the incast over time instead of over the (tiny) buffer.
+func testbedPacing(p TestbedParams) ShimParams {
+	burst := 2
+	kBytes := int(float64(p.BufferPkts)*p.MarkFrac) * netem.DefaultMTU
+	refill := int64(kBytes) * 8 * sim.Second / p.RateBps
+	return ShimParams{SynAckBurst: &burst, RefillEvery: &refill}
 }
 
 // execute wires the workload, starts the observers, runs the engine and

@@ -127,16 +127,22 @@ func markThresholdQueue(e Env) func() netem.Queue {
 	}
 }
 
-// shimConfig builds the HWatch configuration a deployment installs: the
-// paper's defaults for the fabric's base RTT, the guest's MSS and
-// initial window, then the scenario's tweak hook.
+// shimConfig builds the HWatch configuration a deployment installs, the
+// one place a shim is configured: the paper's defaults for the fabric's
+// base RTT, the guest's MSS and initial window, the fault hardening, the
+// topology's own setting, and last the spec's, so explicit settings win.
 func shimConfig(e Env, guest tcp.Config) core.Config {
 	cfg := core.DefaultConfig(e.BaseRTT)
 	cfg.MSS = guest.MSS
 	cfg.DefaultICW = guest.InitCwnd
-	if e.ShimTweak != nil {
-		e.ShimTweak(&cfg)
+	if e.Hardened {
+		// A chaos-tested deployment must not clamp on a signal path that
+		// faults can sever.
+		cfg.ProbeLossFallback = true
+		cfg.EcnDarkEpochs = 8
 	}
+	e.FabricShim.apply(&cfg)
+	e.Shim.apply(&cfg)
 	return cfg
 }
 

@@ -123,6 +123,9 @@ func ParseSpec(raw []byte) (*FileSpec, error) {
 	if s.BottleneckGbps < 0 || s.BufferPkts < 0 || s.MarkPercent < 0 || s.MarkPercent > 100 {
 		return nil, fmt.Errorf("spec has out-of-range fabric parameters")
 	}
+	if s.Kind == "testbed" && s.Racks != 0 && s.Racks < 2 {
+		return nil, fmt.Errorf("spec racks %d: the testbed needs at least 2 (server racks plus the client rack)", s.Racks)
+	}
 	if s.DrainAfterMs < 0 {
 		return nil, fmt.Errorf("spec drain_after_ms %d: must be >= 0", s.DrainAfterMs)
 	}

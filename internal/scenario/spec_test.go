@@ -60,6 +60,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"bad mix scheme": `{"kind":"dumbbell","mix":[{"scheme":"dctcp"},{"scheme":"bbr"}]}`,
 		"mix on testbed": `{"kind":"testbed","mix":[{"scheme":"dctcp"}]}`,
 		"bad mark":       `{"kind":"dumbbell","scheme":"dctcp","mark_percent":150}`,
+		"one rack":       `{"kind":"testbed","racks":1}`,
+		"negative racks": `{"kind":"testbed","racks":-2}`,
 	} {
 		if _, err := ParseSpec([]byte(raw)); err == nil {
 			t.Errorf("%s: no error", name)

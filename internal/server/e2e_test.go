@@ -371,6 +371,11 @@ func TestE2EErrorPaths(t *testing.T) {
 	if resp := post(`{"kind":"study","name":"empirical","schemes":["warp-drive"]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad study scheme: status %d, want 400", resp.StatusCode)
 	}
+	// One rack leaves the web workload no server rack; it used to be
+	// admitted and end as a panicked job.
+	if resp := post(`{"kind":"testbed","racks":1}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("one-rack testbed: status %d, want 400", resp.StatusCode)
+	}
 	// A body over the limit is refused as such; it used to be cut at the
 	// limit and reported as malformed JSON.
 	oversized := `{"kind":"dumbbell","scheme":"` + strings.Repeat("x", 1<<20+50_000) + `"}`

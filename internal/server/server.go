@@ -285,15 +285,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // digest, or a freshly registered job. The single-flight guarantee lives
 // here: under s.mu a digest maps to at most one live job, and a finished
 // job enters the cache before it leaves the map, so concurrent identical
-// submissions can never execute twice.
+// submissions can never execute twice. The cache is asked first, so a
+// resubmission that lands between those two steps is still a hit.
 func (s *Server) admit(p *parsedJob, digest string) (j *job, created bool, cached *cacheEntry, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing, ok := s.jobs[digest]; ok {
-		return existing, false, nil, nil
-	}
 	if e, ok := s.cache.get(s.cacheKey(digest)); ok {
 		return nil, false, e, nil
+	}
+	if existing, ok := s.jobs[digest]; ok {
+		return existing, false, nil, nil
 	}
 	if s.unfinished >= s.cfg.Parallel+s.cfg.QueueDepth {
 		s.rejected.Add(1)
