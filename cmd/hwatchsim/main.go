@@ -24,7 +24,6 @@ import (
 	"syscall"
 
 	"hwatch"
-	"hwatch/internal/sim"
 )
 
 func main() {
@@ -50,7 +49,6 @@ func main() {
 		listSchemes = flag.Bool("list-schemes", false, "list every registered scheme and exit")
 		listRungs   = flag.Bool("list-rungs", false, "list every registered ladder rung and exit")
 		listFaults  = flag.Bool("list-faults", false, "list every fault kind for -faults files and exit")
-		noWheel     = flag.Bool("nowheel", false, "schedule on the plain binary heap instead of the timer wheel, and turn off event-slot recycling and the packet free lists")
 	)
 	flag.Parse()
 	// Ctrl-C cancels the run in flight instead of killing the process.
@@ -59,9 +57,6 @@ func main() {
 	hwatch.SetParallel(*parallel)
 	hwatch.SetShards(*shards)
 	hwatch.SetInvariantChecks(*check)
-	if *noWheel {
-		sim.SetDefaultOptions(sim.Options{NoWheel: true, NoSlab: true})
-	}
 
 	if *listSchemes {
 		for _, def := range hwatch.Schemes() {

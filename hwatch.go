@@ -56,7 +56,9 @@ func SetShards(n int) { scenario.SetDefaultShards(n) }
 // SetInvariantChecks enables the physical-invariant checker (packet
 // conservation at the bottleneck, TCP sequence monotonicity, cwnd/rwnd
 // floors) on every subsequent run; findings land in
-// Run.InvariantViolations.
+// Run.InvariantViolations. It is the process-wide default that
+// Scenario.Check adds to: a run is checked when either is on. Checking
+// never moves a digest.
 func SetInvariantChecks(on bool) { scenario.SetInvariantChecks(on) }
 
 // SeedFor derives a deterministic per-run seed from a spec identity string

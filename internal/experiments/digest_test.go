@@ -222,8 +222,9 @@ func TestRunWithInvariantChecks(t *testing.T) {
 	for _, sc := range scenario.AllSchemes() {
 		p := scaled(scenario.PaperDumbbell(25, 25), 0.1)
 		p.ByteBuffers = true
-		p.Check = true
-		r := mustRun(t, dumbbellSpec(sc, p))
+		s := dumbbellSpec(sc, p)
+		s.Check = true
+		r := mustRun(t, s)
 		for _, v := range r.InvariantViolations {
 			t.Errorf("%v: %s", sc, v)
 		}
@@ -239,17 +240,18 @@ func TestRunWithInvariantChecks(t *testing.T) {
 	tp.Parallel = 2
 	tp.Epochs = 1
 	tp.Duration = tp.FirstEpoch + tp.EpochInterval
-	tp.Check = true
-	for _, hwatch := range []bool{false, true} {
-		r, err := scenario.RunTestbed(context.Background(), hwatch, tp)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, sc := range []scenario.Scheme{scenario.DropTail, scenario.HWatch} {
+		r := mustRun(t, &scenario.Spec{
+			Kind:    scenario.KindTestbed,
+			Schemes: []scenario.Share{{Scheme: sc}},
+			Testbed: tp,
+			Check:   true,
+		})
 		for _, v := range r.InvariantViolations {
-			t.Errorf("testbed hwatch=%v: %s", hwatch, v)
+			t.Errorf("testbed %v: %s", sc, v)
 		}
 		if r.Events == 0 {
-			t.Errorf("testbed hwatch=%v: zero events", hwatch)
+			t.Errorf("testbed %v: zero events", sc)
 		}
 	}
 }

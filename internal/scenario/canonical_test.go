@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -103,6 +104,35 @@ func TestCanonicalDigestRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestCanonicalParamsListEveryField: the canonical form carries one key
+// per params field. A field without a key would let two different runs
+// share a content address.
+func TestCanonicalParamsListEveryField(t *testing.T) {
+	for _, c := range []struct {
+		raw    string
+		params any
+	}{
+		{`{"kind":"dumbbell","scheme":"hwatch"}`, DumbbellParams{}},
+		{`{"kind":"testbed","scheme":"hwatch"}`, TestbedParams{}},
+	} {
+		s, err := ParseSpec([]byte(c.raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var form struct{ Params map[string]any }
+		if err := json.Unmarshal(b, &form); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(form.Params), reflect.TypeOf(c.params).NumField(); got != want {
+			t.Errorf("%T: canonical params hold %d keys, the struct %d fields", c.params, got, want)
+		}
+	}
+}
+
 // seenDigests records, across the whole fuzz run, the materialized
 // signature first seen for each digest; a second signature under the same
 // digest is a collision between specs that run different simulations.
@@ -115,13 +145,9 @@ func materializedSig(s *FileSpec) string {
 	var params any
 	switch s.Kind {
 	case "dumbbell":
-		p := s.dumbbellParams()
-		p.Check = false
-		params = p
+		params = s.dumbbellParams()
 	case "testbed":
-		p := s.testbedParams()
-		p.Check = false
-		params = p
+		params = s.testbedParams()
 	}
 	sched, _ := RenderFaults(s.Faults)
 	return fmt.Sprintf("%s|%v|%v|%s|%+v|%+v", s.Kind, s.WithShims, s.Mix, s.Scheme, params, sched)

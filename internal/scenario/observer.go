@@ -23,7 +23,8 @@ var invariantsOn atomic.Bool
 
 // SetInvariantChecks enables the physical-invariant checker (packet
 // conservation, sequence monotonicity, window floors) on every subsequent
-// run, regardless of the per-run Check flag.
+// run (the CLIs' -check flag). It is the process-wide default Spec.Check
+// adds to: a run is checked when either is set.
 func SetInvariantChecks(on bool) { invariantsOn.Store(on) }
 
 // InvariantChecksOn reports the package-wide checker default.
@@ -91,7 +92,11 @@ type RunContext struct {
 
 	SampleEvery int64
 	Duration    int64
-	Check       bool
+	// Horizon is the instant the run stops: Duration, plus the dumbbell's
+	// drain.
+	Horizon int64
+	// Check arms the invariant checker (Spec.Check).
+	Check bool
 
 	// Shims holds the scheme's deployed hypervisor shims (empty for
 	// shimless schemes); the shim-stats observer aggregates them.
@@ -104,15 +109,6 @@ type RunContext struct {
 	Injector *faults.Injector
 
 	senderFns []func() []*tcp.Sender
-}
-
-// horizon is the instant the run stops: Duration, plus the dumbbell's
-// drain.
-func (rc *RunContext) horizon() int64 {
-	if rc.Dumbbell != nil {
-		return rc.Duration + rc.DumbbellP.DrainAfter
-	}
-	return rc.Duration
 }
 
 // WatchSenders registers a dynamic TCP-sender source (workloads create
@@ -163,7 +159,7 @@ func (o *telemetryObserver) Start(rc *RunContext, run *Run) {
 	}
 	// One sample per period from 0 to the horizon: size the arrays once
 	// instead of growing them by doubling.
-	n := int(rc.horizon()/rc.SampleEvery) + 2
+	n := int(rc.Horizon/rc.SampleEvery) + 2
 	o.t = make([]int64, 0, n)
 	o.pkts = make([]float64, 0, n)
 	o.bytes = make([]float64, 0, n)
@@ -314,10 +310,9 @@ func (RecoveryObserver) Finish(rc *RunContext, run *Run) {
 		run.InvariantViolations = append(run.InvariantViolations,
 			"recovery: "+fmt.Sprintf(format, args...))
 	}
-	horizon := rc.horizon()
-	if rc.Injector != nil && rc.Injector.LastClear() >= horizon {
+	if rc.Injector != nil && rc.Injector.LastClear() >= rc.Horizon {
 		viol("fault schedule clears at %d ns, at or after the run horizon %d ns — nothing left to recover in",
-			rc.Injector.LastClear(), horizon)
+			rc.Injector.LastClear(), rc.Horizon)
 	}
 	done := map[netem.FlowKey]bool{}
 	background := false // long-lived (infinite) sources run past the horizon

@@ -36,11 +36,6 @@ type DumbbellParams struct {
 
 	SampleEvery int64 // queue/utilization sampling period (0 = no telemetry)
 	Seed        int64
-
-	// Check enables the physical-invariant checker for this run (packet
-	// conservation at the bottleneck, sequence monotonicity, window
-	// floors); violations land in Run.InvariantViolations.
-	Check bool
 }
 
 // PaperDumbbell returns the paper's Fig. 8 parameters: 10 Gb/s links,
@@ -94,10 +89,6 @@ type TestbedParams struct {
 	HWatchMinRTO int64
 	SampleEvery  int64
 	Seed         int64
-
-	// Check enables the physical-invariant checker for this run; findings
-	// land in Run.InvariantViolations.
-	Check bool
 }
 
 // PaperTestbed returns the paper's counts at a time-compressed scale: the

@@ -66,8 +66,8 @@ type Run struct {
 	Events uint64
 
 	// InvariantViolations holds the checker's findings when checking was
-	// enabled (DumbbellParams.Check / TestbedParams.Check or
-	// SetInvariantChecks); empty on a sound run.
+	// enabled (Spec.Check or SetInvariantChecks), plus the recovery
+	// observer's when the spec staged faults; empty on a sound run.
 	InvariantViolations []string
 }
 

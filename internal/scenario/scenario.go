@@ -3,11 +3,9 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"hwatch/internal/aqm"
-	"hwatch/internal/core"
 	"hwatch/internal/faults"
 	"hwatch/internal/netem"
 	"hwatch/internal/sim"
@@ -44,8 +42,7 @@ type Spec struct {
 	// testbed; one or more for the dumbbell.
 	Schemes []Share
 	// Label overrides the run's display label ("" = the scheme's label,
-	// or "MIX" when several schemes share the fabric; the testbed uses
-	// Label verbatim).
+	// or "MIX" when several schemes share the fabric).
 	Label string
 	// Guest, when non-nil, replaces every scheme's guest stack with an
 	// explicit configuration (the R3 agnosticism studies). Shim
@@ -63,13 +60,6 @@ type Spec struct {
 	Dumbbell DumbbellParams
 	Testbed  TestbedParams
 
-	// Shards partitions the fabric across that many engine shards running
-	// under the conservative-lookahead group (0 = the package default set
-	// by SetDefaultShards, itself defaulting to the single-loop engine).
-	// Sharding is an execution detail: the digest is byte-identical at any
-	// shard count.
-	Shards int
-
 	// Faults is a deterministic fault timeline armed on the assembled
 	// fabric before traffic starts (empty = fault-free run). A non-empty
 	// schedule also switches the deployed shims' degradation fallbacks on
@@ -78,6 +68,21 @@ type Spec struct {
 	// clears. Part of the determinism contract: same seed + spec +
 	// schedule ⇒ identical digest.
 	Faults faults.Schedule
+
+	// Shards, Check and Progress are execution settings, not scenario:
+	// none of them moves a digest or a canonical form.
+	//
+	// Shards partitions the fabric across that many engine shards running
+	// under the conservative-lookahead group (0 = the package default set
+	// by SetDefaultShards, itself defaulting to the single-loop engine).
+	// Sharding is an execution detail: the digest is byte-identical at any
+	// shard count.
+	Shards int
+	// Check arms the physical-invariant checker for this run (packet
+	// conservation at the bottleneck, sequence monotonicity, window
+	// floors); findings land in Run.InvariantViolations. SetInvariantChecks
+	// turns it on for every run.
+	Check bool
 
 	// Progress, when non-nil, is invoked periodically during the run (every
 	// few thousand fired events) with the simulated clock and the events
@@ -111,35 +116,184 @@ func (s *Spec) shards() int {
 
 // singleShardOnly rejects scheme deployments that cannot span shards (a
 // shared OvS-style shim serves hosts of every shard from one engine).
-func singleShardOnly(shards int, names ...string) error {
+func singleShardOnly(shards int, mats []Materialized) error {
 	if shards <= 1 {
 		return nil
 	}
-	for _, name := range names {
-		if def, ok := Lookup(name); ok && def.SingleShard {
-			return fmt.Errorf("scheme %q deploys shared per-fabric state and only runs single-loop; drop -shards or pick a per-host scheme", name)
+	for _, m := range mats {
+		if def, ok := Lookup(m.Name); ok && def.SingleShard {
+			return fmt.Errorf("scheme %q deploys shared per-fabric state and only runs single-loop; drop -shards or pick a per-host scheme", m.Name)
 		}
 	}
 	return nil
 }
 
-// RunContext executes the spec and returns the measured outcome.
-// Cancelling ctx interrupts the event loop within a few thousand events
-// and returns ctx.Err() with a nil Run; the check rides the engine's
-// out-of-band poll hook, never the event queue, so a cancellable context
-// cannot move a digest. (The name is pinned by bench/; it is the only run
+// RunContext executes the spec and returns the measured outcome. It is the
+// one run path every scenario shares: a single switch on the kind binds
+// the fabric quantities the schemes see and picks the builder that
+// assembles the topology; everything else is kind-blind. Cancelling ctx
+// interrupts the event loop within a few thousand events and returns
+// ctx.Err() with a nil Run; cancellation and Progress reporting both ride
+// the engines' out-of-band poll hook, never the event queue, so neither
+// can move a digest. (The name is pinned by bench/; it is the only run
 // method a Spec has.)
 func (s *Spec) RunContext(ctx context.Context) (*Run, error) {
 	if ctx == nil {
 		ctx = context.Background() //hwatchvet:allow ctxflow nil-ctx compat default: a nil context means the documented never-cancelled run
 	}
+	rc := &RunContext{Check: s.Check}
+	w := s.Workload
+	var (
+		env   Env
+		seed  int64
+		build func(rc *RunContext, q func() netem.Queue, shards int) (hosts, senders []*netem.Host)
+	)
 	switch s.Kind {
 	case KindDumbbell:
-		return s.runDumbbell(ctx)
+		p := s.Dumbbell
+		rc.DumbbellP, seed, build = p, p.Seed, buildDumbbell
+		env = Env{
+			BufferPkts:  p.BufferPkts,
+			MarkPkts:    int(float64(p.BufferPkts) * p.MarkFrac),
+			MeanPktTime: int64(netem.DefaultMTU) * 8 * sim.Second / p.BottleneckBps,
+			BaseRTT:     4 * p.LinkDelay,
+			ICW:         p.ICW,
+			MinRTO:      p.MinRTO,
+			ByteBuffers: p.ByteBuffers,
+		}
+		if w == nil {
+			w = &dumbbellTraffic{}
+		}
 	case KindTestbed:
-		return s.runTestbed(ctx)
+		if len(s.Schemes) != 1 {
+			return nil, fmt.Errorf("testbed scenarios take exactly one scheme, got %d", len(s.Schemes))
+		}
+		p := s.Testbed
+		rc.TestbedP, seed, build = p, p.Seed, buildTestbed
+		env = Env{
+			BufferPkts:  p.BufferPkts,
+			MarkPkts:    int(float64(p.BufferPkts) * p.MarkFrac),
+			MeanPktTime: int64(netem.DefaultMTU) * 8 * sim.Second / p.RateBps,
+			BaseRTT:     (&topo.LeafSpine{}).BaseRTT(topo.LeafSpineConfig{EdgeDelay: p.LinkDelay, CoreDelay: p.LinkDelay}),
+			MinRTO:      p.MinRTO,
+			ByteBuffers: true, // the testbed's switches account in bytes
+			FabricShim:  testbedPacing(p),
+		}
+		// The paper's testbed ran its shimmed configuration with an
+		// aggressive guest RTO; shimless schemes keep the plain-TCP setting.
+		if def, ok := Lookup(string(s.Schemes[0].Scheme)); ok && def.Shims != nil && p.HWatchMinRTO > 0 {
+			env.MinRTO = p.HWatchMinRTO
+		}
+		if w == nil {
+			w = &testbedTraffic{}
+		}
+	default:
+		return nil, fmt.Errorf("unrunnable scenario kind %q", string(s.Kind))
 	}
-	return nil, fmt.Errorf("unrunnable scenario kind %q", string(s.Kind))
+
+	shards := s.shards()
+	rc.Rng = sim.NewRNG(seed)
+	env.Rng = rc.Rng
+	env.Clock = func() int64 { // the queues may read it before the fabric exists
+		if rc.Eng == nil {
+			return 0
+		}
+		return rc.Eng.Now()
+	}
+	env.Hardened = len(s.Faults) > 0
+	env.Shim = s.Shim
+	mats, pattern, err := s.materialize(env)
+	if err != nil {
+		return nil, err
+	}
+	if err := singleShardOnly(shards, mats); err != nil {
+		return nil, err
+	}
+
+	hosts, senders := build(rc, mats[0].BottleneckQ, shards)
+	// A single scheme's shim deployment covers every hypervisor. In a mix,
+	// per-scheme deployments are skipped — the hypervisor shim is
+	// infrastructure, not per-tenant; use ShimOverlay to watch a mix.
+	if len(mats) == 1 && mats[0].Attach != nil {
+		rc.Shims = mats[0].Attach(hosts)
+	}
+	if s.ShimOverlay {
+		rc.Shims = append(rc.Shims, perHostShims(env, tcp.DefaultConfig())(hosts)...)
+	}
+	rc.Fabric.Shims, rc.Fabric.Hosts = rc.Shims, hosts
+	// One scheme configures every host; a mix cycles its share pattern
+	// over the senders.
+	rc.ConfigFor = func(*netem.Host) tcp.Config { return mats[0].TCPConfig }
+	if len(mats) > 1 {
+		idx := make(map[netem.NodeID]int, len(senders))
+		for i, h := range senders {
+			idx[h.ID] = i
+		}
+		rc.ConfigFor = func(h *netem.Host) tcp.Config {
+			return mats[pattern[idx[h.ID]%len(pattern)]].TCPConfig
+		}
+	}
+	run := &Run{Label: s.displayLabel(mats)}
+
+	obs := []Observer{&telemetryObserver{}, &invariantObserver{}, shimStatsObserver{}}
+	if len(s.Faults) > 0 {
+		// Arm the fault timeline before the workload wires (a fixed point
+		// in the RNG fork order, so schedules stay deterministic), and hold
+		// the run to the recovery invariants afterwards.
+		inj, err := faults.Arm(rc.Eng, rc.Rng, s.Faults, rc.Fabric)
+		if err != nil {
+			return nil, fmt.Errorf("arming fault schedule: %w", err)
+		}
+		rc.Injector = inj
+		obs = append(obs, RecoveryObserver{}, chaosStatsObserver{})
+	}
+	obs = append(obs, s.Observers...)
+
+	w.Wire(rc, run)
+	for _, o := range obs {
+		o.Start(rc, run)
+	}
+
+	cancellable := ctx.Done() != nil
+	if cancellable || s.Progress != nil {
+		progress := s.Progress
+		poll := func(now int64, processed uint64) bool {
+			if progress != nil {
+				progress(now, processed)
+			}
+			return cancellable && ctx.Err() != nil
+		}
+		if rc.Group != nil {
+			rc.Group.SetPoll(poll)
+		} else {
+			rc.Eng.SetPoll(poll)
+		}
+	}
+
+	start := time.Now() //hwatchvet:allow detrand WallNs is an operator-facing speed metric, excluded from digests
+	if rc.Group != nil {
+		rc.Group.RunUntil(rc.Horizon)
+		run.Events = rc.Group.Processed()
+	} else {
+		rc.Eng.RunUntil(rc.Horizon)
+		run.Events = rc.Eng.Processed
+	}
+	run.WallNs = time.Since(start).Nanoseconds() //hwatchvet:allow detrand WallNs is an operator-facing speed metric, excluded from digests
+
+	if cancellable {
+		if err := ctx.Err(); err != nil {
+			// The run was interrupted mid-flight: its partial measurements
+			// are meaningless and the workload/observer Finish paths assume
+			// a drained fabric, so drop the run entirely.
+			return nil, err
+		}
+	}
+
+	w.Finish(rc, run)
+	for _, o := range obs {
+		o.Finish(rc, run)
+	}
+	return run, nil
 }
 
 // RunDumbbell executes one scheme on the dumbbell under the given
@@ -207,79 +361,27 @@ func (s *Spec) displayLabel(mats []Materialized) string {
 	return mats[0].Label
 }
 
-func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
-	p := s.Dumbbell
-	shards := s.shards()
-	rng := sim.NewRNG(p.Seed)
-	meanPkt := int64(netem.DefaultMTU) * 8 * sim.Second / p.BottleneckBps
-	baseRTT := 4 * p.LinkDelay
-
-	var eng *sim.Engine
-	clock := func() int64 {
-		if eng == nil {
-			return 0
-		}
-		return eng.Now()
-	}
-	env := Env{
-		BufferPkts:  p.BufferPkts,
-		MarkPkts:    int(float64(p.BufferPkts) * p.MarkFrac),
-		MeanPktTime: meanPkt,
-		BaseRTT:     baseRTT,
-		ICW:         p.ICW,
-		MinRTO:      p.MinRTO,
-		ByteBuffers: p.ByteBuffers,
-		Rng:         rng,
-		Clock:       clock,
-		Hardened:    len(s.Faults) > 0,
-		Shim:        s.Shim,
-	}
-	mats, pattern, err := s.materialize(env)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(mats))
-	for i := range mats {
-		names[i] = mats[i].Name
-	}
-	if err := singleShardOnly(shards, names...); err != nil {
-		return nil, err
-	}
-
-	// Edge ports stay deep, as in ns-2; only the bottleneck is the scheme's.
+// buildDumbbell assembles the ns-2 dumbbell around the scheme's
+// bottleneck queue; edge ports stay deep, as in ns-2. The hosts come
+// senders first, then the receiver, and the share pattern cycles over the
+// senders.
+func buildDumbbell(rc *RunContext, q func() netem.Queue, shards int) (hosts, senders []*netem.Host) {
+	p := rc.DumbbellP
 	d := topo.NewDumbbell(topo.DumbbellConfig{
 		Senders:       p.LongSources + p.ShortSources,
 		EdgeRateBps:   p.EdgeBps,
 		BottleneckBps: p.BottleneckBps,
 		LinkDelay:     p.LinkDelay,
-		BottleneckQ:   mats[0].BottleneckQ,
+		BottleneckQ:   q,
 		EdgeQ:         func() netem.Queue { return aqm.NewDropTail(100000) },
 		Shards:        shards,
 	})
 	// The hub engine owns the bottleneck port: telemetry samples and fault
 	// arming stay shard-local there (shard 0 == the hub single-loop).
-	eng = d.BottleneckPort.Eng
-
-	hosts := make([]*netem.Host, 0, len(d.Senders)+1)
-	hosts = append(hosts, d.Senders...)
-	hosts = append(hosts, d.Receiver)
-
-	var shims []*core.Shim
-	// A single scheme's shim deployment covers every hypervisor. In a mix,
-	// per-scheme deployments are skipped — the hypervisor shim is
-	// infrastructure, not per-tenant; use ShimOverlay to watch a mix.
-	if len(mats) == 1 && mats[0].Attach != nil {
-		shims = mats[0].Attach(hosts)
-	}
-	if s.ShimOverlay {
-		shims = append(shims, perHostShims(env, tcp.DefaultConfig())(hosts)...)
-	}
-
-	run := &Run{Label: s.displayLabel(mats)}
-	idx := map[netem.NodeID]int{}
-	for i, h := range d.Senders {
-		idx[h.ID] = i
-	}
+	rc.Dumbbell, rc.Eng, rc.Group = d, d.BottleneckPort.Eng, d.Net.Group()
+	rc.Bottleneck, rc.BottleneckPort = d.Bottleneck, d.BottleneckPort
+	rc.PortLabel, rc.LineRateBps = "bottleneck", p.BottleneckBps
+	rc.SampleEvery, rc.Duration, rc.Horizon = p.SampleEvery, p.Duration, p.Duration+p.DrainAfter
 	links := map[string]*netem.Port{
 		"bottleneck":  d.BottleneckPort,
 		"receiver.up": d.Receiver.Uplink(),
@@ -287,88 +389,23 @@ func (s *Spec) runDumbbell(ctx context.Context) (*Run, error) {
 	for i, h := range d.Senders {
 		links[fmt.Sprintf("sender%d.up", i)] = h.Uplink()
 	}
-	rc := &RunContext{
-		Eng:       eng,
-		Group:     d.Net.Group(),
-		Rng:       rng,
-		Dumbbell:  d,
-		DumbbellP: p,
-		ConfigFor: func(h *netem.Host) tcp.Config {
-			return mats[pattern[idx[h.ID]%len(pattern)]].TCPConfig
-		},
-		Bottleneck:     d.Bottleneck,
-		BottleneckPort: d.BottleneckPort,
-		PortLabel:      "bottleneck",
-		LineRateBps:    p.BottleneckBps,
-		SampleEvery:    p.SampleEvery,
-		Duration:       p.Duration,
-		Check:          p.Check,
-		Shims:          shims,
-		Fabric: faults.Fabric{
-			Links:         links,
-			DefaultLink:   "bottleneck",
-			Switches:      map[string]*netem.Switch{"tor": d.Switch},
-			DefaultSwitch: "tor",
-			Shims:         shims,
-			Hosts:         hosts,
-		},
+	rc.Fabric = faults.Fabric{
+		Links:         links,
+		DefaultLink:   "bottleneck",
+		Switches:      map[string]*netem.Switch{"tor": d.Switch},
+		DefaultSwitch: "tor",
 	}
-	return s.execute(ctx, rc, run)
+	hosts = make([]*netem.Host, 0, len(d.Senders)+1)
+	return append(append(hosts, d.Senders...), d.Receiver), d.Senders
 }
 
-func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
-	if len(s.Schemes) != 1 {
-		return nil, fmt.Errorf("testbed scenarios take exactly one scheme, got %d", len(s.Schemes))
-	}
-	scheme := s.Schemes[0].Scheme
-	def, ok := Lookup(string(scheme))
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q: registered schemes are %s",
-			string(scheme), strings.Join(Names(), ", "))
-	}
-	p := s.Testbed
-	shards := s.shards()
-	if err := singleShardOnly(shards, def.Name); err != nil {
-		return nil, err
-	}
-	rng := sim.NewRNG(p.Seed)
-	bufBytes := p.BufferPkts * netem.DefaultMTU
-	markPkts := int(float64(p.BufferPkts) * p.MarkFrac)
-	baseRTT := (&topo.LeafSpine{}).BaseRTT(topo.LeafSpineConfig{EdgeDelay: p.LinkDelay, CoreDelay: p.LinkDelay})
-
-	// The paper's testbed ran its shimmed configuration with an aggressive
-	// guest RTO; shimless schemes keep the plain-TCP setting.
-	minRTO := p.MinRTO
-	if def.Shims != nil && p.HWatchMinRTO > 0 {
-		minRTO = p.HWatchMinRTO
-	}
-
-	var eng *sim.Engine
-	clock := func() int64 {
-		if eng == nil {
-			return 0
-		}
-		return eng.Now()
-	}
-	env := Env{
-		BufferPkts:  p.BufferPkts,
-		MarkPkts:    markPkts,
-		MeanPktTime: int64(netem.DefaultMTU) * 8 * sim.Second / p.RateBps,
-		BaseRTT:     baseRTT,
-		MinRTO:      minRTO,
-		ByteBuffers: true, // the testbed's switches account in bytes
-		Rng:         rng,
-		Clock:       clock,
-		Hardened:    len(s.Faults) > 0,
-		FabricShim:  testbedPacing(p),
-		Shim:        s.Shim,
-	}
-	mats, _, err := s.materialize(env)
-	if err != nil {
-		return nil, err
-	}
-	mat := mats[0]
-
+// buildTestbed assembles the leaf-spine testbed with the scheme's queue on
+// the spine ports; the bottleneck is the spine's down port toward the
+// client rack. The hosts come rack by rack; a testbed runs one scheme, so
+// no share pattern cycles over them.
+func buildTestbed(rc *RunContext, q func() netem.Queue, shards int) (hosts, senders []*netem.Host) {
+	p := rc.TestbedP
+	edgeBytes := 4 * p.BufferPkts * netem.DefaultMTU
 	ls := topo.NewLeafSpine(topo.LeafSpineConfig{
 		Racks:        p.Racks,
 		HostsPerRack: p.HostsPerRack,
@@ -376,53 +413,29 @@ func (s *Spec) runTestbed(ctx context.Context) (*Run, error) {
 		CoreRateBps:  p.RateBps,
 		EdgeDelay:    p.LinkDelay,
 		CoreDelay:    p.LinkDelay,
-		EdgeQ:        func() netem.Queue { return aqm.NewDropTailBytes(4 * bufBytes) },
-		CoreQ:        mat.BottleneckQ,
+		EdgeQ:        func() netem.Queue { return aqm.NewDropTailBytes(edgeBytes) },
+		CoreQ:        q,
 		Shards:       shards,
 	})
 	clientRack := p.Racks - 1
 	// The hub engine owns the spine's instrumented down port toward the
 	// client rack (the spine shard; shard 0 single-loop).
-	eng = ls.SpineDown[clientRack].Eng
-
-	var shims []*core.Shim
-	if mat.Attach != nil {
-		shims = mat.Attach(ls.AllHosts())
-	}
-	if s.ShimOverlay {
-		shims = append(shims, perHostShims(env, tcp.DefaultConfig())(ls.AllHosts())...)
-	}
-
-	run := &Run{Label: s.Label}
-	links := map[string]*netem.Port{"bottleneck": ls.SpineDown[clientRack]}
+	down := ls.SpineDown[clientRack]
+	rc.LeafSpine, rc.Eng, rc.Group = ls, down.Eng, ls.Net.Group()
+	rc.Bottleneck, rc.BottleneckPort = ls.SpineQ[clientRack], down
+	rc.PortLabel, rc.LineRateBps = "spine-down", p.RateBps
+	rc.SampleEvery, rc.Duration, rc.Horizon = p.SampleEvery, p.Duration, p.Duration
+	links := map[string]*netem.Port{"bottleneck": down}
 	for i, sp := range ls.SpineDown {
 		links[fmt.Sprintf("spine.down%d", i)] = sp
 	}
-	rc := &RunContext{
-		Eng:            eng,
-		Group:          ls.Net.Group(),
-		Rng:            rng,
-		LeafSpine:      ls,
-		TestbedP:       p,
-		ConfigFor:      func(*netem.Host) tcp.Config { return mat.TCPConfig },
-		Bottleneck:     ls.SpineQ[clientRack],
-		BottleneckPort: ls.SpineDown[clientRack],
-		PortLabel:      "spine-down",
-		LineRateBps:    p.RateBps,
-		SampleEvery:    p.SampleEvery,
-		Duration:       p.Duration,
-		Check:          p.Check,
-		Shims:          shims,
-		Fabric: faults.Fabric{
-			Links:         links,
-			DefaultLink:   "bottleneck",
-			Switches:      map[string]*netem.Switch{"spine": ls.Spine},
-			DefaultSwitch: "spine",
-			Shims:         shims,
-			Hosts:         ls.AllHosts(),
-		},
+	rc.Fabric = faults.Fabric{
+		Links:         links,
+		DefaultLink:   "bottleneck",
+		Switches:      map[string]*netem.Switch{"spine": ls.Spine},
+		DefaultSwitch: "spine",
 	}
-	return s.execute(ctx, rc, run)
+	return ls.AllHosts(), nil
 }
 
 // testbedPacing paces connection admission at the drain rate of the
@@ -434,79 +447,4 @@ func testbedPacing(p TestbedParams) ShimParams {
 	kBytes := int(float64(p.BufferPkts)*p.MarkFrac) * netem.DefaultMTU
 	refill := int64(kBytes) * 8 * sim.Second / p.RateBps
 	return ShimParams{SynAckBurst: &burst, RefillEvery: &refill}
-}
-
-// execute wires the workload, starts the observers, runs the engine and
-// harvests everything — the one run path every scenario shares. ctx
-// cancellation and Progress reporting both ride the engines' out-of-band
-// poll hook, so an uninterrupted run is byte-identical to one executed
-// with neither.
-func (s *Spec) execute(ctx context.Context, rc *RunContext, run *Run) (*Run, error) {
-	w := s.Workload
-	if w == nil {
-		if rc.Dumbbell != nil {
-			w = &dumbbellTraffic{}
-		} else {
-			w = &testbedTraffic{}
-		}
-	}
-	obs := []Observer{&telemetryObserver{}, &invariantObserver{}, shimStatsObserver{}}
-	if len(s.Faults) > 0 {
-		// Arm the fault timeline before the workload wires (a fixed point
-		// in the RNG fork order, so schedules stay deterministic), and hold
-		// the run to the recovery invariants afterwards.
-		inj, err := faults.Arm(rc.Eng, rc.Rng, s.Faults, rc.Fabric)
-		if err != nil {
-			return nil, fmt.Errorf("arming fault schedule: %w", err)
-		}
-		rc.Injector = inj
-		obs = append(obs, RecoveryObserver{}, chaosStatsObserver{})
-	}
-	obs = append(obs, s.Observers...)
-
-	w.Wire(rc, run)
-	for _, o := range obs {
-		o.Start(rc, run)
-	}
-
-	cancellable := ctx.Done() != nil
-	if cancellable || s.Progress != nil {
-		progress := s.Progress
-		poll := func(now int64, processed uint64) bool {
-			if progress != nil {
-				progress(now, processed)
-			}
-			return cancellable && ctx.Err() != nil
-		}
-		if rc.Group != nil {
-			rc.Group.SetPoll(poll)
-		} else {
-			rc.Eng.SetPoll(poll)
-		}
-	}
-
-	start := time.Now() //hwatchvet:allow detrand WallNs is an operator-facing speed metric, excluded from digests
-	if rc.Group != nil {
-		rc.Group.RunUntil(rc.horizon())
-		run.Events = rc.Group.Processed()
-	} else {
-		rc.Eng.RunUntil(rc.horizon())
-		run.Events = rc.Eng.Processed
-	}
-	run.WallNs = time.Since(start).Nanoseconds() //hwatchvet:allow detrand WallNs is an operator-facing speed metric, excluded from digests
-
-	if cancellable {
-		if err := ctx.Err(); err != nil {
-			// The run was interrupted mid-flight: its partial measurements
-			// are meaningless and the workload/observer Finish paths assume
-			// a drained fabric, so drop the run entirely.
-			return nil, err
-		}
-	}
-
-	w.Finish(rc, run)
-	for _, o := range obs {
-		o.Finish(rc, run)
-	}
-	return run, nil
 }

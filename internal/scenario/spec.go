@@ -31,7 +31,8 @@ type FileSpec struct {
 	// scheme(s) run (the MIX+HWatch extension).
 	WithShims bool `json:"with_shims,omitempty"`
 
-	// Dumbbell knobs.
+	// Dumbbell knobs; duration_ms, epochs and seed apply to the testbed
+	// too. A testbed spec that sets any of the others is rejected.
 	LongSources    int     `json:"long_sources,omitempty"`
 	ShortSources   int     `json:"short_sources,omitempty"`
 	BottleneckGbps float64 `json:"bottleneck_gbps,omitempty"`
@@ -46,7 +47,8 @@ type FileSpec struct {
 	ByteBuffers    *bool   `json:"byte_buffers,omitempty"`
 	Seed           int64   `json:"seed,omitempty"`
 
-	// Testbed knobs (defaults from PaperTestbed when zero).
+	// Testbed knobs (defaults from PaperTestbed when zero). A dumbbell
+	// spec that sets one is rejected.
 	Racks        int `json:"racks,omitempty"`
 	HostsPerRack int `json:"hosts_per_rack,omitempty"`
 	Parallel     int `json:"parallel,omitempty"`
@@ -123,6 +125,9 @@ func ParseSpec(raw []byte) (*FileSpec, error) {
 	if s.BottleneckGbps < 0 || s.BufferPkts < 0 || s.MarkPercent < 0 || s.MarkPercent > 100 {
 		return nil, fmt.Errorf("spec has out-of-range fabric parameters")
 	}
+	if knob := s.foreignKnob(); knob != "" {
+		return nil, fmt.Errorf("spec %s: %s specs do not take it", knob, s.Kind)
+	}
 	if s.Kind == "testbed" && s.Racks != 0 && s.Racks < 2 {
 		return nil, fmt.Errorf("spec racks %d: the testbed needs at least 2 (server racks plus the client rack)", s.Racks)
 	}
@@ -135,6 +140,34 @@ func ParseSpec(raw []byte) (*FileSpec, error) {
 		return nil, fmt.Errorf("spec faults: %w", err)
 	}
 	return &s, nil
+}
+
+// foreignKnob names a set field that only the other kind reads, or "".
+// Accepted, such a field would re-seed a run it does not configure.
+func (s *FileSpec) foreignKnob() string {
+	for _, k := range [...]struct {
+		kind, name string
+		set        bool
+	}{
+		{"dumbbell", "long_sources", s.LongSources != 0},
+		{"dumbbell", "short_sources", s.ShortSources != 0},
+		{"dumbbell", "bottleneck_gbps", s.BottleneckGbps != 0},
+		{"dumbbell", "buffer_pkts", s.BufferPkts != 0},
+		{"dumbbell", "mark_percent", s.MarkPercent != 0},
+		{"dumbbell", "rtt_us", s.RTTMicros != 0},
+		{"dumbbell", "icw", s.ICW != 0},
+		{"dumbbell", "drain_after_ms", s.DrainAfterMs != 0},
+		{"dumbbell", "short_kb", s.ShortKB != 0},
+		{"dumbbell", "byte_buffers", s.ByteBuffers != nil},
+		{"testbed", "racks", s.Racks != 0},
+		{"testbed", "hosts_per_rack", s.HostsPerRack != 0},
+		{"testbed", "parallel", s.Parallel != 0},
+	} {
+		if k.set && k.kind != s.Kind {
+			return k.name
+		}
+	}
+	return ""
 }
 
 func checkSchemeName(name string) error {
@@ -158,7 +191,7 @@ func schemeOrDefault(name string) Scheme {
 // Scenario converts the file form into the runnable Spec; run it with
 // Scenario().RunContext(ctx).
 func (s *FileSpec) Scenario() *Spec {
-	sc := &Spec{Shards: s.Shards}
+	sc := &Spec{ShimOverlay: s.WithShims, Shards: s.Shards, Check: s.Check}
 	switch s.Kind {
 	case "dumbbell":
 		sc.Kind = KindDumbbell
@@ -172,7 +205,6 @@ func (s *FileSpec) Scenario() *Spec {
 		} else {
 			sc.Schemes = []Share{{Scheme: schemeOrDefault(s.Scheme)}}
 		}
-		sc.ShimOverlay = s.WithShims
 		sc.Dumbbell = s.dumbbellParams()
 	case "testbed":
 		sc.Kind = KindTestbed
@@ -243,7 +275,6 @@ func (s *FileSpec) dumbbellParams() DumbbellParams {
 		// reruns identically.
 		p.Seed = harness.SeedFor(s.identity(), p.Seed)
 	}
-	p.Check = s.Check
 	return p
 }
 
@@ -277,7 +308,6 @@ func (s *FileSpec) testbedParams() TestbedParams {
 	} else {
 		p.Seed = harness.SeedFor(s.identity(), p.Seed)
 	}
-	p.Check = s.Check
 	return p
 }
 

@@ -62,10 +62,70 @@ func TestParseSpecErrors(t *testing.T) {
 		"bad mark":       `{"kind":"dumbbell","scheme":"dctcp","mark_percent":150}`,
 		"one rack":       `{"kind":"testbed","racks":1}`,
 		"negative racks": `{"kind":"testbed","racks":-2}`,
+		"testbed buffer": `{"kind":"testbed","buffer_pkts":50}`,
+		"dumbbell racks": `{"kind":"dumbbell","racks":7}`,
 	} {
 		if _, err := ParseSpec([]byte(raw)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+}
+
+// A knob only the other kind reads is rejected, naming the field and the
+// kind: accepted, it would re-seed a run it does not configure.
+func TestParseSpecRejectsForeignKnobs(t *testing.T) {
+	for _, c := range []struct{ kind, field, value string }{
+		{"testbed", "long_sources", "4"},
+		{"testbed", "short_sources", "4"},
+		{"testbed", "bottleneck_gbps", "1"},
+		{"testbed", "buffer_pkts", "50"},
+		{"testbed", "mark_percent", "10"},
+		{"testbed", "rtt_us", "100"},
+		{"testbed", "icw", "4"},
+		{"testbed", "drain_after_ms", "10"},
+		{"testbed", "short_kb", "20"},
+		{"testbed", "byte_buffers", "false"},
+		{"dumbbell", "racks", "7"},
+		{"dumbbell", "hosts_per_rack", "4"},
+		{"dumbbell", "parallel", "2"},
+	} {
+		raw := `{"kind":"` + c.kind + `","` + c.field + `":` + c.value + `}`
+		_, err := ParseSpec([]byte(raw))
+		if err == nil {
+			t.Errorf("%s: accepted", raw)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.field) || !strings.Contains(msg, c.kind) {
+			t.Errorf("%s: error %q does not name both the field and the kind", raw, msg)
+		}
+	}
+	// The knobs both kinds read stay accepted on either, and the check
+	// costs an accepted spec no allocation (hwatchd parses every request).
+	for _, kind := range []string{"dumbbell", "testbed"} {
+		raw := `{"kind":"` + kind + `","duration_ms":100,"epochs":1,"seed":3,"with_shims":true,"check":true,"shards":2}`
+		s, err := ParseSpec([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.foreignKnob() }); n != 0 {
+			t.Errorf("%s: the knob check allocates %.0f times", kind, n)
+		}
+	}
+}
+
+// A testbed spec's with_shims installs the overlay, as on the dumbbell:
+// droptail deploys no shims of its own, so any shim stats come from it.
+func TestTestbedSpecWithShims(t *testing.T) {
+	s, err := ParseSpec([]byte(`{"kind":"testbed","scheme":"droptail","racks":2,"hosts_per_rack":4,"parallel":2,"epochs":1,"with_shims":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := s.Scenario().RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.ShimStats == nil {
+		t.Fatal("with_shims testbed run deployed no shims")
 	}
 }
 

@@ -376,6 +376,10 @@ func TestE2EErrorPaths(t *testing.T) {
 	if resp := post(`{"kind":"testbed","racks":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("one-rack testbed: status %d, want 400", resp.StatusCode)
 	}
+	// A dumbbell knob on a testbed spec would re-seed the default run.
+	if resp := post(`{"kind":"testbed","buffer_pkts":50}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("testbed with buffer_pkts: status %d, want 400", resp.StatusCode)
+	}
 	// A body over the limit is refused as such; it used to be cut at the
 	// limit and reported as malformed JSON.
 	oversized := `{"kind":"dumbbell","scheme":"` + strings.Repeat("x", 1<<20+50_000) + `"}`

@@ -177,8 +177,9 @@ type Options struct {
 
 var defaultOpts atomic.Int32
 
-// SetDefaultOptions changes the configuration used by New (e.g. from a
-// -nowheel CLI flag). Engines already constructed are unaffected.
+// SetDefaultOptions changes the configuration used by New: the oracle the
+// digest-parity tests run every engine of a scenario under. Engines
+// already constructed are unaffected.
 func SetDefaultOptions(o Options) {
 	var v int32
 	if o.NoWheel {
