@@ -97,10 +97,10 @@ fuzz-smoke:
 chaos: build
 	$(GO) test -run 'TestGoldenDigests|TestRecurringChaosShardParity|TestChaosRunRecoversAndRepeats' \
 		-count=1 ./internal/experiments ./internal/scenario
-	$(GO) run ./cmd/hwatchsim -exp scheme -scheme hwatch \
-		-faults examples/chaos_recurring_flap.json -check -digest
-	$(GO) run ./cmd/hwatchsim -exp scheme -scheme hwatch \
-		-faults examples/chaos_reorder_jitter.json -check -digest
+	$(GO) run ./cmd/hwatchsim -faults examples/chaos_recurring_flap.json \
+		-check -digest scheme:hwatch
+	$(GO) run ./cmd/hwatchsim -faults examples/chaos_reorder_jitter.json \
+		-check -digest scheme:hwatch
 
 # hwatchd gate: the end-to-end server suite (golden parity, cache hits
 # served as the one stored body, single-flight dedup, backpressure,

@@ -4,7 +4,7 @@ package hwatch
 // regenerates the figure's scenario at a reduced scale (so -bench runs in
 // minutes, not hours) and reports the figure's headline quantity as a
 // custom metric next to the usual ns/op. Full-scale regeneration is
-// `go run ./cmd/figgen`.
+// `go run ./cmd/hwatchsim all`.
 
 import (
 	"context"
@@ -18,22 +18,20 @@ const benchScale = 0.2
 // by the table's curve keys.
 func benchFig(b *testing.B, name string, scale float64) map[string]*Run {
 	b.Helper()
-	for _, f := range Figures() {
-		if f.Name != name {
-			continue
-		}
-		runs, err := f.Run(context.Background(), scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out := map[string]*Run{}
-		for i, k := range f.Keys {
-			out[k] = runs[i]
-		}
-		return out
+	fs, err := SelectTargets("fig/" + name)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Fatalf("no figure %q in the table", name)
-	return nil
+	f := fs[0]
+	runs, _, err := f.Run(context.Background(), scale, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := map[string]*Run{}
+	for i, k := range f.Keys {
+		out[k] = runs[i]
+	}
+	return out
 }
 
 // BenchmarkFig1 regenerates the DCTCP initial-window study (Fig. 1a-d) and
@@ -113,13 +111,19 @@ func gcCPUSamples() []metrics.Sample {
 // recorded but not gated.
 func benchRung(b *testing.B, name string, scale float64) {
 	b.Helper()
+	rungs, err := SelectTargets("rung/" + name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rung := rungs[0]
 	before, after := gcCPUSamples(), gcCPUSamples()
 	for i := 0; i < b.N; i++ {
 		metrics.Read(before)
-		run, err := RunRung(context.Background(), name, scale)
+		runs, _, err := rung.Run(context.Background(), scale, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		run := runs[0]
 		metrics.Read(after)
 		b.ReportMetric(float64(run.ShortDone), "flows-done")
 		if run.ShortFCTms.N() > 0 {

@@ -1,20 +1,17 @@
-// Command hwatchsim runs one of the paper's experiments and prints the
-// rows/series the corresponding figure plots.
+// Command hwatchsim runs the paper's experiments by name and prints what
+// their figures plot. Flags come first, then targets: kind/name rows of
+// the experiment table (fig/fig8 or fig8, ablation/k, study/coflow,
+// rung/storm/websearch), all (every figure, study and ablation), ladder
+// (every rung), spec:<file> or scheme:<name>; -list prints them. A flag
+// none of the targets reads is an error.
 //
-// Usage:
-//
-//	hwatchsim -exp fig8                  # comparison table for Fig. 8
-//	hwatchsim -exp fig9 -scale 0.5       # half-scale quick run
-//	hwatchsim -exp fig1 -out out/        # also dump CSV series per run
-//	hwatchsim -exp scheme -scheme hwatch -long 25 -short 25
-//	hwatchsim -exp ladder -rung storm/websearch -scale 0.1
-//	hwatchsim -list-schemes              # every registered scheme name
-//	hwatchsim -list-rungs                # every registered ladder rung
-//	hwatchsim -list-faults               # every fault kind for -faults files
+//	hwatchsim -scale 0.1 -out out all   # every table, CSV curves under out/
+//	hwatchsim -long 5 -faults f.json -digest scheme:hwatch
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -22,55 +19,209 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"hwatch"
+	"hwatch/internal/server"
+	"hwatch/internal/server/client"
 )
+
+type options struct {
+	scale                           float64
+	out, faults, schemes, server    string
+	long, short, parallel, shards   int
+	seed                            int64
+	check, json, digest, specDigest bool
+	list, listSchemes, listFaults   bool
+}
+
+// newFlags defines every flag of the command on one set.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("hwatchsim", flag.ExitOnError)
+	fs.Float64Var(&o.scale, "scale", 1.0, "scale in (0,1] of figures, ablations and rungs; 1.0 = paper scale")
+	fs.StringVar(&o.out, "out", "", "directory for the runs' CSV curves and gnuplot scripts (optional)")
+	fs.StringVar(&o.faults, "faults", "", "JSON fault-schedule file armed on spec: and scheme: targets")
+	fs.StringVar(&o.schemes, "schemes", "", "comma-separated registered schemes the studies compare (default: the paper's four)")
+	fs.StringVar(&o.server, "server", "", "run the targets on a hwatchd instance (e.g. http://127.0.0.1:8080)")
+	fs.IntVar(&o.long, "long", 25, "scheme: long-lived sources")
+	fs.IntVar(&o.short, "short", 25, "scheme: short-lived sources")
+	fs.Int64Var(&o.seed, "seed", 42, "scheme: scenario seed")
+	fs.IntVar(&o.parallel, "parallel", 0, "concurrent scenario runs (0 = GOMAXPROCS)")
+	fs.IntVar(&o.shards, "shards", 0, "engine shards per run (0/1 = single loop; digests must not change)")
+	fs.BoolVar(&o.check, "check", false, "run the physical-invariant checker; exit 1 on violations")
+	fs.BoolVar(&o.json, "json", false, "print run summaries as JSON")
+	fs.BoolVar(&o.digest, "digest", false, "print only '<digest> <label>' per run (for CI diffing)")
+	fs.BoolVar(&o.specDigest, "spec-digest", false, "print the canonical digest of each spec: or scheme: target and exit")
+	fs.BoolVar(&o.list, "list", false, "list every target and exit")
+	fs.BoolVar(&o.listSchemes, "list-schemes", false, "list every registered scheme and exit")
+	fs.BoolVar(&o.listFaults, "list-faults", false, "list every fault kind for -faults files and exit")
+	return fs
+}
+
+// reads reports whether t reads the named flag; flags not named here are
+// read by every target.
+func reads(t hwatch.Target, name string) bool {
+	switch name {
+	case "scale":
+		return t.Scaled
+	case "schemes":
+		return t.Schemed
+	case "out", "json", "digest":
+		return t.Kind != "ablation" && t.Kind != "study"
+	case "faults", "spec-digest":
+		return t.Spec != nil
+	case "long", "short", "seed":
+		return t.Kind == "scheme"
+	}
+	return true
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hwatchsim: ")
-	var (
-		exp         = flag.String("exp", "fig8", "experiment: fig1|fig2|fig8|fig9|fig11|scheme|spec|ladder")
-		spec        = flag.String("spec", "", "JSON scenario file (with -exp spec)")
-		faultsFile  = flag.String("faults", "", "JSON fault-schedule file armed on the run (with -exp scheme or spec)")
-		scale       = flag.Float64("scale", 1.0, "scenario scale in (0,1]; 1.0 = paper scale")
-		outDir      = flag.String("out", "", "directory for per-run CSV series (optional)")
-		scheme      = flag.String("scheme", "hwatch", "for -exp scheme: a registered scheme name (see -list-schemes)")
-		rung        = flag.String("rung", "", "for -exp ladder: run one rung (see -list-rungs); empty = whole ladder")
-		longN       = flag.Int("long", 25, "for -exp scheme: long-lived sources")
-		shortN      = flag.Int("short", 25, "for -exp scheme: short-lived sources")
-		seed        = flag.Int64("seed", 42, "scenario seed")
-		asJSON      = flag.Bool("json", false, "emit run summaries as JSON")
-		parallel    = flag.Int("parallel", 0, "concurrent scenario runs (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "engine shards per run (0/1 = single loop; digests must not change)")
-		check       = flag.Bool("check", false, "run the physical-invariant checker; exit 1 on violations")
-		digest      = flag.Bool("digest", false, "print only '<digest> <label>' per run (for CI diffing)")
-		specDigest  = flag.Bool("spec-digest", false, "print the canonical content digest of -spec and exit (no simulation)")
-		listSchemes = flag.Bool("list-schemes", false, "list every registered scheme and exit")
-		listRungs   = flag.Bool("list-rungs", false, "list every registered ladder rung and exit")
-		listFaults  = flag.Bool("list-faults", false, "list every fault kind for -faults files and exit")
-	)
-	flag.Parse()
-	// Ctrl-C cancels the run in flight instead of killing the process.
+	var o options
+	fs := newFlags(&o)
+	fs.Parse(os.Args[1:])
+	// Ctrl-C cancels the runs in flight instead of killing the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	hwatch.SetParallel(*parallel)
-	hwatch.SetShards(*shards)
-	hwatch.SetInvariantChecks(*check)
+	hwatch.SetParallel(o.parallel)
+	hwatch.SetShards(o.shards)
+	hwatch.SetInvariantChecks(o.check)
+	if o.list || o.listSchemes || o.listFaults {
+		list(&o)
+		return
+	}
+	if fs.NArg() == 0 {
+		log.Fatal("no target: name one or more after the flags (hwatchsim -list prints them)")
+	}
 
-	if *listSchemes {
+	var targets []hwatch.Target
+	for _, arg := range fs.Args() {
+		targets = append(targets, must(resolve(arg, &o))...)
+	}
+	fs.Visit(func(f *flag.Flag) {
+		for _, t := range targets {
+			if reads(t, f.Name) {
+				return
+			}
+		}
+		log.Fatalf("-%s is read by none of the targets %s", f.Name, strings.Join(fs.Args(), " "))
+	})
+	// The studies' schemes, normalized as hwatchd digests them; none = the paper's four.
+	names := strings.Fields(strings.ToLower(strings.ReplaceAll(o.schemes, ",", " ")))
+	set := must(hwatch.LookupSchemes(names))
+
+	// Runs and rows come from the local simulator or, with -server, from
+	// hwatchd, whose every run digest the client re-verifies.
+	fetch := func(t hwatch.Target) ([]*hwatch.Run, []string, string, error) {
+		runs, rows, err := t.Run(ctx, o.scale, set, nil)
+		return runs, rows, "", err
+	}
+	if o.server != "" {
+		if o.check {
+			log.Fatal("-check runs locally; it cannot be combined with -server")
+		}
+		cl := client.New(o.server, nil)
+		fetch = func(t hwatch.Target) ([]*hwatch.Run, []string, string, error) {
+			req := &server.JobRequest{Kind: t.Kind, Name: t.Name, Scale: o.scale, Schemes: names}
+			if t.Spec != nil {
+				req = &server.JobRequest{Kind: "spec", Spec: must(json.Marshal(t.Spec))}
+			}
+			return cl.Run(ctx, req)
+		}
+	}
+
+	violations, start := 0, time.Now()
+	for _, t := range targets {
+		if o.specDigest {
+			// The canonical digest is the job id and cache address hwatchd
+			// assigns the spec, so CLI and server path can be cross-checked.
+			if t.Spec != nil {
+				fmt.Println(must(t.Spec.CanonicalDigest()))
+			}
+			continue
+		}
+		runs, rows, via, err := fetch(t)
+		if err != nil {
+			// A failed or cancelled target is an error, not an empty table.
+			log.Fatalf("%s: %v", t.Title, err)
+		}
+		// The titled block goes to stderr when stdout carries digest lines
+		// (no timing: they diff clean at any -parallel) or JSON.
+		block := os.Stdout
+		switch {
+		case len(runs) > 0 && o.digest:
+			for _, r := range runs {
+				fmt.Printf("%s %s\n", r.DigestHex(), r.Label)
+			}
+			block = os.Stderr
+		case len(runs) > 0 && o.json:
+			fmt.Println(must(hwatch.JSON(runs)))
+			block = os.Stderr
+		}
+		violations += t.Print(block, via, runs, rows)
+		if o.out != "" && len(runs) > 0 {
+			if err := t.Save(o.out, runs); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%d targets in %v\n", len(targets), time.Since(start).Round(time.Millisecond))
+	if violations > 0 {
+		log.Fatalf("%d invariant violations", violations)
+	}
+}
+
+// must returns v, or ends the command on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
+
+// resolve expands one command-line target.
+func resolve(arg string, o *options) ([]hwatch.Target, error) {
+	if strings.HasPrefix(arg, "-") {
+		return nil, fmt.Errorf("unknown target %q: flags go before the targets", arg)
+	}
+	if kind, name, _ := strings.Cut(arg, ":"); (kind == "spec" || kind == "scheme") && name != "" {
+		return specTarget(kind, name, o)
+	}
+	return hwatch.SelectTargets(arg)
+}
+
+// specTarget builds what a spec:<file> or scheme:<name> target runs: the
+// file, or the scheme on the paper dumbbell with a 1 s drain after a
+// fault schedule for RTO-backed recovery. -faults replaces the schedule.
+func specTarget(kind, name string, o *options) ([]hwatch.Target, error) {
+	sp, err := &hwatch.Spec{Kind: "dumbbell", Scheme: strings.ToLower(name), LongSources: o.long, ShortSources: o.short, Seed: o.seed}, error(nil)
+	if kind == "spec" {
+		sp, err = hwatch.LoadSpec(name)
+	}
+	if err == nil && o.faults != "" {
+		sp.Faults, err = hwatch.LoadFaults(o.faults)
+		if kind == "scheme" {
+			sp.DrainAfterMs = 1000
+		}
+	}
+	if err == nil {
+		sp, err = hwatch.ParseSpec(must(json.Marshal(sp)))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return []hwatch.Target{hwatch.SpecTarget(kind, name, sp)}, nil
+}
+
+func list(o *options) {
+	switch {
+	case o.listSchemes:
 		for _, def := range hwatch.Schemes() {
 			fmt.Printf("%-12s %-16s %s\n", def.Name, def.Label, def.Description)
 		}
-		return
-	}
-	if *listRungs {
-		for _, r := range hwatch.Rungs() {
-			fmt.Printf("%-18s %s\n", r.Name, r.Description)
-		}
-		return
-	}
-	if *listFaults {
+	case o.listFaults:
 		for _, ki := range hwatch.FaultKinds() {
 			shape := "point"
 			if ki.Windowed {
@@ -78,160 +229,12 @@ func main() {
 			}
 			fmt.Printf("%-15s %-6s %s\n", ki.Kind, shape, ki.Doc)
 		}
-		return
-	}
-
-	if *specDigest {
-		if *spec == "" {
-			log.Fatal("-spec-digest requires -spec file.json")
-		}
-		sp, err := hwatch.LoadSpec(*spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d, err := sp.CanonicalDigest()
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The canonical digest is the job id and cache address hwatchd
-		// assigns this spec, so CLI and server path can be cross-checked.
-		fmt.Println(d)
-		return
-	}
-
-	var sched hwatch.FaultSchedule
-	if *faultsFile != "" {
-		if *exp != "scheme" && *exp != "spec" {
-			log.Fatalf("-faults applies to -exp scheme or -exp spec, not %q", *exp)
-		}
-		var err error
-		if sched, err = hwatch.LoadFaults(*faultsFile); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var runs []*hwatch.Run
-	switch *exp {
-	case "scheme":
-		name := strings.ToLower(*scheme)
-		if _, ok := hwatch.LookupScheme(name); !ok {
-			log.Fatalf("unknown scheme %q: registered schemes are %s",
-				*scheme, strings.Join(hwatch.SchemeNames(), ", "))
-		}
-		p := hwatch.PaperDumbbell(*longN, *shortN)
-		p.Seed = *seed
-		p.ByteBuffers = true
-		if len(sched) > 0 {
-			// Leave room for RTO-backed recovery after the last fault.
-			p.DrainAfter = 1_000_000_000 // 1 s, in engine ns
-		}
-		sc := &hwatch.Scenario{
-			Kind:     hwatch.KindDumbbell,
-			Schemes:  []hwatch.SchemeShare{{Scheme: hwatch.Scheme(name)}},
-			Dumbbell: p,
-			Faults:   sched,
-		}
-		run, err := sc.RunContext(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runs = []*hwatch.Run{run}
-	case "ladder":
-		names := []string{}
-		if *rung != "" {
-			if _, ok := hwatch.LookupRung(*rung); !ok {
-				log.Fatalf("unknown rung %q: registered rungs are %s",
-					*rung, strings.Join(hwatch.RungNames(), ", "))
-			}
-			names = append(names, *rung)
-		} else {
-			for _, r := range hwatch.Rungs() {
-				names = append(names, r.Name)
-			}
-		}
-		for _, name := range names {
-			run, err := hwatch.RunRung(ctx, name, *scale)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runs = append(runs, run)
-		}
-	case "spec":
-		if *spec == "" {
-			log.Fatal("-exp spec requires -spec file.json")
-		}
-		sp, err := hwatch.LoadSpec(*spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sc := sp.Scenario()
-		if len(sched) > 0 {
-			// -faults overrides the file's own schedule.
-			sc.Faults = sched
-		}
-		run, err := sc.RunContext(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runs = []*hwatch.Run{run}
 	default:
-		// Anything else names a row of the figure table.
-		var err error
-		if runs, err = hwatch.FigRuns(ctx, *exp, *scale); err != nil {
-			log.Fatalf("-exp %s: %v (or scheme, spec, ladder)", *exp, err)
+		for _, t := range hwatch.Targets() {
+			fmt.Printf("%-22s %s\n", t.ID(), t.Caption)
 		}
+		fmt.Printf("%-22s %s\n%-22s %s\n%-22s %s\n%-22s %s\n", "all", "every figure, study and ablation",
+			"ladder", "every rung", "spec:<file>", "a JSON scenario file (-faults)",
+			"scheme:<name>", "one registered scheme on the paper dumbbell (-long, -short, -seed, -faults)")
 	}
-
-	if *check {
-		bad := false
-		for _, r := range runs {
-			for _, v := range r.InvariantViolations {
-				bad = true
-				fmt.Fprintf(os.Stderr, "invariant violation [%s]: %s\n", r.Label, v)
-			}
-		}
-		if bad {
-			os.Exit(1)
-		}
-	}
-
-	switch {
-	case *digest:
-		// Digest lines carry no timing, so two invocations of the same spec
-		// and seed diff clean at any -parallel value.
-		for _, r := range runs {
-			fmt.Printf("%s %s\n", r.DigestHex(), r.Label)
-		}
-		return
-	case *asJSON:
-		out, err := hwatch.JSON(runs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(out)
-	default:
-		fmt.Printf("experiment %s (scale %.2f)\n\n", *exp, *scale)
-		fmt.Print(hwatch.Table(runs))
-	}
-
-	if *outDir != "" {
-		for _, r := range runs {
-			prefix := *exp + "_" + sanitize(r.Label)
-			if err := hwatch.SaveRun(*outDir, prefix, r); err != nil {
-				log.Fatalf("saving %s: %v", prefix, err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "CSV series written to %s\n", *outDir)
-	}
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

@@ -17,7 +17,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	fmt.Println("HWatch quickstart: 50-source scheme comparison at 40% scale")
-	fmt.Println("(use cmd/figgen for the full paper-scale regeneration)")
+	fmt.Println("(use `go run ./cmd/hwatchsim all` for the full paper-scale regeneration)")
 	fmt.Println()
 
 	runs, err := hwatch.FigRuns(ctx, "fig8", 0.4)

@@ -10,14 +10,14 @@
 // statistics and steers unmodified guests by rewriting TCP receive
 // windows and pacing connection setup.
 //
-// The package surface mirrors the paper's evaluation, one table per kind
-// of name: Figures lists each data figure (FigRuns runs one by name),
-// Ablations the sweeps over the design choices, Studies the extension
-// studies; RunDumbbell/RunTestbed run single scenarios and a Scenario
-// describes any other. Every entry point takes a context first and
-// returns an error — cancelling the context stops a run mid-flight; the
-// root context belongs to main (signal.NotifyContext, so Ctrl-C cancels).
-// All runs are deterministic in their Seed.
+// The package surface mirrors the paper's evaluation as one table:
+// Targets lists every named experiment (the data figures, the ablations
+// over the design choices, the extension studies and the ladder rungs;
+// FigRuns runs one figure by name); RunDumbbell/RunTestbed run single
+// scenarios and a Scenario describes any other. Every entry point takes a
+// context first and returns an error — cancelling the context stops a run
+// mid-flight; the root context belongs to main (signal.NotifyContext, so
+// Ctrl-C cancels). All runs are deterministic in their Seed.
 //
 //	runs, err := hwatch.FigRuns(ctx, "fig8", 1.0) // the 50-source scheme comparison
 //	if err != nil {
@@ -105,24 +105,23 @@ type SchemeEnv = scenario.Env
 type ShimDeployment = scenario.Deployment
 
 // RegisterScheme adds a scheme definition to the registry; it becomes
-// available to RunDumbbell, JSON specs and cmd/hwatchsim -scheme without
-// touching any figure code. Panics on duplicate or invalid definitions.
+// available to RunDumbbell, JSON specs, the studies' scheme sets and
+// hwatchsim scheme:<name> without touching any figure code. Panics on
+// duplicate or invalid definitions.
 func RegisterScheme(def SchemeDef) { scenario.Register(def) }
-
-// SchemeNames lists every registered scheme name, sorted.
-func SchemeNames() []string { return scenario.Names() }
 
 // Schemes lists every registered scheme definition, sorted by name.
 func Schemes() []SchemeDef { return scenario.Definitions() }
 
-// LookupScheme returns the definition registered under name.
-func LookupScheme(name string) (SchemeDef, bool) { return scenario.Lookup(name) }
+// LookupSchemes resolves scheme names, ignoring case and surrounding
+// space; an unknown name errors, listing the registered ones.
+func LookupSchemes(names []string) ([]Scheme, error) { return scenario.LookupSchemes(names) }
 
 // Scenario is the declarative description the unified run path executes:
 // a topology kind, one or more registered schemes (more than one = mixed
 // tenancy), a workload and observers, and as data the guest-stack and
 // shim-setting overrides (Guest, Shim); Scenario.RunContext(ctx) runs it.
-// Every figure, ablation and study is a list of these.
+// Every target of the table is a list of these.
 type Scenario = scenario.Spec
 
 // SchemeShare assigns a scheme a relative host share in a mixed-tenancy
@@ -157,8 +156,9 @@ func FaultKinds() []FaultKindInfo { return faults.Infos() }
 // used in spec files' "faults" arrays and hwatchsim -faults files.
 type FaultSpec = scenario.FaultSpec
 
-// LoadFaults reads and renders a standalone JSON fault-schedule file.
-func LoadFaults(path string) (FaultSchedule, error) { return scenario.LoadFaults(path) }
+// LoadFaults reads a standalone JSON fault-schedule file, the value of a
+// Spec's Faults; ParseSpec validates it.
+func LoadFaults(path string) ([]FaultSpec, error) { return scenario.LoadFaults(path) }
 
 // RenderFaults converts JSON fault specs into an engine-ready schedule.
 func RenderFaults(specs []FaultSpec) (FaultSchedule, error) { return scenario.RenderFaults(specs) }
@@ -192,9 +192,6 @@ type (
 	TimeSeries = stats.TimeSeries
 )
 
-// AblationPoint is one row of an ablation sweep.
-type AblationPoint = experiments.AblationPoint
-
 // PaperDumbbell returns the paper's dumbbell parameters (10 Gb/s, 100 us
 // RTT, 250-packet buffer, 20% marking, minRTO 200 ms) for the given
 // long/short source split.
@@ -226,39 +223,32 @@ func RunTestbed(ctx context.Context, withHWatch bool, p TestbedParams) (*Run, er
 	return scenario.RunTestbed(ctx, withHWatch, p)
 }
 
-// Figure is one row of the figure table: name ("fig8"), caption, one key
-// per curve, and Run(ctx, scale), which regenerates the figure's runs in
-// curve order. scale in (0,1] shrinks sources/duration for quick runs;
-// 1.0 is the paper's scale.
-type Figure = experiments.Figure
+// Target is one row of the target table: a figure, an ablation, an
+// extension study or a ladder rung, named kind/name ("fig/fig8",
+// "ablation/k", "study/coflow", "rung/storm/websearch"). Its Run executes
+// it at a scale and over a scheme set; figures and rungs return runs,
+// ablations and studies printable rows. hwatchsim and hwatchd run the same
+// rows.
+type Target = experiments.Target
 
-// Figures lists the paper's data figures (Figs. 1, 2, 8, 9, 11) in paper
-// order; the CLIs and the hwatchd "fig" job kind read this table.
-func Figures() []Figure { return experiments.Figures() }
+// Targets lists the table: the figures in paper order (Figs. 1, 2, 8, 9,
+// 11), the extension studies, the ablations, then the ladder rungs.
+func Targets() []Target { return experiments.Targets() }
+
+// SelectTargets resolves a target name as hwatchsim takes it: kind/name,
+// a figure's bare name, all (every figure, study and ablation) or ladder
+// (every rung).
+func SelectTargets(arg string) ([]Target, error) { return experiments.SelectTargets(arg) }
+
+// SpecTarget makes a Spec a target outside the table (hwatchsim
+// spec:<file> and scheme:<name>): one run of the spec.
+func SpecTarget(kind, name string, s *Spec) Target { return experiments.SpecTarget(kind, name, s) }
 
 // FigRuns executes one named figure under ctx and returns its runs in the
-// figure's curve order; an unknown name errors, listing the table.
+// figure's curve order; an unknown name errors, listing the figures.
 func FigRuns(ctx context.Context, name string, scale float64) ([]*Run, error) {
 	return experiments.FigRuns(ctx, name, scale)
 }
-
-// Ablation is one row of the ablation table (see DESIGN.md §5): name,
-// caption and Run(ctx, scale), which returns one AblationPoint per
-// configuration. A configuration is data: a marking threshold, shim
-// settings (Scenario.Shim) or a guest stack (Scenario.Guest).
-type Ablation = experiments.Ablation
-
-// Ablations lists the sweeps over HWatch's design choices: probes, k,
-// icw, batch, pacing, guests.
-func Ablations() []Ablation { return experiments.Ablations() }
-
-// Study is one row of the extension-study table: name, caption and
-// Run(ctx, schemes), which runs the study at its default parameters and
-// returns one printable row per cell.
-type Study = experiments.Study
-
-// Studies lists the extension studies: empirical, coflow, incast.
-func Studies() []Study { return experiments.Studies() }
 
 // EmpiricalParams and EmpiricalResult belong to the trace-driven extension
 // study (web-search / data-mining flow sizes under Poisson load).
@@ -310,32 +300,17 @@ func RunIncastSweep(ctx context.Context, schemes []Scheme, p IncastSweepParams) 
 // Rung is one step of the benchmark scale ladder: a named scenario at a
 // fixed multiple of the paper's testbed (1x/10x/100x) or an open-loop
 // incast storm drawn from an empirical flow-size CDF. Rungs back the
-// bench-ladder regression gate (`make bench-ladder`, cmd/benchdiff) and
-// carry their own golden digests.
+// bench-ladder regression gate (`make bench-ladder`, cmd/benchdiff),
+// carry their own golden digests and are the table's rung/<name> targets.
 type Rung = scenario.Rung
 
-// Rungs lists the registered ladder rungs, bottom to top.
-func Rungs() []Rung { return scenario.Rungs() }
-
-// RungNames lists the registered rung names, sorted.
-func RungNames() []string { return scenario.RungNames() }
-
-// LookupRung finds a ladder rung by name ("ladder/10x", "storm/websearch").
-func LookupRung(name string) (Rung, bool) { return scenario.LookupRung(name) }
-
-// RunRung executes a registered ladder rung at the given scale (1 = the
-// full rung; smaller values shrink sources/flows proportionally).
-func RunRung(ctx context.Context, name string, scale float64) (*Run, error) {
-	return scenario.RunRung(ctx, name, scale)
-}
-
-// RegisterRung adds a rung to the ladder registry; it becomes available
-// to RunRung, `hwatchsim -exp ladder` and the bench-ladder tooling.
-// Panics on duplicate names.
+// RegisterRung adds a rung to the ladder registry; it becomes the target
+// rung/<name> of hwatchsim and hwatchd and joins the bench-ladder
+// tooling. Panics on duplicate names.
 func RegisterRung(r Rung) { scenario.RegisterRung(r) }
 
-// Spec is a JSON-file description of a runnable scenario (cmd/hwatchsim
-// -exp spec -spec file.json); Spec.Scenario() converts it to a Scenario.
+// Spec is a JSON-file description of a runnable scenario (hwatchsim
+// spec:file.json); Spec.Scenario() converts it to a Scenario.
 type Spec = scenario.FileSpec
 
 // LoadSpec reads and validates a scenario spec from a JSON file.
@@ -353,9 +328,3 @@ func JSON(runs []*Run) (string, error) { return experiments.JSON(runs) }
 // SaveRun writes a run's figure series (FCT CDF, goodput CDF, queue and
 // utilization series) as CSV files under dir with the given prefix.
 func SaveRun(dir, prefix string, r *Run) error { return experiments.SaveRun(dir, prefix, r) }
-
-// WriteFigurePlots emits gnuplot scripts rendering the standard four-panel
-// figure from curves saved by SaveRun: `gnuplot out/<fig>_fct.plt` etc.
-func WriteFigurePlots(dir, figName string, labels, prefixes []string) error {
-	return experiments.WriteFigurePlots(dir, figName, labels, prefixes)
-}

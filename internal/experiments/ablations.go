@@ -65,7 +65,7 @@ type ablationRow struct {
 // Ablation is one row of the ablation table: a named sweep over one of
 // HWatch's design choices.
 type Ablation struct {
-	// Name is what sweep -what and hwatchd "ablation" jobs call the sweep.
+	// Name is the sweep's target name (ablation/<Name>).
 	Name    string
 	Caption string
 	rows    []ablationRow
@@ -145,15 +145,6 @@ var ablations = []Ablation{
 		{label: "pacing slow", shim: scenario.ShimParams{SynAckBurst: ptr(2), RefillEvery: ptr(200 * sim.Microsecond)}},
 	}},
 	{"guests", "guest stack agnosticism (R3)", guestRows()},
-}
-
-// Ablations lists the ablation sweeps in the order sweep -what all runs
-// them (DESIGN.md §5).
-func Ablations() []Ablation { return append([]Ablation(nil), ablations...) }
-
-// LookupAblation finds an ablation by name.
-func LookupAblation(name string) (Ablation, error) {
-	return find("ablation", ablations, func(a Ablation) string { return a.Name }, name)
 }
 
 // guestRows quantifies requirement R3 (VM autonomy): HWatch must deliver

@@ -10,34 +10,22 @@ import (
 	"hwatch/internal/sim"
 )
 
-// TestEveryEntryPropagatesCancellation walks the three tables: every
-// figure, ablation and study must surface a cancelled context as
-// ctx.Err() with no rows instead of running to completion.
+// TestEveryEntryPropagatesCancellation walks the target table: every
+// figure, ablation, study and rung must surface a cancelled context as
+// ctx.Err() with no runs or rows instead of running to completion.
 func TestEveryEntryPropagatesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	schemes := []scenario.Scheme{scenario.HWatch}
-	check := func(name string, n int, err error) {
-		t.Helper()
+	for _, tg := range Targets() {
+		runs, rows, err := tg.Run(ctx, 0.1, schemes, nil)
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s under a cancelled context: got err=%v, want context.Canceled", name, err)
+			t.Errorf("%s under a cancelled context: got err=%v, want context.Canceled", tg.ID(), err)
 		}
-		if n != 0 {
-			t.Errorf("%s under a cancelled context returned %d rows, want none", name, n)
+		if len(runs)+len(rows) != 0 {
+			t.Errorf("%s under a cancelled context returned %d runs and %d rows, want none", tg.ID(), len(runs), len(rows))
 		}
-	}
-	for _, f := range Figures() {
-		runs, err := f.Run(ctx, 0.1)
-		check(f.Name, len(runs), err)
-	}
-	for _, a := range Ablations() {
-		pts, err := a.Run(ctx, 0.1)
-		check(a.Name, len(pts), err)
-	}
-	for _, s := range Studies() {
-		rows, err := s.Run(ctx, schemes)
-		check(s.Name, len(rows), err)
 	}
 }
 

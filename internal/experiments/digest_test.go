@@ -142,7 +142,7 @@ func TestGoldenDigests(t *testing.T) {
 func TestAblationGoldenDigests(t *testing.T) {
 	var keys []string
 	var specs []*scenario.Spec
-	for _, a := range Ablations() {
+	for _, a := range ablations {
 		for _, r := range a.rows {
 			keys = append(keys, a.Name+"/"+r.label)
 		}

@@ -3,9 +3,11 @@
 // coexistence study (Fig. 2), the 50- and 100-source scheme comparisons
 // (Figs. 8-9), the leaf-spine testbed experiment (Fig. 11), the ablations
 // DESIGN.md calls out and three extension studies. Each is one row of a
-// table (Figures, Ablations, Studies) that declares scenario.Specs —
+// table (figures, ablations, studies) that declares scenario.Specs —
 // topology kind, registered scheme name(s), workload — and every row
 // executes through the same path: the harness pool over Spec.RunContext.
+// Targets joins those tables and the ladder rungs into the one list of
+// named experiments every front end runs.
 package experiments
 
 import (

@@ -58,7 +58,7 @@ func wantRows[T interface{ String() string }](t *testing.T, got []T, want ...str
 
 // Small-scale shape checks: these assert the *qualitative* results the
 // paper reports (who wins, what fails, what stays flat), not absolute
-// numbers. Full-scale regeneration lives in cmd/figgen and the root
+// numbers. Full-scale regeneration is `hwatchsim all` and the root
 // benchmarks.
 
 func TestFig8ShapeSmall(t *testing.T) {
@@ -421,7 +421,7 @@ func TestGuestAgnosticismSmall(t *testing.T) {
 // TestFigureKeysMatchCurves pins the table's shape: every figure names
 // exactly one key per spec it declares, with no duplicates.
 func TestFigureKeysMatchCurves(t *testing.T) {
-	for _, f := range Figures() {
+	for _, f := range figures {
 		if got, want := len(f.Keys), len(f.specs(0.1)); got != want {
 			t.Errorf("%s: %d keys for %d specs", f.Name, got, want)
 		}

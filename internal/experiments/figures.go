@@ -11,11 +11,12 @@ import (
 // Figure is one row of the figure table: a data figure of the paper as a
 // list of scenario specs, one per curve.
 type Figure struct {
-	// Name is what -exp, -only and hwatchd "fig" jobs call the figure.
+	// Name is the figure's target name (fig/<Name>; hwatchsim also takes
+	// it bare).
 	Name    string
 	Caption string
 	// Keys names the curves in run order: the figure's golden digests are
-	// keyed Name/Key, figgen's CSV files are prefixed Name_Key.
+	// keyed Name/Key, hwatchsim -out's CSV files are prefixed Name_Key.
 	Keys  []string
 	specs func(scale float64) []*scenario.Spec
 }
@@ -42,16 +43,13 @@ var figures = []Figure{
 		[]string{"tcp", "hwatch"}, fig11Specs},
 }
 
-// Figures lists the paper's data figures in paper order.
-func Figures() []Figure { return append([]Figure(nil), figures...) }
-
 // LookupFigure finds a figure by name.
 func LookupFigure(name string) (Figure, error) {
 	return find("figure", figures, func(f Figure) string { return f.Name }, name)
 }
 
 // FigRuns executes one named figure under ctx; see Figure.Run. It is the
-// entry point bench/ and the hwatchd "fig" job kind call.
+// entry point bench/ and the library facade call.
 func FigRuns(ctx context.Context, name string, scale float64) ([]*scenario.Run, error) {
 	f, err := LookupFigure(name)
 	if err != nil {

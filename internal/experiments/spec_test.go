@@ -41,7 +41,7 @@ func TestSpecTestbedRun(t *testing.T) {
 
 // TestParamsAreData: what a table row hands the scenario layer is plain
 // data. The params structs hold no func, chan or interface anywhere, and
-// every Figures and Ablations row's params, shim settings and guest stack
+// every figure and ablation row's params, shim settings and guest stack
 // come back from an encoding/json round trip deeply equal, so a row can
 // be stored, compared and content-addressed.
 func TestParamsAreData(t *testing.T) {
@@ -51,12 +51,12 @@ func TestParamsAreData(t *testing.T) {
 	for _, scale := range []float64{0.1, 1} {
 		var specs []*scenario.Spec
 		var names []string
-		for _, f := range Figures() {
+		for _, f := range figures {
 			for i, s := range f.specs(scale) {
 				specs, names = append(specs, s), append(names, f.Name+"/"+f.Keys[i])
 			}
 		}
-		for _, a := range Ablations() {
+		for _, a := range ablations {
 			for i, s := range a.specs(scale) {
 				specs, names = append(specs, s), append(names, a.Name+"/"+a.rows[i].label)
 			}

@@ -323,6 +323,8 @@ func (s Schedule) Validate() error {
 			}
 		} else if e.Windowed() && e.Until <= e.At {
 			return fmt.Errorf("faults[%d] %s: window end %d not after start %d", i, e.Kind, e.Until, e.At)
+		} else if !e.Windowed() && e.Until != 0 {
+			return fmt.Errorf("faults[%d] %s: a point kind takes no until (it stays in force until its restore kind or a recurrence's duration ends it)", i, e.Kind)
 		}
 		if e.Pick < 0 {
 			return fmt.Errorf("faults[%d] %s: pick = %d negative", i, e.Kind, e.Pick)

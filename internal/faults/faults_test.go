@@ -242,6 +242,22 @@ func TestUnknownKindListsRegistry(t *testing.T) {
 	}
 }
 
+// TestPointKindRejectsUntil: a point kind has no window, so an until on
+// one would be ignored by the run while still re-seeding the spec. Every
+// non-windowed kind refuses it, naming the kind.
+func TestPointKindRejectsUntil(t *testing.T) {
+	for _, k := range Kinds() {
+		ev := Event{Kind: k, At: 100, Until: 120}
+		if ev.Windowed() {
+			continue
+		}
+		err := Schedule{ev}.Validate()
+		if err == nil || !strings.Contains(err.Error(), string(k)) {
+			t.Errorf("%s with until: error %v, want one naming the kind", k, err)
+		}
+	}
+}
+
 // TestInfosCoverKinds: every registered kind carries a one-line doc (the
 // -list-faults output), in registry order.
 func TestInfosCoverKinds(t *testing.T) {

@@ -155,9 +155,9 @@ func RenderFaults(specs []FaultSpec) (faults.Schedule, error) {
 	return sched, nil
 }
 
-// LoadFaults reads a standalone JSON fault-schedule file (an array of
-// FaultSpec) and renders it.
-func LoadFaults(path string) (faults.Schedule, error) {
+// LoadFaults reads a standalone JSON fault-schedule file: an array of
+// FaultSpec, what a FileSpec's Faults holds. ParseSpec validates it.
+func LoadFaults(path string) ([]FaultSpec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading fault schedule: %w", err)
@@ -166,5 +166,5 @@ func LoadFaults(path string) (faults.Schedule, error) {
 	if err := json.Unmarshal(raw, &specs); err != nil {
 		return nil, fmt.Errorf("parsing fault schedule: %w", err)
 	}
-	return RenderFaults(specs)
+	return specs, nil
 }

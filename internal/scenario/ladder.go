@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"hwatch/internal/harness"
 	"hwatch/internal/netem"
@@ -17,8 +15,8 @@ import (
 // reproducible scenario at a fixed multiple of the paper's testbed, or an
 // open-loop incast storm drawn from an empirical flow-size CDF. Rungs are
 // the units the bench-ladder regression gate and the ladder golden digests
-// operate on: `hwatchsim -exp ladder -rung <name>` runs one, BENCH_LADDER
-// records track all of them release over release.
+// operate on: `hwatchsim rung/<name>` runs one, BENCH_LADDER records
+// track all of them release over release.
 type Rung struct {
 	// Name identifies the rung ("ladder/10x", "storm/websearch").
 	Name        string
@@ -68,31 +66,10 @@ func Rungs() []Rung {
 	return out
 }
 
-// RungNames returns the registered rung names, sorted, for CLI listings
-// and error messages.
-func RungNames() []string {
-	names := make([]string, 0, len(rungByKey))
-	for name := range rungByKey {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // LookupRung finds a rung by name.
 func LookupRung(name string) (Rung, bool) {
 	r, ok := rungByKey[name]
 	return r, ok
-}
-
-// RunRung executes a registered rung at the given scale under ctx; see
-// Spec.RunContext.
-func RunRung(ctx context.Context, name string, scale float64) (*Run, error) {
-	r, ok := LookupRung(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown rung %q: registered rungs are %v", name, RungNames())
-	}
-	return r.Spec(scale).RunContext(ctx)
 }
 
 // ladderParams is the paper dumbbell multiplied by factor: factor times

@@ -147,6 +147,21 @@ func Lookup(name string) (Definition, bool) {
 	return def, ok
 }
 
+// LookupSchemes resolves scheme names, ignoring case and surrounding
+// space; an unknown name errors, listing the registered ones.
+func LookupSchemes(names []string) ([]Scheme, error) {
+	set := make([]Scheme, 0, len(names))
+	for _, raw := range names {
+		name := strings.ToLower(strings.TrimSpace(raw))
+		if _, ok := Lookup(name); !ok {
+			return nil, fmt.Errorf("unknown scheme %q: registered schemes are %s",
+				name, strings.Join(Names(), ", "))
+		}
+		set = append(set, Scheme(name))
+	}
+	return set, nil
+}
+
 // Names lists every registered scheme name, sorted.
 func Names() []string {
 	regMu.RLock()

@@ -64,6 +64,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"negative racks": `{"kind":"testbed","racks":-2}`,
 		"testbed buffer": `{"kind":"testbed","buffer_pkts":50}`,
 		"dumbbell racks": `{"kind":"dumbbell","racks":7}`,
+		"point until":    `{"kind":"dumbbell","faults":[{"kind":"link-down","at_ms":100,"until_ms":120}]}`,
 	} {
 		if _, err := ParseSpec([]byte(raw)); err == nil {
 			t.Errorf("%s: no error", name)

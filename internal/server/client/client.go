@@ -188,7 +188,20 @@ func (c *Client) Submit(ctx context.Context, req *server.JobRequest) (*server.Re
 	}
 }
 
-// SubmitSpec is Submit for a raw scenario spec (the hwatchsim -spec JSON).
+// Run submits one job and returns what running its target locally
+// returns, its runs (each digest re-verified by Runs) and its rows, plus a
+// note naming the server, whether the result was a cache hit and the code
+// version that computed it.
+func (c *Client) Run(ctx context.Context, req *server.JobRequest) ([]*scenario.Run, []string, string, error) {
+	res, err := c.Submit(ctx, req)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	runs, err := Runs(res)
+	return runs, res.Rows, fmt.Sprintf("via %s (cached %v, version %s)", c.base, res.Cached, res.Version), err
+}
+
+// SubmitSpec is Submit for a raw scenario spec (the hwatchsim spec:<file> JSON).
 func (c *Client) SubmitSpec(ctx context.Context, spec []byte) (*server.Result, error) {
 	return c.Submit(ctx, &server.JobRequest{Kind: "spec", Spec: spec})
 }

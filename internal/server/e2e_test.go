@@ -380,6 +380,11 @@ func TestE2EErrorPaths(t *testing.T) {
 	if resp := post(`{"kind":"testbed","buffer_pkts":50}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("testbed with buffer_pkts: status %d, want 400", resp.StatusCode)
 	}
+	// A point fault kind has no window: until_ms would be ignored by the
+	// run and still re-seed the spec.
+	if resp := post(`{"kind":"dumbbell","faults":[{"kind":"link-down","at_ms":100,"until_ms":120}]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("until_ms on link-down: status %d, want 400", resp.StatusCode)
+	}
 	// A body over the limit is refused as such; it used to be cut at the
 	// limit and reported as malformed JSON.
 	oversized := `{"kind":"dumbbell","scheme":"` + strings.Repeat("x", 1<<20+50_000) + `"}`

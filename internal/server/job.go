@@ -109,31 +109,23 @@ func (j *job) pin(permanent bool) (release func()) {
 // closure that executes it. run's Progress hook must be safe for
 // concurrent use.
 type parsedJob struct {
-	kind  string
-	name  string // rung/fig/ablation/study name ("" for spec)
-	scale float64
-	run   func(ctx context.Context, progress func(simNow int64, processed uint64)) (runs []*scenario.Run, rows []string, err error)
-}
-
-// normScale mirrors the CLIs: anything outside (0,1] means full scale.
-func normScale(v float64) float64 {
-	if v <= 0 || v > 1 {
-		return 1
-	}
-	return v
+	kind string
+	name string // the target's name ("" for spec)
+	run  func(ctx context.Context, progress func(simNow int64, processed uint64)) (runs []*scenario.Run, rows []string, err error)
 }
 
 // parseJob validates a request and computes its canonical digest. For
 // "spec" jobs the digest is the spec's own canonical digest (identical to
-// hwatchsim -spec-digest); the other kinds digest their canonical
-// parameter tuple. The digest doubles as the job id and the cache address.
+// hwatchsim -spec-digest); every other kind names a row of the target
+// table and digests its canonical parameter tuple, holding only the
+// settings the target reads. The digest doubles as the job id and the
+// cache address.
 func parseJob(req *JobRequest) (*parsedJob, string, error) {
 	kind := req.Kind
 	if kind == "" && len(req.Spec) > 0 {
 		kind = "spec"
 	}
-	switch kind {
-	case "spec":
+	if kind == "spec" {
 		if len(req.Spec) == 0 {
 			return nil, "", fmt.Errorf("spec job carries no spec")
 		}
@@ -156,75 +148,28 @@ func parseJob(req *JobRequest) (*parsedJob, string, error) {
 			return []*scenario.Run{r}, nil, nil
 		}
 		return p, digest, nil
-
-	case "rung":
-		rung, ok := scenario.LookupRung(req.Name)
-		if !ok {
-			return nil, "", fmt.Errorf("unknown rung %q: registered rungs are %v", req.Name, scenario.RungNames())
-		}
-		scale := normScale(req.Scale)
-		p := &parsedJob{kind: "rung", name: rung.Name, scale: scale}
-		p.run = func(ctx context.Context, progress func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			sc := rung.Spec(scale)
-			sc.Progress = progress
-			r, err := sc.RunContext(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			return []*scenario.Run{r}, nil, nil
-		}
-		return p, tupleDigest("rung", rung.Name, scale, nil), nil
-
-	case "fig":
-		fig, err := experiments.LookupFigure(strings.ToLower(req.Name))
-		if err != nil {
-			return nil, "", err
-		}
-		scale := normScale(req.Scale)
-		p := &parsedJob{kind: "fig", name: fig.Name, scale: scale}
-		p.run = func(ctx context.Context, _ func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			runs, err := fig.Run(ctx, scale)
-			return runs, nil, err
-		}
-		return p, tupleDigest("fig", fig.Name, scale, nil), nil
-
-	case "ablation":
-		abl, err := experiments.LookupAblation(req.Name)
-		if err != nil {
-			return nil, "", err
-		}
-		scale := normScale(req.Scale)
-		p := &parsedJob{kind: "ablation", name: abl.Name, scale: scale}
-		p.run = func(ctx context.Context, _ func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			pts, err := abl.Run(ctx, scale)
-			if err != nil {
-				return nil, nil, err
-			}
-			rows := make([]string, len(pts))
-			for i, pt := range pts {
-				rows[i] = pt.String()
-			}
-			return nil, rows, nil
-		}
-		return p, tupleDigest("ablation", abl.Name, scale, nil), nil
-
-	case "study":
-		set, err := schemeSet(req.Schemes)
-		if err != nil {
-			return nil, "", err
-		}
-		study, err := experiments.LookupStudy(req.Name)
-		if err != nil {
-			return nil, "", err
-		}
-		p := &parsedJob{kind: "study", name: study.Name, scale: 1}
-		p.run = func(ctx context.Context, _ func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			rows, err := study.Run(ctx, set)
-			return nil, rows, err
-		}
-		return p, tupleDigest("study", study.Name, 1, req.Schemes), nil
 	}
-	return nil, "", fmt.Errorf("unknown job kind %q: want spec, rung, fig, ablation or study", kind)
+	t, err := experiments.LookupTarget(kind, strings.ToLower(req.Name))
+	if err != nil {
+		return nil, "", err
+	}
+	scale := 1.0 // a scale outside (0,1] is full scale, as in hwatchsim
+	if t.Scaled && req.Scale > 0 && req.Scale <= 1 {
+		scale = req.Scale
+	}
+	var set []scenario.Scheme
+	var schemes []string
+	if t.Schemed {
+		if set, err = scenario.LookupSchemes(req.Schemes); err != nil {
+			return nil, "", err
+		}
+		schemes = req.Schemes
+	}
+	p := &parsedJob{kind: t.Kind, name: t.Name}
+	p.run = func(ctx context.Context, progress func(int64, uint64)) ([]*scenario.Run, []string, error) {
+		return t.Run(ctx, scale, set, progress)
+	}
+	return p, tupleDigest(t.Kind, t.Name, scale, schemes), nil
 }
 
 // tupleDigest content-addresses a non-spec job by its canonical parameter
@@ -239,20 +184,4 @@ func tupleDigest(kind, name string, scale float64, schemes []string) string {
 	})
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-func schemeSet(names []string) ([]scenario.Scheme, error) {
-	if len(names) == 0 {
-		return scenario.AllSchemes(), nil
-	}
-	set := make([]scenario.Scheme, 0, len(names))
-	for _, raw := range names {
-		name := strings.ToLower(strings.TrimSpace(raw))
-		if _, ok := scenario.Lookup(name); !ok {
-			return nil, fmt.Errorf("unknown scheme %q: registered schemes are %s",
-				name, strings.Join(scenario.Names(), ", "))
-		}
-		set = append(set, scenario.Scheme(name))
-	}
-	return set, nil
 }

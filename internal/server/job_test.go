@@ -12,52 +12,47 @@ import (
 	"hwatch/internal/scenario"
 )
 
-// TestParseJobNamesAreTheTables pins the job kinds to the experiment
-// tables: parseJob accepts exactly the names the figure, ablation and
-// study tables list, and a made-up name is rejected with an error that
-// lists the table. There is no second copy of the names to drift.
+// TestParseJobNamesAreTheTables pins the job kinds to the one target
+// table: parseJob accepts every target under its kind/name, a made-up or
+// borrowed name is rejected with an error that lists the table, and the
+// content addresses of a figure, an ablation, a study and a rung are the
+// ones the per-kind parser assigned before the table existed, so no cached
+// result moves. There is no second copy of the names to drift.
 func TestParseJobNamesAreTheTables(t *testing.T) {
 	kinds := map[string][]string{}
-	for _, f := range experiments.Figures() {
-		kinds["fig"] = append(kinds["fig"], f.Name)
-	}
-	for _, a := range experiments.Ablations() {
-		kinds["ablation"] = append(kinds["ablation"], a.Name)
-	}
-	for _, s := range experiments.Studies() {
-		kinds["study"] = append(kinds["study"], s.Name)
-	}
-	if len(kinds["fig"]) != 5 || len(kinds["ablation"]) != 6 || len(kinds["study"]) != 3 {
-		t.Fatalf("tables list %d figures, %d ablations, %d studies; the paper's evaluation has 5, 6 and 3",
-			len(kinds["fig"]), len(kinds["ablation"]), len(kinds["study"]))
-	}
 	digests := map[string]string{}
-	for kind, names := range kinds {
-		for _, name := range names {
-			p, digest, err := parseJob(&JobRequest{Kind: kind, Name: name, Scale: 0.1})
-			if err != nil {
-				t.Errorf("%s %q is in the table but parseJob rejects it: %v", kind, name, err)
-				continue
-			}
-			if p.kind != kind || p.name != name {
-				t.Errorf("%s %q parsed as %s %q", kind, name, p.kind, p.name)
-			}
-			if prev, dup := digests[digest]; dup {
-				t.Errorf("%s %q shares its content address with %s", kind, name, prev)
-			}
-			digests[digest] = kind + " " + name
+	for _, tg := range experiments.Targets() {
+		kinds[tg.Kind] = append(kinds[tg.Kind], tg.Name)
+		p, digest, err := parseJob(&JobRequest{Kind: tg.Kind, Name: tg.Name, Scale: 0.1})
+		if err != nil {
+			t.Errorf("%s is in the table but parseJob rejects it: %v", tg.ID(), err)
+			continue
 		}
+		if p.kind != tg.Kind || p.name != tg.Name {
+			t.Errorf("%s parsed as %s/%s", tg.ID(), p.kind, p.name)
+		}
+		if prev, dup := digests[digest]; dup {
+			t.Errorf("%s shares its content address with %s", tg.ID(), prev)
+		}
+		digests[digest] = tg.ID()
+	}
+	if len(kinds["fig"]) != 5 || len(kinds["ablation"]) != 6 || len(kinds["study"]) != 3 ||
+		len(kinds["rung"]) != len(scenario.Rungs()) {
+		t.Fatalf("the table lists %d figures, %d ablations, %d studies, %d rungs; the paper's evaluation has 5, 6 and 3, the ladder %d rungs",
+			len(kinds["fig"]), len(kinds["ablation"]), len(kinds["study"]), len(kinds["rung"]), len(scenario.Rungs()))
+	}
+	for kind, names := range kinds {
 		_, _, err := parseJob(&JobRequest{Kind: kind, Name: "no-such-name"})
 		if err == nil {
 			t.Errorf("%s job with a made-up name was accepted", kind)
 			continue
 		}
 		for _, name := range names {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("%s: error %q does not list the table's %q", kind, err, name)
+			if !strings.Contains(err.Error(), kind+"/"+name) {
+				t.Errorf("%s: error %q does not list the table's %s/%s", kind, err, kind, name)
 			}
 		}
-		// A name from another kind's table is just as unknown here.
+		// A name from another kind's rows is just as unknown here.
 		for other, otherNames := range kinds {
 			if other == kind {
 				continue
@@ -65,6 +60,19 @@ func TestParseJobNamesAreTheTables(t *testing.T) {
 			if _, _, err := parseJob(&JobRequest{Kind: kind, Name: otherNames[0]}); err == nil {
 				t.Errorf("%s job accepted the %s name %q", kind, other, otherNames[0])
 			}
+		}
+	}
+	for _, c := range []struct {
+		req  JobRequest
+		want string
+	}{
+		{JobRequest{Kind: "fig", Name: "fig2", Scale: 0.1}, "5b02edcca0185b09b61fe88dc5d4ada9cfaf4a563270e909ae1ef841daf5145a"},
+		{JobRequest{Kind: "ablation", Name: "k", Scale: 0.1}, "1a0c1821623440cf211c9f70548be41a85a56191488114cc173c9adaebd098bc"},
+		{JobRequest{Kind: "study", Name: "incast"}, "95c9cd1c2dee48def484cb2d8cd36a7e4657a4e26cdf4f75dfa2c4f1fd51168a"},
+		{JobRequest{Kind: "rung", Name: "ladder/1x", Scale: 0.2}, "27bcab9dce59eb0fe4f6f95c37207cf1d99372ae05d15c79e76c4b04e39237a4"},
+	} {
+		if _, got, err := parseJob(&c.req); err != nil || got != c.want {
+			t.Errorf("%s/%s@%v: digest %s (err %v), want %s", c.req.Kind, c.req.Name, c.req.Scale, got, err, c.want)
 		}
 	}
 }

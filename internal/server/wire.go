@@ -20,19 +20,20 @@ import (
 	"hwatch/internal/scenario"
 )
 
-// JobRequest describes one job submission. Exactly one of the kinds:
+// JobRequest describes one job submission, in one of two forms:
 //
-//   - "spec": Spec carries a scenario.FileSpec (the hwatchsim -spec JSON
-//     form). A bare FileSpec object (kind "dumbbell"/"testbed") posted to
-//     the jobs endpoint is accepted as shorthand for this envelope.
-//   - "rung": Name is a registered ladder rung ("ladder/10x",
-//     "storm/websearch"); Scale as in hwatchsim -scale.
-//   - "fig": Name is a figure ("fig1", "fig2", "fig8", "fig9", "fig11").
-//   - "ablation": Name is a sweep ablation (probes|k|icw|batch|pacing|guests).
-//   - "study": Name is an extension study (empirical|coflow|incast);
-//     Schemes optionally overrides the compared scheme set.
+//   - Kind "spec": Spec carries a scenario.FileSpec (the JSON form of
+//     hwatchsim spec:<file>). A bare FileSpec object (kind
+//     "dumbbell"/"testbed") posted to the jobs endpoint is accepted as
+//     shorthand for this envelope.
+//   - Any other Kind and Name name a row of the target table, the same
+//     kind/name hwatchsim takes as a target (hwatchsim -list prints them):
+//     "fig" with a figure ("fig8"), "ablation" with a sweep ("k"),
+//     "study" with an extension study ("coflow"), "rung" with a ladder
+//     rung ("storm/websearch"). Scale applies to figures, ablations and
+//     rungs; Schemes optionally overrides a study's compared scheme set.
 //
-// Scale outside (0,1] normalizes to 1 (full scale), mirroring the CLIs.
+// Scale outside (0,1] normalizes to 1 (full scale), mirroring hwatchsim.
 type JobRequest struct {
 	Kind    string          `json:"kind,omitempty"`
 	Spec    json.RawMessage `json:"spec,omitempty"`
