@@ -66,7 +66,9 @@ func reads(t hwatch.Target, name string) bool {
 		return t.Scaled
 	case "schemes":
 		return t.Schemed
-	case "out", "json", "digest":
+	case "out", "json", "digest", "check":
+		// Row targets print rows, not runs: no curves, digests or
+		// violations to report.
 		return t.Kind != "ablation" && t.Kind != "study"
 	case "faults", "spec-digest":
 		return t.Spec != nil

@@ -9,6 +9,42 @@ import (
 	"testing"
 )
 
+// TestFlagsReadByTargetKind pins which flags each kind of target reads: a
+// flag no selected target reads fails the command, so a row target's
+// -check cannot arm a checker whose findings it has no way to print.
+func TestFlagsReadByTargetKind(t *testing.T) {
+	o := options{long: 5, short: 5, seed: 1}
+	for _, c := range []struct {
+		target, flag string
+		want         bool
+	}{
+		{"fig8", "check", true},
+		{"rung/ladder/1x", "check", true},
+		{"scheme:hwatch", "check", true},
+		{"spec:../../examples/server_submit.json", "check", true},
+		{"ablation/k", "check", false},
+		{"study/coflow", "check", false},
+		{"ablation/k", "digest", false},
+		{"study/incast", "out", false},
+		{"ablation/k", "scale", true},
+		{"study/coflow", "schemes", true},
+		{"fig8", "faults", false},
+		{"scheme:hwatch", "faults", true},
+		{"scheme:hwatch", "seed", true},
+		{"spec:../../examples/server_submit.json", "long", false},
+	} {
+		ts, err := resolve(c.target, &o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.target, err)
+		}
+		for _, tg := range ts {
+			if got := reads(tg, c.flag); got != c.want {
+				t.Errorf("%s reads -%s: %v, want %v", c.target, c.flag, got, c.want)
+			}
+		}
+	}
+}
+
 // TestDocsNameRealCommandsAndFlags reads the documents that tell a reader
 // how to build and run the repository: every cmd/<x> they name must exist,
 // and every -flag that follows hwatchsim on a command line must be one the

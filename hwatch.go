@@ -48,9 +48,10 @@ func SetParallel(n int) { experiments.SetParallel(n) }
 // SetShards sets how many engine shards every subsequent run partitions
 // its fabric across when its scenario does not say (n <= 1 restores the
 // default single-loop engine). Sharding is an execution detail, never a
-// scenario parameter: the conservative-lookahead windows and deterministic
-// merge keep every run's digest byte-identical at any shard count and any
-// GOMAXPROCS — the only thing that changes is wall-clock time.
+// scenario parameter: the conservative-lookahead windows and the
+// causal-rank event order keep every run's digest byte-identical at any
+// shard count and any GOMAXPROCS — the only thing that changes is
+// wall-clock time.
 func SetShards(n int) { scenario.SetDefaultShards(n) }
 
 // SetInvariantChecks enables the physical-invariant checker (packet

@@ -7,9 +7,9 @@
 // Golden-digest reproducibility (byte-identical runs for a fixed seed at
 // any parallelism and shard count) is the repo's load-bearing correctness
 // evidence; this analyzer turns the ways it silently rots — wall clock,
-// global math/rand, map-order-dependent scheduling, and cross-shard
-// channel receives that bypass the group's deterministic outbox merge —
-// into build failures.
+// global math/rand, map-order-dependent scheduling, and channel receives
+// whose goroutine-scheduled order reaches the event queue — into build
+// failures.
 package detrand
 
 import (
@@ -148,7 +148,7 @@ func checkOrderedRange(pass *analysis.Pass, set *allowdir.Set, used allowdir.Use
 	case *types.Chan:
 		if why := r.bodyReaches(rng.Body); why != "" {
 			allowdir.Report(pass, set, used, "detrand", rng.Pos(),
-				"channel receive order can reach %s: receive order is goroutine scheduling, not simulation order — route cross-shard events through the group's outbox merge, or drain into a slice and sort", why)
+				"channel receive order can reach %s: receive order is goroutine scheduling, not simulation order — send cross-shard events from the sending engine (Engine.ScheduleRemoteArg), or drain into a slice and sort", why)
 		}
 	}
 }
@@ -168,7 +168,7 @@ func checkSelect(pass *analysis.Pass, set *allowdir.Set, used allowdir.Used, r *
 		for _, stmt := range comm.Body {
 			if why := r.bodyReaches(stmt); why != "" {
 				allowdir.Report(pass, set, used, "detrand", comm.Pos(),
-					"select receive arm can reach %s: arm choice is goroutine scheduling, not simulation order — route cross-shard events through the group's outbox merge", why)
+					"select receive arm can reach %s: arm choice is goroutine scheduling, not simulation order — send cross-shard events from the sending engine (Engine.ScheduleRemoteArg)", why)
 				break
 			}
 		}
@@ -208,7 +208,7 @@ func checkRecvArg(pass *analysis.Pass, set *allowdir.Set, used allowdir.Used, ca
 		ast.Inspect(arg, func(n ast.Node) bool {
 			if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
 				allowdir.Report(pass, set, used, "detrand", u.Pos(),
-					"channel receive feeds %s directly: receive order is goroutine scheduling, not simulation order — route cross-shard events through the group's outbox merge", sinkName(fn))
+					"channel receive feeds %s directly: receive order is goroutine scheduling, not simulation order — send cross-shard events from the sending engine (Engine.ScheduleRemoteArg)", sinkName(fn))
 				return false
 			}
 			return true

@@ -85,7 +85,8 @@ func suppressed(e *Engine, m map[int]func()) {
 }
 
 // Cross-shard hazards: channel receive order is goroutine scheduling, so a
-// receive that can reach the event queue bypasses the group's merge.
+// receive that can reach the event queue makes the event order depend on
+// it.
 
 func chanOrderDirect(e *Engine, ch chan func()) {
 	for fn := range ch { // want `channel receive order can reach Engine.Schedule`
@@ -137,10 +138,9 @@ func chanOrderBenign(ch chan int) int {
 	return sum
 }
 
-func workerWindowLoop(e *Engine, cmd chan int64) {
-	// The sharded group's sanctioned worker shape: window ends drive
-	// RunUntil, and every cross-shard event flows through the outbox
-	// merge — the receive order never reaches the event queue.
+func windowLoop(e *Engine, cmd chan int64) {
+	// Window ends off a channel only drive RunUntil, which schedules
+	// nothing: the receive order never reaches the event queue.
 	for end := range cmd {
 		e.RunUntil(end)
 	}

@@ -565,8 +565,8 @@ type Injector struct {
 
 // logSlot is one pre-allocated log line. Slots are claimed at Arm time in
 // schedule order with the event's fire instant; the fault action fills the
-// message in when it fires, possibly from different shards concurrently —
-// each action writes only its own slot, so no lock is needed.
+// message in when it fires, on whichever shard owns its target, and Log
+// sorts the slots back into fire order.
 type logSlot struct {
 	at  int64
 	msg string
@@ -727,8 +727,10 @@ func Arm(eng *sim.Engine, rng *sim.RNG, sched Schedule, fab Fabric) (*Injector, 
 			}
 			for _, tgt := range targets {
 				// Effects running on different shards must not share a
-				// generator: one child per armed target unless this is the
-				// single pre-recurrence shape (one shot, fixed target).
+				// generator, or the order the shards run a window in
+				// would decide who draws what: one child per armed target
+				// unless this is the single pre-recurrence shape (one
+				// shot, fixed target).
 				kindRng := evRng
 				if kindNeedsRNG(ev.Kind) && (ev.Recur != nil || ev.Pick > 0) {
 					kindRng = evRng.Fork()

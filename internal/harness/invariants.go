@@ -78,8 +78,9 @@ func (c *Checker) WatchSenders(src func() []*tcp.Sender) {
 func (c *Checker) Every() int64 { return c.every }
 
 // Sweep runs one check pass immediately. Sharded runs call it from window
-// barriers (every shard quiescent) instead of Start's engine-scheduled
-// tick, which could not safely read state owned by other shards.
+// barriers, with every shard at the window's end, instead of Start's
+// engine-scheduled tick: mid-window, the other shards' state may be a
+// window behind or ahead of the ticking engine's clock.
 func (c *Checker) Sweep() { c.sweep() }
 
 // Start schedules the periodic sweep on the engine.

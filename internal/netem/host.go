@@ -76,16 +76,19 @@ type Host struct {
 	VerifyChecksums bool
 
 	nextEphemeral uint16
-	shard         *shardState // packet IDs and free list, shared per shard
+	pktID         *uint64   // the shard's packet-ID counter
+	free          *freeList // the network's packet free list
 }
 
-// newHost returns a host with the given address on the shard sh.
-func newHost(eng *sim.Engine, id NodeID, name string, sh *shardState) *Host {
+// newHost returns a host with the given address, drawing packet IDs from
+// its shard's counter and packets from the network's free list.
+func newHost(eng *sim.Engine, id NodeID, name string, pktID *uint64, free *freeList) *Host {
 	return &Host{
 		ID: id, Name: name, Eng: eng,
 		listeners:     make(map[uint16]Listener),
 		nextEphemeral: 33000,
-		shard:         sh,
+		pktID:         pktID,
+		free:          free,
 	}
 }
 
@@ -106,17 +109,17 @@ func (h *Host) AddFilter(f Filter) {
 
 // NextPacketID allocates a unique packet ID.
 func (h *Host) NextPacketID() uint64 {
-	h.shard.pktID++
-	return h.shard.pktID
+	*h.pktID++
+	return *h.pktID
 }
 
-// AllocPacket returns a zeroed packet from the free list of the host's
-// shard. Transports and the shim allocate every packet they send here.
-func (h *Host) AllocPacket() *Packet { return h.shard.free.AllocPacket() }
+// AllocPacket returns a zeroed packet from the network's free list.
+// Transports and the shim allocate every packet they send here.
+func (h *Host) AllocPacket() *Packet { return h.free.AllocPacket() }
 
-// ReleasePacket returns p to the free list of the host's shard; see the
-// ownership contract in pool.go.
-func (h *Host) ReleasePacket(p *Packet) { h.shard.free.ReleasePacket(p) }
+// ReleasePacket returns p to the network's free list; see the ownership
+// contract in pool.go.
+func (h *Host) ReleasePacket(p *Packet) { h.free.ReleasePacket(p) }
 
 // AllocPort returns a fresh ephemeral source port.
 func (h *Host) AllocPort() uint16 {

@@ -13,7 +13,7 @@ import (
 // A network is either single-loop (the default: one engine, Eng) or
 // sharded (NewShardedNetwork: one engine per shard under a sim.Group).
 // Every node belongs to exactly one shard; links whose endpoints live on
-// different shards deliver through the group's conservative merge, and the
+// different shards deliver through the group's cross-shard send, and the
 // minimum cross-shard propagation delay is the group's lookahead bound.
 type Network struct {
 	// Eng is shard 0's engine — the only engine of a single-loop network,
@@ -25,26 +25,17 @@ type Network struct {
 	switches []*Switch
 	swShard  map[*Switch]int
 	nextID   NodeID
-	// shards holds what each shard's nodes share. Fixed length: hosts and
-	// ports keep pointers into it.
-	shards []shardState
-	// spare holds the free packets balanceLists took from shards that
-	// release more than they allocate, for the shards that allocate more.
-	spare freeList
+	// pktIDs is each shard's packet-ID counter. Shard i counts from i<<48,
+	// so ID streams stay disjoint without cross-shard coordination (and
+	// shard 0 — hence every single-loop run — counts from 0). Fixed
+	// length: hosts keep pointers into it.
+	pktIDs []uint64
+	// free recycles the packets of every shard: the group runs one shard
+	// at a time, so one list serves them all.
+	free freeList
 	// minCross is the smallest cross-shard link delay seen (0 until the
 	// first cross-shard link); it becomes the group lookahead.
 	minCross int64
-}
-
-// shardState is what the nodes of one shard share, touched only by the
-// goroutine running that shard.
-type shardState struct {
-	// pktID is the shard's packet-ID counter. Shard i counts from i<<48,
-	// so ID streams stay disjoint without cross-shard coordination (and
-	// shard 0 — hence every single-loop run — counts from 0).
-	pktID uint64
-	// free recycles the packets whose lives end on this shard.
-	free freeList
 }
 
 // NewNetwork returns an empty single-loop network on a fresh engine.
@@ -53,7 +44,7 @@ func NewNetwork() *Network { return NewShardedNetwork(1) }
 // NewShardedNetwork returns an empty network partitioned into the given
 // number of shards. One shard is the plain single-loop configuration —
 // same engine type, no group, zero behavior change. Under sim's NoSlab
-// default option, the never-reusing oracle, its free lists recycle no
+// default option, the never-reusing oracle, its free list recycles no
 // packets either.
 func NewShardedNetwork(shards int) *Network {
 	if shards < 1 {
@@ -63,12 +54,11 @@ func NewShardedNetwork(shards int) *Network {
 		hosts:   make(map[NodeID]*Host),
 		swShard: make(map[*Switch]int),
 		nextID:  1,
-		shards:  make([]shardState, shards),
+		pktIDs:  make([]uint64, shards),
+		free:    freeList{off: sim.DefaultOptions().NoSlab},
 	}
-	off := sim.DefaultOptions().NoSlab
-	for i := range n.shards {
-		n.shards[i].pktID = uint64(i) << 48
-		n.shards[i].free.off = off
+	for i := range n.pktIDs {
+		n.pktIDs[i] = uint64(i) << 48
 	}
 	if shards == 1 {
 		n.Eng = sim.New()
@@ -80,32 +70,7 @@ func NewShardedNetwork(shards int) *Network {
 		n.engines = append(n.engines, n.group.Engine(i))
 	}
 	n.Eng = n.engines[0]
-	n.group.OnBarrier(n.balanceLists)
 	return n
-}
-
-// listKeep is how many free packets a shard keeps across a barrier: more
-// than a shard typically allocates in one lookahead window, so a shard
-// that allocates more than it releases rarely reaches for a fresh packet.
-const listKeep = 256
-
-// balanceLists evens out the shards' free lists at every barrier, while
-// no shard runs. A packet is released on the shard its life ends on,
-// which for a flow's data is not the shard that allocated it, so without
-// this one list would grow for good while another allocated afresh. A
-// list above listKeep gives its surplus to the spare list; a list below
-// takes back from it.
-func (n *Network) balanceLists(int64) {
-	for i := range n.shards {
-		if l := &n.shards[i].free; l.n > listKeep {
-			n.spare.move(l, l.n-listKeep)
-		}
-	}
-	for i := range n.shards {
-		if l := &n.shards[i].free; l.n < listKeep {
-			l.move(&n.spare, min(listKeep-l.n, n.spare.n))
-		}
-	}
 }
 
 // Shards returns the shard count (1 for a single-loop network).
@@ -138,7 +103,7 @@ func (n *Network) NewHostIn(shard int, name string) *Host {
 	if name == "" {
 		name = fmt.Sprintf("h%d", id)
 	}
-	h := newHost(n.engines[shard], id, name, &n.shards[shard])
+	h := newHost(n.engines[shard], id, name, &n.pktIDs[shard], &n.free)
 	n.hosts[id] = h
 	return h
 }
@@ -173,17 +138,13 @@ func (n *Network) Hosts() map[NodeID]*Host { return n.hosts }
 // builders take one so every output port gets its own buffer.
 type QueueFactory func() Queue
 
-// CrossBind binds p to the free list of the shard that runs it, marks p's
-// peer as living on dst's shard (no-op when src owns both ends) and folds
-// the link delay into the lookahead bound. Topology builders use it for
-// hand-wired ports; Link* call it internally. A port never bound releases
-// its dropped packets to the GC.
+// CrossBind binds p to the network's free list, marks p's peer as living
+// on dst's shard (no-op when src owns both ends) and folds the link delay
+// into the lookahead bound. Topology builders use it for hand-wired ports;
+// Link* call it internally. A port never bound releases its dropped
+// packets to the GC.
 func (n *Network) CrossBind(p *Port, dst *sim.Engine) {
-	for i, e := range n.engines {
-		if e == p.Eng {
-			p.free = &n.shards[i].free
-		}
-	}
+	p.free = &n.free
 	if p.Eng == dst {
 		return
 	}
@@ -199,8 +160,8 @@ func (n *Network) CrossBind(p *Port, dst *sim.Engine) {
 // LinkHostSwitch wires host <-> switch full duplex: the host's uplink port
 // (queue hq) toward the switch, and a switch port (queue sq) toward the
 // host. Each port transmits on its owning node's shard; a shard-crossing
-// link delivers through the group merge. Returns the switch-side port
-// index.
+// link delivers through the group's cross-shard send. Returns the
+// switch-side port index.
 func (n *Network) LinkHostSwitch(h *Host, s *Switch, hq, sq Queue, rateBps, delay int64) int {
 	swEng := n.SwitchEngine(s)
 	up := NewPort(h.Eng, hq, rateBps, delay)

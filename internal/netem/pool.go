@@ -1,7 +1,7 @@
 package netem
 
-// Packet recycling. Every shard of a Network owns one free list of packets,
-// and a packet's life follows a strict linear-ownership contract
+// Packet recycling. A Network owns one free list of packets, shared by its
+// shards, and a packet's life follows a strict linear-ownership contract
 // (documented in DESIGN.md §6e):
 //
 //   - Whoever allocates a packet owns it until ownership transfers: handing
@@ -9,28 +9,26 @@ package netem
 //     gives it away; a filter returning VerdictStolen takes it.
 //   - The owner at the end of a packet's life — a drop site, or the host
 //     after the transport handler returns — calls ReleasePacket exactly
-//     once, on the list of the shard it runs on. Touching a packet after
-//     release is a bug; build with -tags poolpoison to make such bugs
-//     corrupt digests loudly instead of silently reading recycled-then-
-//     zeroed memory.
+//     once. Touching a packet after release is a bug; build with -tags
+//     poolpoison to make such bugs corrupt digests loudly instead of
+//     silently reading recycled-then-zeroed memory.
 //   - Packets parked in queues or in-flight engine events are owned by
 //     those structures; anything still parked when a run ends is simply
-//     garbage collected, together with the network's lists.
+//     garbage collected, together with the network's list.
 //
 // Recycling is semantically invisible: AllocPacket always returns a fully
 // zeroed packet. A list belongs to one run, so a packet released in one
 // run can never surface in another.
 
-// freeList is one shard's recycled packets, a stack linked through
+// freeList is a network's recycled packets, a stack linked through
 // Packet.next: the packet released last is allocated next, still
-// cache-hot, and the list grows without allocating. Only the goroutine
-// running the shard touches it, so it takes no lock; a packet may migrate
-// between shards' lists, released where its life ends. A nil list
-// recycles nothing: it allocates fresh packets and leaves released ones to
-// the GC, and so does a list that is off.
+// cache-hot, and the list grows without allocating. The shards of a
+// sim.Group run one at a time on one goroutine, so the list takes no lock,
+// and a packet released on one shard is reused by whichever shard
+// allocates next. A nil list recycles nothing: it allocates fresh packets
+// and leaves released ones to the GC, and so does a list that is off.
 type freeList struct {
 	head *Packet
-	n    int
 	// off makes the list keep nothing it is given: the oracle a network
 	// built under sim's NoSlab option uses, against which recycling must
 	// be invisible.
@@ -44,7 +42,6 @@ func (l *freeList) AllocPacket() *Packet {
 	}
 	p := l.head
 	l.head, p.next = p.next, nil
-	l.n--
 	resetOnAlloc(p)
 	return p
 }
@@ -57,17 +54,6 @@ func (l *freeList) ReleasePacket(p *Packet) {
 	}
 	scrubOnRelease(p)
 	p.next, l.head = l.head, p
-	l.n++
-}
-
-// move transfers k packets from the top of src to the top of l.
-func (l *freeList) move(src *freeList, k int) {
-	for i := 0; i < k; i++ {
-		p := src.head
-		src.head, p.next, l.head = p.next, l.head, p
-	}
-	src.n -= k
-	l.n += k
 }
 
 // ClonePacket returns a copy of p allocated from the list (the Sack slice
@@ -79,6 +65,6 @@ func (l *freeList) ClonePacket(p *Packet) *Packet {
 }
 
 // AllocPacket returns a fresh zeroed packet, for callers that send into a
-// network from outside it (benchmarks, tests). Code running on a shard
+// network from outside it (benchmarks, tests). Code running in a network
 // allocates from its host's list instead (Host.AllocPacket).
 func AllocPacket() *Packet { return new(Packet) }

@@ -7,13 +7,11 @@ import (
 )
 
 // TestPacketListsDoNotCrossNetworks pins who may hand out a released
-// packet: only the list of the shard it was released on. Another network
-// — another run, perhaps another tenant's — never sees it, and neither
-// does another shard of the same network until a barrier moves it there,
-// with every shard stopped.
+// packet: only the network it was released in. Another network — another
+// run, perhaps another tenant's — never sees it.
 func TestPacketListsDoNotCrossNetworks(t *testing.T) {
 	a, b := NewShardedNetwork(2), NewNetwork()
-	a0, a1, hb := a.NewHostIn(0, "a0"), a.NewHostIn(1, "a1"), b.NewHost("b")
+	a0, hb := a.NewHostIn(0, "a0"), b.NewHost("b")
 	a.LinkHostSwitch(a0, a.NewSwitchIn(0, "sw"), &unboundedQ{}, &unboundedQ{}, 1e9, 1000)
 
 	released := make(map[*Packet]bool)
@@ -25,7 +23,7 @@ func TestPacketListsDoNotCrossNetworks(t *testing.T) {
 		released[p] = true
 		a0.ReleasePacket(p)
 	}
-	// A drop at a port the network linked lands on its shard's list too.
+	// A drop at a port the network linked lands on its list too.
 	a0.Uplink().SetDown(true)
 	drop := a0.AllocPacket()
 	delete(released, drop)
@@ -37,49 +35,50 @@ func TestPacketListsDoNotCrossNetworks(t *testing.T) {
 		if p := hb.AllocPacket(); released[p] {
 			t.Fatalf("network b handed out a packet released into network a")
 		}
-		if p := a1.AllocPacket(); released[p] {
-			t.Fatalf("shard 1 handed out a packet released on shard 0")
-		}
 	}
 	for range released {
 		if p := a0.AllocPacket(); !released[p] {
-			t.Fatalf("shard 0 allocated a fresh packet with %d released ones on its list", len(released))
+			t.Fatalf("network a allocated a fresh packet with %d released ones on its list", len(released))
 		}
 	}
 }
 
-// TestBalanceListsConservesPackets: the barrier hands a shard's surplus to
-// the shards short of packets, through the spare list, and loses none.
-func TestBalanceListsConservesPackets(t *testing.T) {
-	n := NewShardedNetwork(3)
+// TestShardsShareOneFreeList: on a two-shard network, a packet released
+// on either shard is reused by both, and none is lost on the way.
+func TestShardsShareOneFreeList(t *testing.T) {
+	n := NewShardedNetwork(2)
+	hosts := []*Host{n.NewHostIn(0, "h0"), n.NewHostIn(1, "h1")}
 	all := make(map[*Packet]bool)
-	for i := 0; i < 3*listKeep; i++ {
-		p := new(Packet)
+	for rel := range hosts {
+		for alloc := range hosts {
+			p := hosts[rel].AllocPacket()
+			all[p] = true
+			hosts[rel].ReleasePacket(p)
+			if q := hosts[alloc].AllocPacket(); q != p {
+				t.Errorf("shard %d did not reuse the packet shard %d released", alloc, rel)
+			}
+			hosts[alloc].ReleasePacket(p)
+		}
+	}
+	// Packets from one shard's hands, released across both: every one
+	// comes back out, through either shard, before a fresh one does.
+	const k = 16
+	var held []*Packet
+	for i := 0; i < k; i++ {
+		held = append(held, hosts[i%2].AllocPacket())
+	}
+	for i, p := range held {
 		all[p] = true
-		n.shards[0].free.ReleasePacket(p)
+		hosts[(i/2)%2].ReleasePacket(p)
 	}
-	n.shards[1].free.ReleasePacket(n.shards[1].free.AllocPacket())
-	n.balanceLists(0)
-
 	got := make(map[*Packet]bool)
-	walk := func(l *freeList) (k int) {
-		for p := l.head; p != nil; p = p.next {
-			got[p] = true
-			k++
-		}
-		if k != l.n {
-			t.Errorf("list counts %d packets, links %d", l.n, k)
-		}
-		return k
+	for i := 0; i < len(all); i++ {
+		got[hosts[i%2].AllocPacket()] = true
 	}
-	for i := range n.shards {
-		if k := walk(&n.shards[i].free); k != listKeep {
-			t.Errorf("shard %d keeps %d free packets, want %d", i, k, listKeep)
+	for p := range all {
+		if !got[p] {
+			t.Fatalf("a released packet never came back: %d of %d reused", len(got), len(all))
 		}
-	}
-	walk(&n.spare)
-	if len(got) != len(all)+1 {
-		t.Fatalf("%d distinct packets after balancing, want %d", len(got), len(all)+1)
 	}
 }
 
@@ -98,13 +97,10 @@ func TestNoSlabNetworkRecyclesNothing(t *testing.T) {
 			t.Errorf("shard %d handed a released packet out again", i)
 		}
 	}
-	n.balanceLists(0)
-	for i := range n.shards {
-		if l := &n.shards[i].free; l.n != 0 || l.head != nil {
-			t.Errorf("shard %d keeps %d free packets", i, l.n)
-		}
+	if n.free.head != nil {
+		t.Error("the network's list keeps a free packet")
 	}
-	if recycled := NewNetwork(); recycled.shards[0].free.off {
+	if recycled := NewNetwork(); recycled.free.off {
 		t.Error("a network built under the default options does not recycle")
 	}
 }

@@ -56,9 +56,8 @@ type Port struct {
 	peer  Deliverer
 	stats PortStats
 
-	// free is the free list of the shard that runs the port, where its
-	// drop sites release (nil for a port no Network bound: the GC takes
-	// its drops).
+	// free is the network's free list, where the port's drop sites
+	// release (nil for a port no Network bound: the GC takes its drops).
 	free *freeList
 
 	// busy: a completion event is in the queue. late: the completion of
@@ -72,8 +71,8 @@ type Port struct {
 	twoEvent bool
 
 	// remote is the engine owning the peer when the link crosses a shard
-	// boundary (nil for a same-shard link). Delivery then goes through the
-	// group's conservative outbox/merge instead of a local schedule.
+	// boundary (nil for a same-shard link). Delivery is then a cross-shard
+	// send (sim.Engine.ScheduleRemoteArg) instead of a local schedule.
 	remote *sim.Engine
 
 	// Fault state, driven by internal/faults (all zero in a healthy run).
@@ -119,10 +118,10 @@ func NewPort(eng *sim.Engine, q Queue, rateBps, delay int64) *Port {
 func (p *Port) Connect(peer Deliverer) { p.peer = peer }
 
 // BindRemote marks the peer as living on dst's shard. Packet ownership
-// transfers with the delivery event: the sender stages the packet in its
-// outbox when it starts clocking it out and never touches it again; the
-// merge hands it to the destination shard before that shard's next window.
-// The link's propagation delay must be at least the group lookahead.
+// transfers with the delivery event: the sender inserts it into the
+// destination shard's engine when it starts clocking the packet out and
+// never touches the packet again. The link's propagation delay must be at
+// least the group lookahead.
 func (p *Port) BindRemote(dst *sim.Engine) {
 	if dst == p.Eng {
 		dst = nil
@@ -280,8 +279,8 @@ func (p *Port) transmitNext() {
 
 // txDone fires when the last bit is on the wire, on the two-event path:
 // deliver after propagation (through the egress impairments, if any), then
-// start the next packet. Cross-shard links route the delivery through the
-// group's deterministic merge.
+// start the next packet. Cross-shard links send the delivery to the peer's
+// shard.
 func (p *Port) txDone(arg any) {
 	if p.egressImp != nil {
 		p.egressImp.Forward(arg.(*Packet)) // owns it; schedules delivery

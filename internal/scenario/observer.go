@@ -213,10 +213,11 @@ func (o *invariantObserver) Start(rc *RunContext, run *Run) {
 	o.chk.WatchPort(rc.PortLabel, rc.BottleneckPort, rc.Bottleneck)
 	o.chk.WatchSenders(rc.Senders)
 	if rc.Group != nil {
-		// A sharded run sweeps at window barriers, when every shard is
-		// quiescent — the checker reads sender state that lives on other
-		// shards, so an engine-scheduled sweep would race. Cadence stays
-		// the checker's own period; barriers are at least as frequent.
+		// A sharded run sweeps at window barriers, when every shard has
+		// reached the window's end — the checker reads sender state that
+		// lives on other shards, which an engine-scheduled sweep would see
+		// up to a window out of step. Cadence stays the checker's own
+		// period; barriers are at least as frequent.
 		every := o.chk.Every()
 		var next int64
 		rc.Group.OnBarrier(func(now int64) {

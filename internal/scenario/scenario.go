@@ -88,8 +88,9 @@ type Spec struct {
 	// few thousand fired events) with the simulated clock and the events
 	// processed so far. It is an out-of-band observation hook: it cannot
 	// schedule work, consumes no event-order state, and therefore never
-	// perturbs a digest. Sharded runs call it concurrently from every
-	// shard's worker goroutine, so it must be safe for concurrent use.
+	// perturbs a digest. Sharded runs call it from each shard in turn,
+	// with that shard's clock and count, on the goroutine running the
+	// spec.
 	Progress func(simNow int64, processed uint64)
 
 	// Workload overrides the kind's default traffic (nil = dumbbell

@@ -50,8 +50,9 @@ type job struct {
 	pins      atomic.Int64
 	permanent atomic.Bool
 
-	// Progress gauges, fed by the scenario Progress hook (concurrently
-	// from every shard's worker under sharded execution).
+	// Progress gauges, fed by the scenario Progress hook from the
+	// goroutine running the job (under sharded execution, by each shard in
+	// turn with its own clock and count) and read by status requests.
 	simNow atomic.Int64
 	events atomic.Uint64
 

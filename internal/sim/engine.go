@@ -255,12 +255,9 @@ type Engine struct {
 	free    *event
 	minted  int
 
-	// Sharding (nil group for a standalone engine; see shard.go). shard is
-	// this engine's index in the group, outbox stages cross-shard messages
-	// produced during the current window for the barrier merge.
-	group  *Group
-	shard  int
-	outbox []remoteMsg
+	// group is the Group this engine is a shard of; nil for a standalone
+	// engine (see shard.go).
+	group *Group
 
 	// poll, when set, is invoked every pollEvery fired events with the
 	// current clock and the fired-event count; returning true stops the run
@@ -391,12 +388,10 @@ func (e *Engine) nextSeq() uint64 {
 }
 
 // ScheduleRemoteArg runs fn(arg) after delay nanoseconds on dst, which may
-// belong to a different shard of the same Group. Outside a parallel window
-// (standalone engines, the sequential setup phase, or dst == e) the event
-// is inserted directly; inside a window it is staged in the sender's outbox
-// and carried across the barrier by the group's deterministic merge. The
-// delay must be at least the group's lookahead when shards run
-// concurrently — that bound is what makes the conservative window safe.
+// belong to a different shard of the same Group. The event is inserted
+// into dst at once. Inside a window, a delay to another shard must be at
+// least the group's lookahead: that bound puts the event after the window's
+// end, which is what makes the conservative window safe.
 func (e *Engine) ScheduleRemoteArg(dst *Engine, delay int64, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: nil event func")
@@ -408,30 +403,23 @@ func (e *Engine) ScheduleRemoteArg(dst *Engine, delay int64, fn func(any), arg a
 	e.sendRemote(dst, e.now+delay, e.now, e.nextRank(seq), seq, fn, arg)
 }
 
-// sendRemote delivers an event with a fixed identity to dst: directly
-// outside a parallel window, else through the outbox, at least a lookahead
-// after now.
+// sendRemote inserts an event with a fixed identity into dst. Inside a
+// window, a cross-shard event must land at least a lookahead after now.
 func (e *Engine) sendRemote(dst *Engine, t, sched int64, rank, seq uint64, fn func(any), arg any) {
 	g := e.group
-	if dst == e || g == nil || !g.parallel {
-		if dst.group != g {
-			panic("sim: remote event across unrelated engines")
-		}
-		dst.insertRemote(t, sched, rank, seq, fn, arg)
-		return
+	if dst.group != g {
+		panic("sim: remote event across unrelated engines")
 	}
-	if t-e.now < g.lookahead {
+	if dst != e && g != nil && g.windowed && t-e.now < g.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard delay %d below lookahead %d", t-e.now, g.lookahead))
 	}
-	e.outbox = append(e.outbox, remoteMsg{
-		dst: dst.shard, time: t, sched: sched, rank: rank, seq: seq, fn: fn, arg: arg,
-	})
+	dst.insertRemote(t, sched, rank, seq, fn, arg)
 }
 
 // insertRemote inserts an event whose (sched, rank, seq) identity was
 // fixed elsewhere: by the sending engine, or by the Chain resuming it. The
 // firing time must not precede this engine's clock; the group's lookahead
-// bound guarantees that for merged messages.
+// bound guarantees that for cross-shard events.
 func (e *Engine) insertRemote(t, sched int64, rank, seq uint64, fn func(any), arg any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: remote event at %d before now %d (lookahead violation)", t, e.now))
@@ -505,8 +493,7 @@ func (e *Engine) newEvent() *event {
 
 // release returns a vacated slot — fired, or cancelled and no longer staged
 // anywhere — to the free list. Only the owning engine releases its slots,
-// and cross-shard events are allocated on the destination engine during
-// the single-threaded merge, so the free list needs no lock.
+// and a cross-shard event is allocated on its destination engine.
 func (e *Engine) release(ev *event) {
 	if e.noSlab {
 		return
@@ -731,9 +718,8 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // and a true return stops the run exactly like Stop. The hook exists for
 // progress reporting and cancellation from outside the model — it never
 // touches the event queue, consumes no sequence numbers or ranks, and
-// therefore cannot perturb the event order or any digest. In a sharded
-// Group every engine runs the hook from its own worker goroutine, so fn
-// must be safe for concurrent use. A nil fn removes the hook.
+// therefore cannot perturb the event order or any digest. A nil fn removes
+// the hook.
 func (e *Engine) SetPoll(fn func(now int64, processed uint64) bool) {
 	e.poll = fn
 	e.pollGap = 0

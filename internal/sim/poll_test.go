@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // chain schedules a self-rescheduling event that fires n times, every
 // step nanoseconds, recording each firing index into out when non-nil.
@@ -116,9 +113,10 @@ func TestGroupPollStops(t *testing.T) {
 		chain(g.Engine(i), n, 1000, nil)
 	}
 
-	var calls atomic.Int64
+	var calls int
 	g.SetPoll(func(now int64, processed uint64) bool {
-		return calls.Add(1) >= 2
+		calls++
+		return calls >= 2
 	})
 	horizon := int64(n) * 1000
 	g.RunUntil(horizon)

@@ -56,7 +56,7 @@ func (e *Engine) ScheduleChildArg(r *Reservation, idx uint32, delay int64, fn fu
 
 // ScheduleRemoteChildArg is ScheduleChildArg onto dst, which may belong to
 // another shard of the same Group; it travels like ScheduleRemoteArg. Inside
-// a parallel window the child must land at least a lookahead after now.
+// a window the child must land at least a lookahead after now.
 func (e *Engine) ScheduleRemoteChildArg(dst *Engine, r *Reservation, idx uint32, delay int64, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: nil event func")

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,5 +95,163 @@ func TestShardFireOrderQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// qident is one event identity of TestInsertOrderIrrelevantQuick, and
+// whether the event is cancelled once every identity is in.
+type qident struct {
+	t, sched  int64
+	rank, seq uint64
+	cancel    bool
+}
+
+// insertAll inserts ids into e in the given order, as a cross-shard send
+// does — with the identity the sender fixed — cancels the marked ones,
+// runs e dry and returns the indices of ids in the order they fired.
+func insertAll(e *Engine, ids []qident, order []int) []int {
+	var fired []int
+	rec := func(a any) { fired = append(fired, a.(int)) }
+	hs := make([]Handle, len(ids))
+	for _, i := range order {
+		id := ids[i]
+		hs[i] = e.insertRemote(id.t, id.sched, id.rank, id.seq, rec, i)
+	}
+	for i, id := range ids {
+		if id.cancel {
+			hs[i].Cancel()
+		}
+	}
+	e.Run()
+	return fired
+}
+
+// TestInsertOrderIrrelevantQuick is the property a window's direct
+// cross-shard insert rests on: an engine fires a set of event identities
+// in (Time, sched, rank, seq) order, whatever order they were inserted
+// in. The identities cover same-instant ties, the tick being drained, the
+// wheel's slots, the overflow heap and cancels; both engines have run to
+// the same clock first, so the current tick holds a live agenda.
+func TestInsertOrderIrrelevantQuick(t *testing.T) {
+	prop := func(seed int64, nRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		now := rng.Int63n(1<<20) + 1
+		instants := []int64{
+			now,                                  // the current instant
+			now + rng.Int63n(1<<tickBits),        // the current tick or the next
+			now + rng.Int63n(numSlots<<tickBits), // a wheel slot
+			now + (numSlots+1+rng.Int63n(64))<<tickBits, // the overflow heap
+		}
+		ids := make([]qident, 1+int(nRaw%96))
+		for i := range ids {
+			at := instants[rng.Intn(len(instants))]
+			ids[i] = qident{
+				t:      at,
+				sched:  []int64{0, now / 2, now}[rng.Intn(3)],
+				rank:   uint64(rng.Intn(3)),
+				seq:    uint64(i), // unique, as across a group
+				cancel: rng.Intn(5) == 0,
+			}
+		}
+		var fired [2][]int
+		for k := range fired {
+			e := NewWith(Options{})
+			for i := 0; i < 3; i++ { // a live agenda on the current tick
+				e.At(now-int64(i), func() {})
+			}
+			e.At(now+1, func() {})
+			e.RunUntil(now)
+			fired[k] = insertAll(e, ids, rng.Perm(len(ids)))
+		}
+		var want []int
+		for i, id := range ids {
+			if !id.cancel {
+				want = append(want, i)
+			}
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			x, y := ids[a], ids[b]
+			return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.sched, y.sched),
+				cmp.Compare(x.rank, y.rank), cmp.Compare(x.seq, y.seq))
+		})
+		return slices.Equal(fired[0], fired[1]) && slices.Equal(fired[0], want)
+	}
+	cfg := &quick.Config{MaxCount: 200}
+	if testing.Short() {
+		cfg.MaxCount = 50
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrossShardSendBelowLookaheadPanics: inside a window, a send to
+// another shard that would land less than a lookahead later panics, as
+// a plain send and as a reservation's child; one a full lookahead later
+// is legal.
+func TestCrossShardSendBelowLookaheadPanics(t *testing.T) {
+	const la = 100
+	sends := map[string]func(src, dst *Engine, delay int64){
+		"ScheduleRemoteArg": func(src, dst *Engine, delay int64) {
+			src.ScheduleRemoteArg(dst, delay, func(any) {}, nil)
+		},
+		"ScheduleRemoteChildArg": func(src, dst *Engine, delay int64) {
+			r := src.Reserve(0)
+			src.ScheduleRemoteChildArg(dst, &r, 0, delay, func(any) {}, nil)
+		},
+	}
+	for name, send := range sends {
+		for _, c := range []struct {
+			delay     int64
+			wantPanic bool
+		}{{la - 1, true}, {0, true}, {la, false}} {
+			g := NewGroup(2, Options{})
+			g.SetLookahead(la)
+			src, dst := g.Engine(1), g.Engine(0)
+			src.At(10, func() { send(src, dst, c.delay) })
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				g.RunUntil(10 * la)
+				return false
+			}()
+			if panicked != c.wantPanic {
+				t.Errorf("%s with delay %d (lookahead %d): panicked %v, want %v",
+					name, c.delay, la, panicked, c.wantPanic)
+			}
+		}
+	}
+}
+
+// TestGroupRunStartsNoGoroutine: a sharded run executes every window on
+// the calling goroutine. The poll hook, which every shard calls mid-window,
+// sees the goroutine count the run started with.
+func TestGroupRunStartsNoGoroutine(t *testing.T) {
+	g := NewGroup(4, Options{})
+	g.SetLookahead(1000)
+	const n = 2 * pollEvery
+	for i := 0; i < g.Shards(); i++ {
+		src, dst := g.Engine(i), g.Engine((i+1)%g.Shards())
+		k := 0
+		var tick func()
+		tick = func() {
+			src.ScheduleRemoteArg(dst, 1000, func(any) {}, nil)
+			if k++; k < n {
+				src.Schedule(500, tick)
+			}
+		}
+		src.Schedule(0, tick)
+	}
+	before := runtime.NumGoroutine()
+	var polls int
+	g.SetPoll(func(int64, uint64) bool {
+		polls++
+		if got := runtime.NumGoroutine(); got != before {
+			t.Errorf("%d goroutines mid-window, %d before the run", got, before)
+		}
+		return false
+	})
+	g.RunUntil(int64(n) * 1000)
+	if polls == 0 {
+		t.Fatal("the poll hook never ran")
 	}
 }

@@ -78,14 +78,14 @@ type ppWorld struct {
 	timers [][]timerAPI
 	logs   [][]ppRec
 	ops    []ppOp
-	// In a Group, a shard's Pending counts a remote Reset from the barrier
-	// that merges it, and where barriers fall follows PeekTime, which a
+	// In a Group, a shard's Pending counts a remote Reset from the moment
+	// it is sent, and whether the destination has run that window yet
+	// follows where windows fall, which follows PeekTime, which a
 	// postponed expiry may report early. So a Group's records carry
-	// Pending net of merged, unfired remote Resets, which the model alone
-	// fixes: sent counts each shard's outgoing ones during a window,
-	// inbox each shard's merged ones until they fire.
-	group       bool
-	sent, inbox []int
+	// Pending net of sent, unfired remote Resets, which the model alone
+	// fixes: inbox counts each shard's until they fire.
+	group bool
+	inbox []int
 }
 
 func genPPOps(rng *rand.Rand, shards int) []ppOp {
@@ -116,22 +116,13 @@ func genPPOps(rng *rand.Rand, shards int) []ppOp {
 
 func (w *ppWorld) log(shard int, r ppRec) { w.logs[shard] = append(w.logs[shard], r) }
 
-// pending is the shard's Pending, net of merged remote Resets in a Group.
+// pending is the shard's Pending, net of sent remote Resets in a Group.
 func (w *ppWorld) pending(shard int) int64 {
 	n := w.engs[shard].Pending()
 	if w.group {
 		n -= w.inbox[shard]
 	}
 	return int64(n)
-}
-
-// merged runs at every barrier, all shards quiescent: the Resets sent in
-// the window now sit in their destinations' queues.
-func (w *ppWorld) merged(int64) {
-	for s, n := range w.sent {
-		w.inbox[(s+1)%len(w.engs)] += n
-		w.sent[s] = 0
-	}
 }
 
 // delay resolves an op's Reset delay against the timer's current deadline.
@@ -175,9 +166,9 @@ func (w *ppWorld) act(a any) {
 	case 'u':
 		e.ScheduleArg(op.d, w.unrelated, i)
 	case 'x':
-		dst := w.engs[(op.shard+1)%len(w.engs)]
-		e.ScheduleRemoteArg(dst, ppLookahead+op.d, w.remoteReset, i)
-		w.sent[op.shard]++
+		dst := (op.shard + 1) % len(w.engs)
+		e.ScheduleRemoteArg(w.engs[dst], ppLookahead+op.d, w.remoteReset, i)
+		w.inbox[dst]++
 	}
 	w.log(op.shard, ppRec{'p', i, e.Now(), w.pending(op.shard)})
 }
@@ -202,12 +193,11 @@ func (w *ppWorld) remoteReset(a any) {
 // the final Processed and Pending counts.
 func runPP(o Options, shards int, eager bool, ops []ppOp) ([][]ppRec, uint64, int) {
 	w := &ppWorld{ops: ops, logs: make([][]ppRec, shards), timers: make([][]timerAPI, shards),
-		sent: make([]int, shards), inbox: make([]int, shards)}
+		inbox: make([]int, shards)}
 	var g *Group
 	if shards > 1 {
 		g = NewGroup(shards, o)
 		g.SetLookahead(ppLookahead)
-		g.OnBarrier(w.merged)
 		w.group = true
 		for i := 0; i < shards; i++ {
 			w.engs = append(w.engs, g.Engine(i))
