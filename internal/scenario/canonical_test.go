@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -205,4 +206,45 @@ func FuzzSpecCanonicalDigest(f *testing.F) {
 			t.Fatalf("digest collision %s:\nfirst: %s\n  now: %s", digest, prev, sig)
 		}
 	})
+}
+
+// TestFaultSpecDigestsPinned locks the content address of every example
+// fault schedule: the blackhole spec as its file stands, and each
+// schedule-only example inside one fixed seeded dumbbell. hwatchd's cache
+// keys on these, so a change to how a schedule renders must not move them.
+func TestFaultSpecDigestsPinned(t *testing.T) {
+	const base = `{"kind":"dumbbell","scheme":"hwatch","long_sources":5,"short_sources":5,` +
+		`"duration_ms":400,"drain_after_ms":600,"epochs":2,"seed":7}`
+	for _, c := range []struct {
+		file  string
+		whole bool // a whole spec file, not a schedule to embed in base
+		want  string
+	}{
+		{"dumbbell_blackhole.json", true, "52578457db9ca5166fb771a8aec36d33207d3260674eb88f5ac286ac9d5f64e3"},
+		{"faults_linkflap.json", false, "f29fab136e23691f3dfb914310c14a3f67ff14571852813197115f79d4a99c98"},
+		{"chaos_recurring_flap.json", false, "fdcb254d28f41863762949d7653c6a7a20c52495d03f841155f15f94a78d05f9"},
+		{"chaos_reorder_jitter.json", false, "4d5a7909344d2b73f621d0c1f6a55835fe6979235cc3767b83611cfd1394c627"},
+	} {
+		path := filepath.Join("..", "..", "examples", c.file)
+		var s *FileSpec
+		var err error
+		if c.whole {
+			s, err = LoadSpec(path)
+		} else {
+			s, err = ParseSpec([]byte(base))
+			if err == nil {
+				s.Faults, err = LoadFaults(path)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		got, err := s.CanonicalDigest()
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if got != c.want {
+			t.Errorf("%s: canonical digest %s, pinned %s", c.file, got, c.want)
+		}
+	}
 }
