@@ -229,7 +229,11 @@ func list(o *options) {
 			if ki.Windowed {
 				shape = "window"
 			}
-			fmt.Printf("%-15s %-6s %s\n", ki.Kind, shape, ki.Doc)
+			fields := strings.Join(ki.Fields, ",")
+			if fields == "" {
+				fields = "-"
+			}
+			fmt.Printf("%-15s %-6s %-40s %s\n", ki.Kind, shape, fields, ki.Doc)
 		}
 	default:
 		for _, t := range hwatch.Targets() {

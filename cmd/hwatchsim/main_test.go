@@ -2,6 +2,9 @@ package main
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -47,14 +50,17 @@ func TestFlagsReadByTargetKind(t *testing.T) {
 
 // TestDocsNameRealCommandsAndFlags reads the documents that tell a reader
 // how to build and run the repository: every cmd/<x> they name must exist,
-// and every -flag that follows hwatchsim on a command line must be one the
-// command defines. A renamed or deleted command or flag fails here, not in
-// a reader's shell.
+// every -flag that follows hwatchsim on a command line must be one the
+// command defines, and every hwatch.X the README names must be declared
+// in hwatch.go. A renamed or deleted command, flag or library name fails
+// here, not in a reader's shell or compiler.
 func TestDocsNameRealCommandsAndFlags(t *testing.T) {
 	defined := map[string]bool{}
 	newFlags(&options{}).VisitAll(func(f *flag.Flag) { defined[f.Name] = true })
 	cmdPath := regexp.MustCompile("(?:\\./|`|\\s|\\()cmd/(\\w+)")
 	flagName := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+	symbol := regexp.MustCompile(`\bhwatch\.([A-Z]\w*)`)
+	exported := facadeNames(t)
 	docs := []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
 	for _, doc := range docs {
 		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
@@ -68,6 +74,13 @@ func TestDocsNameRealCommandsAndFlags(t *testing.T) {
 			if strings.HasSuffix(cmdline, "\\") {
 				cmdline = strings.TrimSuffix(cmdline, "\\")
 				continue
+			}
+			if doc == "README.md" {
+				for _, m := range symbol.FindAllStringSubmatch(cmdline, -1) {
+					if !exported[m[1]] {
+						t.Errorf("%s:%d names hwatch.%s, which hwatch.go does not declare", doc, i+1, m[1])
+					}
+				}
 			}
 			for _, m := range cmdPath.FindAllStringSubmatch(cmdline, -1) {
 				if _, err := os.Stat(filepath.Join("..", m[1])); err != nil {
@@ -89,4 +102,34 @@ func TestDocsNameRealCommandsAndFlags(t *testing.T) {
 			cmdline = ""
 		}
 	}
+}
+
+// facadeNames returns the exported top-level names hwatch.go declares.
+func facadeNames(t *testing.T) map[string]bool {
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", "hwatch.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	add := func(id *ast.Ident) { names[id.Name] = id.IsExported() }
+	for _, d := range file.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					add(sp.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(id)
+					}
+				}
+			}
+		}
+	}
+	return names
 }

@@ -135,39 +135,18 @@ const (
 	KindTestbed  = scenario.KindTestbed
 )
 
-// FaultSchedule is a deterministic fault timeline a Scenario arms on its
-// fabric (link flaps, ECN blackholes, shim crashes, probe blackouts,
-// burst-loss windows, and the impairment matrix: corruption, duplication,
-// reordering, jitter, rate limiting); FaultEvent is one entry, optionally
-// recurring (FaultRecurrence) or with random per-occurrence targets
-// (Pick). Same seed + spec + schedule ⇒ identical digest.
-type (
-	FaultSchedule   = faults.Schedule
-	FaultEvent      = faults.Event
-	FaultRecurrence = faults.Recurrence
-	FaultImpair     = faults.ImpairParams
-	FaultKindInfo   = faults.KindInfo
-)
+// FaultKindInfo describes one fault kind: its doc line, whether it
+// covers a window, and the JSON fields it reads.
+type FaultKindInfo = faults.KindInfo
 
-// FaultKinds lists every registered fault kind with a one-line doc, in
-// the order Validate's error messages use (hwatchsim -list-faults).
+// FaultKinds lists every fault kind a Scenario's fault timeline can arm
+// (link flaps, ECN blackholes, shim crashes, probe blackouts, burst loss
+// and the impairment matrix), in registry order (hwatchsim -list-faults).
 func FaultKinds() []FaultKindInfo { return faults.Infos() }
-
-// FaultSpec is the JSON (millisecond-unit) form of one fault event, as
-// used in spec files' "faults" arrays and hwatchsim -faults files.
-type FaultSpec = scenario.FaultSpec
 
 // LoadFaults reads a standalone JSON fault-schedule file, the value of a
 // Spec's Faults; ParseSpec validates it.
-func LoadFaults(path string) ([]FaultSpec, error) { return scenario.LoadFaults(path) }
-
-// RenderFaults converts JSON fault specs into an engine-ready schedule.
-func RenderFaults(specs []FaultSpec) (FaultSchedule, error) { return scenario.RenderFaults(specs) }
-
-// RecoveryObserver is the observer a faulted Scenario appends
-// automatically: it asserts every finite flow completes, queues drain and
-// no shim state leaks once the last fault clears.
-type RecoveryObserver = scenario.RecoveryObserver
+func LoadFaults(path string) ([]scenario.FaultSpec, error) { return scenario.LoadFaults(path) }
 
 // Run is one scenario's measured outcome: the exact series the paper's
 // figures plot (FCT CDFs, goodput CDFs, queue and utilization time series)

@@ -30,87 +30,305 @@ import (
 	"hwatch/internal/sim"
 )
 
-// Kind names a fault type. The string values are what JSON spec files use.
+// Kind names a fault type. The string values are what JSON spec files
+// use; each kind's row in kinds holds its doc, the fields it reads and
+// what arming it does.
 type Kind string
 
+// The fault kinds, in kinds' order.
 const (
-	// LinkDown fails a link at At: packets offered to it are lost, queued
-	// packets hold until a LinkUp restores it.
-	LinkDown Kind = "link-down"
-	// LinkUp restores a failed link at At.
-	LinkUp Kind = "link-up"
-	// ECNBlackhole turns a switch into a legacy non-ECN hop for [At,Until):
-	// every port strips CE/ECT before its AQM, so marking degrades to
-	// dropping and upstream marks never arrive.
-	ECNBlackhole Kind = "ecn-blackhole"
-	// ProbeBlackout makes a link eat probe packets only for [At,Until) —
-	// an ACL or middlebox discarding the shim's raw-IP probes.
+	LinkDown      Kind = "link-down"
+	LinkUp        Kind = "link-up"
+	ECNBlackhole  Kind = "ecn-blackhole"
 	ProbeBlackout Kind = "probe-blackout"
-	// ShimCrash kills hypervisor shims at At: flow tables wiped, clamps
-	// released, traffic passes through unwatched.
-	ShimCrash Kind = "shim-crash"
-	// ShimRestart brings crashed shims back (cold tables) at At.
-	ShimRestart Kind = "shim-restart"
-	// BurstLoss runs a link through a Gilbert–Elliott burst-loss channel
-	// for [At,Until); GE parameterizes the channel.
-	BurstLoss Kind = "burst-loss"
-	// Corrupt bit-flips packets on a link for [At,Until) with per-packet
-	// probability Impair.Prob, leaving the checksum stale; Impair.DropFrac
-	// of flipped packets are dropped at the port like FCS-failing frames.
-	// Arming any corrupt event turns on checksum verification at every
-	// fabric host, so surviving flips are discarded at the receiver.
-	Corrupt Kind = "corrupt"
-	// Duplicate clones packets on a link for [At,Until) with probability
-	// Impair.Prob, injecting Impair.Copies bounded copies behind the
-	// original.
-	Duplicate Kind = "duplicate"
-	// Reorder parks packets on a link for [At,Until) with probability
-	// Impair.Prob, releasing each after a uniformly drawn hold in
-	// (0, Impair.Hold], so later packets overtake.
-	Reorder Kind = "reorder"
-	// Jitter delays every packet on a link for [At,Until) by a draw from
-	// a pluggable distribution (Impair.Dist: uniform, normal, pareto).
-	Jitter Kind = "jitter"
-	// RateLimit shapes a link to Impair.RateBps through a token bucket of
-	// Impair.Burst bytes for [At,Until); always egress.
-	RateLimit Kind = "rate-limit"
+	ShimCrash     Kind = "shim-crash"
+	ShimRestart   Kind = "shim-restart"
+	BurstLoss     Kind = "burst-loss"
+	Corrupt       Kind = "corrupt"
+	Duplicate     Kind = "duplicate"
+	Reorder       Kind = "reorder"
+	Jitter        Kind = "jitter"
+	RateLimit     Kind = "rate-limit"
 )
 
-// Kinds lists every fault kind, for error messages and docs.
-func Kinds() []Kind {
-	return []Kind{LinkDown, LinkUp, ECNBlackhole, ProbeBlackout, ShimCrash, ShimRestart,
-		BurstLoss, Corrupt, Duplicate, Reorder, Jitter, RateLimit}
-}
-
 // KindInfo describes one fault kind for operator-facing listings
-// (hwatchsim -list-faults).
+// (hwatchsim -list-faults): its one-line doc, whether it covers an
+// [At,Until) window, and the JSON fields it reads beyond the ones every
+// kind takes (kind, at_ms, until_ms, target, every_ms, for_ms, jitter_ms,
+// count, pick). A spec setting any other field is rejected.
 type KindInfo struct {
 	Kind     Kind
 	Windowed bool
 	Doc      string
+	Fields   []string
 }
 
-// Infos returns every fault kind with a one-line doc, in Kinds() order.
+// kindRow is everything the package knows about one fault kind; every
+// per-kind decision reads its row.
+type kindRow struct {
+	KindInfo
+	restore bool              // undoes a fault: cannot recur or pick targets
+	rng     bool              // the armed effect draws at run time
+	scope   scope             // what a target names, and the Pick pool
+	check   func(Event) error // parameter check (nil: no parameters)
+	// effect builds one occurrence's actions on one resolved element.
+	// Each makes its change and returns its log text; off runs only when
+	// the event is windowed or recurring.
+	effect func(a *arming) (on, off func() string)
+}
+
+// arming is what an effect sees: the event, its resolved element, the
+// RNG its run-time draws come from, and the injector and fabric it arms.
+type arming struct {
+	element
+	ev  Event
+	rng *sim.RNG
+	inj *Injector
+	fab Fabric
+}
+
+var kinds = [...]kindRow{
+	{KindInfo: KindInfo{LinkDown, false, "fail a link: offered packets lost, queue holds until link-up", nil},
+		scope: linkScope,
+		effect: func(a *arming) (on, off func() string) {
+			return setDown(a.port, true), setDown(a.port, false)
+		}},
+	{KindInfo: KindInfo{LinkUp, false, "restore a failed link", nil},
+		restore: true, scope: linkScope,
+		effect: func(a *arming) (on, off func() string) { return setDown(a.port, false), nil }},
+	{KindInfo: KindInfo{ECNBlackhole, true, "switch strips CE/ECT before its AQMs (legacy non-ECN hop)", nil},
+		scope: switchScope,
+		effect: func(a *arming) (on, off func() string) {
+			return func() string { a.strip(true); return "ecn-blackhole on" },
+				func() string { a.strip(false); return "ecn-blackhole off" }
+		}},
+	{KindInfo: KindInfo{ProbeBlackout, true, "link eats shim probe packets only (ACL/middlebox)", nil},
+		scope: linkScope,
+		effect: func(a *arming) (on, off func() string) {
+			p := a.port
+			return func() string { p.SetDropProbes(true); return "probe-blackout on " + p.Label },
+				func() string { p.SetDropProbes(false); return "probe-blackout off " + p.Label }
+		}},
+	{KindInfo: KindInfo{ShimCrash, false, "kill hypervisor shims: tables wiped, clamps released", nil},
+		scope: shimScope,
+		effect: func(a *arming) (on, off func() string) {
+			sh, label := a.shim, a.label
+			return func() string { sh.Crash(); return "shim-crash " + label }, shimRestart(sh, label)
+		}},
+	{KindInfo: KindInfo{ShimRestart, false, "restart crashed shims with cold tables", nil},
+		restore: true, scope: shimScope,
+		effect: func(a *arming) (on, off func() string) { return shimRestart(a.shim, a.label), nil }},
+	{KindInfo: KindInfo{BurstLoss, true, "Gilbert-Elliott burst-loss channel on a link",
+		[]string{"p_good_bad", "p_bad_good", "loss_good", "loss_bad"}},
+		rng: true, scope: linkScope,
+		check: func(e Event) error { return checkGE(e.GE) },
+		effect: func(a *arming) (on, off func() string) {
+			p, ge := a.port, &netem.GilbertElliott{P: a.ev.GE, Rng: a.rng}
+			a.inj.channels = append(a.inj.channels, ge)
+			return func() string {
+					p.SetLoss(func(*netem.Packet) bool { return ge.Drop() })
+					return "burst-loss on " + p.Label
+				}, func() string {
+					p.SetLoss(nil)
+					return fmt.Sprintf("burst-loss off %s (%d/%d dropped)", p.Label, ge.Drops, ge.Seen)
+				}
+		}},
+	{KindInfo: KindInfo{Corrupt, true, "bit-flip packets (prob), checksum left stale; drop_frac dropped at port",
+		[]string{"prob", "drop_frac", "egress"}},
+		rng: true, scope: linkScope,
+		check: func(e Event) error {
+			if err := checkProb(e); err != nil {
+				return err
+			}
+			if d := e.Impair.DropFrac; !(d >= 0 && d <= 1) {
+				return fmt.Errorf("drop_frac = %v outside [0, 1]", d)
+			}
+			return nil
+		},
+		effect: func(a *arming) (on, off func() string) {
+			// Flips that survive the port are discarded at the receiver.
+			for _, h := range a.fab.Hosts {
+				h.VerifyChecksums = true
+			}
+			p, pr := a.port, a.ev.Impair
+			im := a.inj.impair(p, pr.Egress)
+			return func() string {
+					im.SetCorrupt(pr.Prob, pr.DropFrac, a.rng)
+					return fmt.Sprintf("corrupt on %s (p=%v)", p.Label, pr.Prob)
+				}, func() string {
+					im.SetCorrupt(0, 0, nil)
+					st := im.Stats()
+					return fmt.Sprintf("corrupt off %s (%d flipped, %d dropped)", p.Label, st.Corrupted, st.CorruptDrops)
+				}
+		}},
+	{KindInfo: KindInfo{Duplicate, true, "clone packets (prob) into `copies` bounded duplicates",
+		[]string{"prob", "copies", "egress"}},
+		rng: true, scope: linkScope,
+		check: func(e Event) error {
+			if err := checkProb(e); err != nil {
+				return err
+			}
+			if c := e.Impair.Copies; c < 0 || c > 4 {
+				return fmt.Errorf("copies = %d outside [0, 4]", c)
+			}
+			return nil
+		},
+		effect: func(a *arming) (on, off func() string) {
+			p, pr := a.port, a.ev.Impair
+			im := a.inj.impair(p, pr.Egress)
+			return func() string {
+					im.SetDuplicate(pr.Prob, pr.Copies, a.rng)
+					return fmt.Sprintf("duplicate on %s (p=%v)", p.Label, pr.Prob)
+				}, func() string {
+					im.SetDuplicate(0, 0, nil)
+					return fmt.Sprintf("duplicate off %s (%d copies)", p.Label, im.Stats().Duplicated)
+				}
+		}},
+	{KindInfo: KindInfo{Reorder, true, "hold packets (prob) up to hold_us so later ones overtake",
+		[]string{"prob", "hold_us", "egress"}},
+		rng: true, scope: linkScope,
+		check: func(e Event) error {
+			if err := checkProb(e); err != nil {
+				return err
+			}
+			if h := e.Impair.Hold; h < 0 {
+				return fmt.Errorf("hold = %d negative", h)
+			}
+			return nil
+		},
+		effect: func(a *arming) (on, off func() string) {
+			p, pr := a.port, a.ev.Impair
+			im := a.inj.impair(p, pr.Egress)
+			return func() string {
+					im.SetReorder(pr.Prob, pr.Hold, a.rng)
+					return fmt.Sprintf("reorder on %s (p=%v)", p.Label, pr.Prob)
+				}, func() string {
+					im.SetReorder(0, 0, nil)
+					return fmt.Sprintf("reorder off %s (%d held)", p.Label, im.Stats().Reordered)
+				}
+		}},
+	{KindInfo: KindInfo{Jitter, true, "per-packet delay from dist=uniform|normal|pareto (shape: pareto only)",
+		[]string{"dist", "delay_us", "jitter_us", "shape", "egress"}},
+		rng: true, scope: linkScope,
+		check: func(e Event) error {
+			p := e.Impair
+			switch p.Dist {
+			case "", "uniform", "normal", "pareto":
+			default:
+				return fmt.Errorf("unknown dist %q (dists: uniform, normal, pareto)", p.Dist)
+			}
+			if p.Delay < 0 || p.Jitter < 0 {
+				return fmt.Errorf("delay/jitter must be non-negative (delay=%d jitter=%d)", p.Delay, p.Jitter)
+			}
+			if p.Delay+p.Jitter == 0 {
+				return fmt.Errorf("delay and jitter both zero")
+			}
+			if p.Dist == "pareto" && p.Delay <= 0 {
+				return fmt.Errorf("pareto needs delay > 0 (the scale / minimum)")
+			}
+			if p.Shape < 0 {
+				return fmt.Errorf("shape = %v negative", p.Shape)
+			}
+			if p.Shape != 0 && p.Dist != "pareto" {
+				return fmt.Errorf("shape = %v is read only under dist pareto", p.Shape)
+			}
+			return nil
+		},
+		effect: func(a *arming) (on, off func() string) {
+			p, dist := a.port, a.ev.Impair.dist()
+			im := a.inj.impair(p, a.ev.Impair.Egress)
+			return func() string {
+					im.SetJitter(dist, a.rng)
+					return fmt.Sprintf("jitter on %s (%s)", p.Label, dist.Name())
+				}, func() string {
+					im.SetJitter(nil, nil)
+					return fmt.Sprintf("jitter off %s (%d delayed)", p.Label, im.Stats().Jittered)
+				}
+		}},
+	{KindInfo: KindInfo{RateLimit, true, "token-bucket shape a link to rate_mbps with burst_kb (always egress)",
+		[]string{"rate_mbps", "burst_kb"}},
+		scope: linkScope,
+		check: func(e Event) error {
+			if r := e.Impair.RateBps; r <= 0 {
+				return fmt.Errorf("rate = %d bps not positive", r)
+			}
+			if b := e.Impair.Burst; b < 0 {
+				return fmt.Errorf("burst = %d negative", b)
+			}
+			return nil
+		},
+		effect: func(a *arming) (on, off func() string) {
+			p, pr := a.port, a.ev.Impair
+			im := a.inj.impair(p, true) // a token bucket paces the transmitter
+			return func() string {
+					im.SetRate(pr.RateBps, pr.Burst)
+					return fmt.Sprintf("rate-limit on %s (%d bps)", p.Label, pr.RateBps)
+				}, func() string {
+					im.SetRate(0, 0)
+					return fmt.Sprintf("rate-limit off %s (%d paced)", p.Label, im.Stats().RateLimited)
+				}
+		}},
+}
+
+// byKind indexes kinds by name.
+var byKind = func() map[Kind]*kindRow {
+	m := make(map[Kind]*kindRow, len(kinds))
+	for i := range kinds {
+		m[kinds[i].Kind] = &kinds[i]
+	}
+	return m
+}()
+
+// Kinds lists every fault kind, for error messages and docs.
+func Kinds() []Kind {
+	out := make([]Kind, len(kinds))
+	for i, r := range kinds {
+		out[i] = r.Kind
+	}
+	return out
+}
+
+// Infos returns every fault kind's listing, in Kinds() order.
 func Infos() []KindInfo {
-	return []KindInfo{
-		{LinkDown, false, "fail a link: offered packets lost, queue holds until link-up"},
-		{LinkUp, false, "restore a failed link"},
-		{ECNBlackhole, true, "switch strips CE/ECT before its AQMs (legacy non-ECN hop)"},
-		{ProbeBlackout, true, "link eats shim probe packets only (ACL/middlebox)"},
-		{ShimCrash, false, "kill hypervisor shims: tables wiped, clamps released"},
-		{ShimRestart, false, "restart crashed shims with cold tables"},
-		{BurstLoss, true, "Gilbert-Elliott burst-loss channel on a link (ge params)"},
-		{Corrupt, true, "bit-flip packets (prob), checksum left stale; drop_frac dropped at port"},
-		{Duplicate, true, "clone packets (prob) into `copies` bounded duplicates"},
-		{Reorder, true, "hold packets (prob) up to hold_us so later ones overtake"},
-		{Jitter, true, "per-packet delay from dist=uniform|normal|pareto (delay_us/jitter_us)"},
-		{RateLimit, true, "token-bucket shape a link to rate_mbps with burst_kb"},
+	out := make([]KindInfo, len(kinds))
+	for i, r := range kinds {
+		out[i] = r.KindInfo
+	}
+	return out
+}
+
+// Info returns one kind's listing; false for an unknown kind.
+func Info(k Kind) (KindInfo, bool) {
+	if r := byKind[k]; r != nil {
+		return r.KindInfo, true
+	}
+	return KindInfo{}, false
+}
+
+func setDown(p *netem.Port, down bool) func() string {
+	return func() string {
+		p.SetDown(down)
+		if down {
+			return "link-down " + p.Label
+		}
+		return "link-up " + p.Label
 	}
 }
 
+func shimRestart(sh *core.Shim, label string) func() string {
+	return func() string { sh.Restart(); return "shim-restart " + label }
+}
+
+func checkProb(e Event) error {
+	if p := e.Impair.Prob; !(p > 0 && p <= 1) {
+		return fmt.Errorf("prob = %v outside (0, 1]", p)
+	}
+	return nil
+}
+
 // ImpairParams carries the knobs of the impairment kinds (Corrupt,
-// Duplicate, Reorder, Jitter, RateLimit). Unused fields are ignored by
-// the other kinds.
+// Duplicate, Reorder, Jitter, RateLimit); each kind reads only the
+// fields its row lists.
 type ImpairParams struct {
 	Prob     float64 // per-packet probability (corrupt, duplicate, reorder)
 	DropFrac float64 // corrupt: fraction of flipped packets dropped at the port
@@ -122,7 +340,7 @@ type ImpairParams struct {
 	Shape    float64 // jitter: pareto shape (0 = 1.5)
 	RateBps  int64   // rate-limit: token-bucket rate, bits/s
 	Burst    int     // rate-limit: bucket size, bytes (0 = two MTUs)
-	Egress   bool    // attach on the wire side instead of ahead of the queue
+	Egress   bool    // attach on the wire side, not ahead of the queue (rate-limit always does)
 }
 
 // dist builds the jitter delay distribution the params describe.
@@ -149,58 +367,6 @@ func (p ImpairParams) dist() netem.DelayDist {
 		return netem.ParetoDelay{Shape: shape, Scale: p.Delay, Max: max}
 	}
 	panic("faults: unvalidated jitter dist " + p.Dist)
-}
-
-func (p ImpairParams) validate(kind Kind) error {
-	switch kind {
-	case Corrupt:
-		if !(p.Prob > 0 && p.Prob <= 1) {
-			return fmt.Errorf("prob = %v outside (0, 1]", p.Prob)
-		}
-		if !(p.DropFrac >= 0 && p.DropFrac <= 1) {
-			return fmt.Errorf("drop_frac = %v outside [0, 1]", p.DropFrac)
-		}
-	case Duplicate:
-		if !(p.Prob > 0 && p.Prob <= 1) {
-			return fmt.Errorf("prob = %v outside (0, 1]", p.Prob)
-		}
-		if p.Copies < 0 || p.Copies > 4 {
-			return fmt.Errorf("copies = %d outside [0, 4]", p.Copies)
-		}
-	case Reorder:
-		if !(p.Prob > 0 && p.Prob <= 1) {
-			return fmt.Errorf("prob = %v outside (0, 1]", p.Prob)
-		}
-		if p.Hold < 0 {
-			return fmt.Errorf("hold = %d negative", p.Hold)
-		}
-	case Jitter:
-		switch p.Dist {
-		case "", "uniform", "normal", "pareto":
-		default:
-			return fmt.Errorf("unknown dist %q (dists: uniform, normal, pareto)", p.Dist)
-		}
-		if p.Delay < 0 || p.Jitter < 0 {
-			return fmt.Errorf("delay/jitter must be non-negative (delay=%d jitter=%d)", p.Delay, p.Jitter)
-		}
-		if p.Delay+p.Jitter == 0 {
-			return fmt.Errorf("delay and jitter both zero")
-		}
-		if p.Dist == "pareto" && p.Delay <= 0 {
-			return fmt.Errorf("pareto needs delay > 0 (the scale / minimum)")
-		}
-		if p.Shape < 0 {
-			return fmt.Errorf("shape = %v negative", p.Shape)
-		}
-	case RateLimit:
-		if p.RateBps <= 0 {
-			return fmt.Errorf("rate = %d bps not positive", p.RateBps)
-		}
-		if p.Burst < 0 {
-			return fmt.Errorf("burst = %d negative", p.Burst)
-		}
-	}
-	return nil
 }
 
 // Recurrence repeats an event Count times: occurrence i becomes active at
@@ -239,7 +405,7 @@ func (r Recurrence) validate() error {
 }
 
 // Event is one entry of a fault timeline. Times are simulation
-// nanoseconds; Until bounds the windowed kinds and is ignored by the
+// nanoseconds; Until bounds the windowed kinds and must be zero on the
 // point kinds. Target names a Fabric link, switch or shim ("" selects the
 // Fabric's default — the bottleneck, the core switch, every shim). Recur,
 // if set, repeats the event; Pick > 0 draws that many random targets
@@ -258,16 +424,9 @@ type Event struct {
 
 // Windowed reports whether the kind covers an [At,Until) interval.
 func (e Event) Windowed() bool {
-	switch e.Kind {
-	case ECNBlackhole, ProbeBlackout, BurstLoss, Corrupt, Duplicate, Reorder, Jitter, RateLimit:
-		return true
-	}
-	return false
+	r := byKind[e.Kind]
+	return r != nil && r.Windowed
 }
-
-// restoreKind reports kinds that undo a fault; they cannot recur or pick
-// random targets (the matching fault already names its victims).
-func restoreKind(k Kind) bool { return k == LinkUp || k == ShimRestart }
 
 func (e Event) String() string {
 	tgt := e.Target
@@ -300,19 +459,16 @@ type Schedule []Event
 
 // Validate rejects schedules the injector could not arm deterministically.
 func (s Schedule) Validate() error {
-	known := map[Kind]bool{}
-	for _, k := range Kinds() {
-		known[k] = true
-	}
 	for i, e := range s {
-		if !known[e.Kind] {
+		row := byKind[e.Kind]
+		if row == nil {
 			return fmt.Errorf("faults[%d]: unknown kind %q (kinds: %s)", i, e.Kind, kindList())
 		}
 		if e.At < 0 {
 			return fmt.Errorf("faults[%d] %s: negative time %d", i, e.Kind, e.At)
 		}
 		if e.Recur != nil {
-			if restoreKind(e.Kind) {
+			if row.restore {
 				return fmt.Errorf("faults[%d] %s: restore kinds cannot recur (the fault occurrence restores itself)", i, e.Kind)
 			}
 			if e.Until != 0 {
@@ -321,29 +477,26 @@ func (s Schedule) Validate() error {
 			if err := e.Recur.validate(); err != nil {
 				return fmt.Errorf("faults[%d] %s: recurrence: %v", i, e.Kind, err)
 			}
-		} else if e.Windowed() && e.Until <= e.At {
+		} else if row.Windowed && e.Until <= e.At {
 			return fmt.Errorf("faults[%d] %s: window end %d not after start %d", i, e.Kind, e.Until, e.At)
-		} else if !e.Windowed() && e.Until != 0 {
+		} else if !row.Windowed && e.Until != 0 {
 			return fmt.Errorf("faults[%d] %s: a point kind takes no until (it stays in force until its restore kind or a recurrence's duration ends it)", i, e.Kind)
 		}
 		if e.Pick < 0 {
 			return fmt.Errorf("faults[%d] %s: pick = %d negative", i, e.Kind, e.Pick)
 		}
 		if e.Pick > 0 {
-			if restoreKind(e.Kind) {
+			if row.restore {
 				return fmt.Errorf("faults[%d] %s: restore kinds cannot pick random targets", i, e.Kind)
 			}
 			if e.Target != "" {
 				return fmt.Errorf("faults[%d] %s: target %q and pick %d are mutually exclusive", i, e.Kind, e.Target, e.Pick)
 			}
 		}
-		if e.Kind == BurstLoss {
-			if err := checkGE(e.GE); err != nil {
-				return fmt.Errorf("faults[%d] burst-loss: %v", i, err)
+		if row.check != nil {
+			if err := row.check(e); err != nil {
+				return fmt.Errorf("faults[%d] %s: %v", i, e.Kind, err)
 			}
-		}
-		if err := e.Impair.validate(e.Kind); err != nil {
-			return fmt.Errorf("faults[%d] %s: %v", i, e.Kind, err)
 		}
 	}
 	return nil
@@ -368,7 +521,7 @@ func checkGE(g netem.GEParams) error {
 }
 
 func kindList() string {
-	names := make([]string, 0, len(Kinds()))
+	var names []string
 	for _, k := range Kinds() {
 		names = append(names, string(k))
 	}
@@ -423,61 +576,91 @@ type Fabric struct {
 	Hosts []*netem.Host
 }
 
-func (f Fabric) link(target string) (*netem.Port, error) {
-	name := target
-	if name == "" {
-		name = f.DefaultLink
-	}
-	if p, ok := f.Links[name]; ok && p != nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("no link %q in fabric (links: %s)", name, joinKeys(f.Links))
+// element is one resolved target: the engine that owns it — the shard a
+// sharded fabric assigned it to — and the piece a kind's effect acts on.
+type element struct {
+	eng   *sim.Engine // nil for a port-less switch: Arm's engine owns it
+	port  *netem.Port // link scope
+	strip func(bool)  // switch scope: the ECN-strip toggle
+	shim  *core.Shim  // shim scope
+	label string      // shim scope: "shim0", "shim1", ...
 }
 
-// strip resolves an ECNBlackhole target to its toggle — a whole switch by
-// name, or a single link as a fallback — and the engine that owns the
-// target, so a sharded run toggles it from the owning shard. A switch with
-// no ports yet reports a nil engine; the caller falls back to its own.
-func (f Fabric) strip(target string) (func(bool), *sim.Engine, error) {
-	name := target
-	if name == "" {
-		name = f.DefaultSwitch
+// scope is what a kind's targets name: how one resolves to the elements
+// an event arms on, and the sorted name pool a Pick draws from. Sorting
+// makes the pool — and therefore every draw — independent of map order.
+type scope struct {
+	resolve func(f Fabric, target string) ([]element, error)
+	pool    func(f Fabric) ([]string, error)
+}
+
+// linkScope names a link; "" is the fabric's default link.
+var linkScope = scope{
+	resolve: func(f Fabric, target string) ([]element, error) {
+		name := target
 		if name == "" {
 			name = f.DefaultLink
 		}
-	}
-	if sw, ok := f.Switches[name]; ok && sw != nil {
-		var owner *sim.Engine
-		if sw.NumPorts() > 0 {
-			owner = sw.Port(0).Eng
+		if p, ok := f.Links[name]; ok && p != nil {
+			return []element{{eng: p.Eng, port: p}}, nil
 		}
-		return sw.SetStripECN, owner, nil
-	}
-	if p, ok := f.Links[name]; ok && p != nil {
-		return p.SetStripECN, p.Eng, nil
-	}
-	return nil, nil, fmt.Errorf("no switch or link %q in fabric (switches: %s; links: %s)",
-		name, joinKeysSw(f.Switches), joinKeys(f.Links))
+		return nil, fmt.Errorf("no link %q in fabric (links: %s)", name, strings.Join(sortedKeys(f.Links), ", "))
+	},
+	pool: linkPool,
 }
 
-func (f Fabric) shims(target string) ([]*core.Shim, error) {
-	if target == "" {
-		return f.Shims, nil // all of them; none deployed = event is a no-op
-	}
-	var idx int
-	if _, err := fmt.Sscanf(target, "shim%d", &idx); err != nil || idx < 0 || idx >= len(f.Shims) {
-		return nil, fmt.Errorf("no shim %q in fabric (%d shims deployed; use \"shim0\"..\"shim%d\" or \"\")",
-			target, len(f.Shims), len(f.Shims)-1)
-	}
-	return []*core.Shim{f.Shims[idx]}, nil
+// switchScope names a whole switch, or a single link as a fallback; ""
+// is the default switch, else the default link.
+var switchScope = scope{
+	resolve: func(f Fabric, target string) ([]element, error) {
+		name := target
+		if name == "" {
+			name = f.DefaultSwitch
+			if name == "" {
+				name = f.DefaultLink
+			}
+		}
+		if sw, ok := f.Switches[name]; ok && sw != nil {
+			el := element{strip: sw.SetStripECN}
+			if sw.NumPorts() > 0 {
+				el.eng = sw.Port(0).Eng
+			}
+			return []element{el}, nil
+		}
+		if p, ok := f.Links[name]; ok && p != nil {
+			return []element{{eng: p.Eng, strip: p.SetStripECN}}, nil
+		}
+		return nil, fmt.Errorf("no switch or link %q in fabric (switches: %s; links: %s)",
+			name, strings.Join(sortedKeys(f.Switches), ", "), strings.Join(sortedKeys(f.Links), ", "))
+	},
+	pool: func(f Fabric) ([]string, error) {
+		if len(f.Switches) > 0 {
+			return sortedKeys(f.Switches), nil
+		}
+		return linkPool(f)
+	},
 }
 
-// pickPool returns the sorted name pool a Pick event draws targets from:
-// link names for link-scoped kinds, shim names for shim kinds. Sorting
-// makes the pool — and therefore every draw — independent of map order.
-func (f Fabric) pickPool(kind Kind) ([]string, error) {
-	switch kind {
-	case ShimCrash:
+// shimScope names one shim as "shim<i>"; "" is every deployed shim, and
+// with none deployed the event is a no-op.
+var shimScope = scope{
+	resolve: func(f Fabric, target string) ([]element, error) {
+		lo, hi := 0, len(f.Shims)
+		if target != "" {
+			var idx int
+			if _, err := fmt.Sscanf(target, "shim%d", &idx); err != nil || idx < 0 || idx >= len(f.Shims) {
+				return nil, fmt.Errorf("no shim %q in fabric (%d shims deployed; use \"shim0\"..\"shim%d\" or \"\")",
+					target, len(f.Shims), len(f.Shims)-1)
+			}
+			lo, hi = idx, idx+1
+		}
+		els := make([]element, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			els = append(els, element{eng: f.Shims[i].Eng(), shim: f.Shims[i], label: fmt.Sprintf("shim%d", i)})
+		}
+		return els, nil
+	},
+	pool: func(f Fabric) ([]string, error) {
 		if len(f.Shims) == 0 {
 			return nil, fmt.Errorf("pick from a fabric with no shims")
 		}
@@ -486,17 +669,14 @@ func (f Fabric) pickPool(kind Kind) ([]string, error) {
 			pool[i] = fmt.Sprintf("shim%d", i)
 		}
 		return pool, nil
-	case ECNBlackhole:
-		if len(f.Switches) > 0 {
-			return sortedKeysSw(f.Switches), nil
-		}
-		fallthrough
-	default:
-		if len(f.Links) == 0 {
-			return nil, fmt.Errorf("pick from a fabric with no links")
-		}
-		return sortedKeys(f.Links), nil
+	},
+}
+
+func linkPool(f Fabric) ([]string, error) {
+	if len(f.Links) == 0 {
+		return nil, fmt.Errorf("pick from a fabric with no links")
 	}
+	return sortedKeys(f.Links), nil
 }
 
 // pickTargets draws k distinct pool entries with rng, returned in pool
@@ -511,41 +691,13 @@ func pickTargets(pool []string, k int, rng *sim.RNG) []string {
 	return out
 }
 
-// shimIndex reports a shim's position in the fabric's deployment order,
-// so per-shim fault log lines name the shim the way targets do ("shim0"…).
-func shimIndex(all []*core.Shim, sh *core.Shim) int {
-	for i, s := range all {
-		if s == sh {
-			return i
-		}
-	}
-	return -1
-}
-
-func sortedKeys(m map[string]*netem.Port) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func sortedKeysSw(m map[string]*netem.Switch) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func joinKeys(m map[string]*netem.Port) string {
-	return strings.Join(sortedKeys(m), ", ")
-}
-
-func joinKeysSw(m map[string]*netem.Switch) string {
-	return strings.Join(sortedKeysSw(m), ", ")
 }
 
 // Injector is an armed schedule. Arm resolves every target eagerly (a
@@ -618,45 +770,25 @@ func (inj *Injector) ImpairStats() netem.ImpairStats {
 // HasImpairments reports whether the schedule armed any impairment kinds.
 func (inj *Injector) HasImpairments() bool { return len(inj.imps) > 0 }
 
-// addImp records an armed pipeline once, keeping Arm order.
-func (inj *Injector) addImp(im *netem.PortImpair) {
+// impair returns the port's impairment stage on the chosen side,
+// recording each stage once, in Arm order.
+func (inj *Injector) impair(p *netem.Port, egress bool) *netem.PortImpair {
+	im := p.Impair(egress)
 	for _, have := range inj.imps {
 		if have == im {
-			return
+			return im
 		}
 	}
 	inj.imps = append(inj.imps, im)
+	return im
 }
 
-// slot reserves a log line for an action scheduled at `at`. Must be called
-// during Arm, before any engine runs.
-func (inj *Injector) slot(at int64) int {
-	inj.slots = append(inj.slots, logSlot{at: at})
-	return len(inj.slots) - 1
-}
-
-// logf fills a reserved slot when its action fires on the owning engine.
-func (inj *Injector) logf(slot int, eng *sim.Engine, format string, args ...any) {
-	inj.slots[slot].msg = fmtNs(eng.Now()) + " " + fmt.Sprintf(format, args...)
-}
-
-// kindNeedsRNG reports kinds whose armed effect consumes random draws at
-// run time (a loss channel, a per-packet probability, a delay dist).
-func kindNeedsRNG(k Kind) bool {
-	switch k {
-	case BurstLoss, Corrupt, Duplicate, Reorder, Jitter:
-		return true
-	}
-	return false
-}
-
-// eventNeedsRNG reports whether arming ev consumes any randomness — the
-// rule that fixes the RNG fork order: Arm forks the run RNG exactly once
-// per event for which this is true, in schedule order, so RNG-free events
-// never shift another event's stream and pre-existing schedules keep
-// their digests.
-func eventNeedsRNG(ev Event) bool {
-	return kindNeedsRNG(ev.Kind) || ev.Pick > 0 || (ev.Recur != nil && ev.Recur.Jitter > 0)
+// at queues act on eng at t and reserves its log line, which act's text
+// fills when it fires. Must be called during Arm, before any engine runs.
+func (inj *Injector) at(eng *sim.Engine, t int64, act func() string) {
+	slot := len(inj.slots)
+	inj.slots = append(inj.slots, logSlot{at: t})
+	eng.At(t, func() { inj.slots[slot].msg = fmtNs(eng.Now()) + " " + act() })
 }
 
 // Arm validates the schedule, resolves every target against the fabric
@@ -665,14 +797,23 @@ func eventNeedsRNG(ev Event) bool {
 // Call after the topology and shims are built but before the engine runs.
 //
 // Determinism: the run RNG is forked once per event that needs
-// randomness, in schedule order. Within an event, each occurrence draws
-// its start jitter, then its random targets, then forks one child per
-// armed target whose kind consumes run-time draws (a one-shot event with
-// a fixed target hands the event fork itself to the effect, matching the
-// pre-recurrence fork order). Everything random is drawn here, during
-// sequential setup — an occurrence's window, victims and loss streams
-// are a pure function of seed + schedule + fabric, never of the shard
-// partition or of run-time interleaving.
+// randomness (its kind draws at run time, it picks targets, or its
+// recurrence jitters), in schedule order, so RNG-free events never shift
+// another event's stream. Within an event, each occurrence draws its
+// start jitter, then its random targets, then forks one child per armed
+// target whose kind draws at run time (a one-shot event with a fixed
+// target hands the event fork itself to the effect). Everything random
+// is drawn here, during sequential setup — an occurrence's window,
+// victims and loss streams are a pure function of seed + schedule +
+// fabric, never of the shard partition or of run-time interleaving.
+//
+// Per resolved element, an occurrence reserves its start log slot and,
+// when the event is windowed or recurring, its end slot, then queues the
+// kind's on action at start and, in that case, its off action at end. A
+// point kind under a recurrence thus pairs up: the fault fires at start
+// and its restore at end. The element count — and so every shared setup
+// sequence number drawn after Arm — is a function of the fabric alone,
+// never of the partition.
 //
 // eng is the fallback for targets with no resolvable owner (a port-less
 // switch); on a single-loop fabric every owner is eng anyway.
@@ -681,250 +822,77 @@ func Arm(eng *sim.Engine, rng *sim.RNG, sched Schedule, fab Fabric) (*Injector, 
 		return nil, err
 	}
 	inj := &Injector{Schedule: sched}
-	for _, ev := range sched {
-		if ev.Kind == Corrupt {
-			for _, h := range fab.Hosts {
-				h.VerifyChecksums = true
-			}
-			break
-		}
-	}
-	var lastClear int64
 	for i, ev := range sched {
-		ev := ev
-		var evRng *sim.RNG
-		if eventNeedsRNG(ev) {
-			evRng = rng.Fork()
-		}
-		var pool []string
-		if ev.Pick > 0 {
-			var err error
-			pool, err = fab.pickPool(ev.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("faults[%d] %s: %v", i, ev.Kind, err)
-			}
-			if ev.Pick > len(pool) {
-				return nil, fmt.Errorf("faults[%d] %s: pick %d exceeds %d available targets (%s)",
-					i, ev.Kind, ev.Pick, len(pool), strings.Join(pool, ", "))
-			}
-		}
-		count := 1
-		if ev.Recur != nil {
-			count = ev.Recur.Count
-		}
-		for oi := 0; oi < count; oi++ {
-			start, end := ev.At, ev.Until
-			if r := ev.Recur; r != nil {
-				start = ev.At + int64(oi)*r.Interval
-				if r.Jitter > 0 {
-					start += evRng.Int63n(r.Jitter + 1)
-				}
-				end = start + r.Duration
-			}
-			targets := []string{ev.Target}
-			if ev.Pick > 0 {
-				targets = pickTargets(pool, ev.Pick, evRng)
-			}
-			for _, tgt := range targets {
-				// Effects running on different shards must not share a
-				// generator, or the order the shards run a window in
-				// would decide who draws what: one child per armed target
-				// unless this is the single pre-recurrence shape (one
-				// shot, fixed target).
-				kindRng := evRng
-				if kindNeedsRNG(ev.Kind) && (ev.Recur != nil || ev.Pick > 0) {
-					kindRng = evRng.Fork()
-				}
-				if err := inj.armOne(eng, fab, ev, tgt, start, end, kindRng); err != nil {
-					return nil, fmt.Errorf("faults[%d] %s: %v", i, ev.Kind, err)
-				}
-			}
-			clear := end
-			if !ev.Windowed() && ev.Recur == nil {
-				clear = start
-			}
-			if clear > lastClear {
-				lastClear = clear
-			}
+		if err := inj.arm(eng, rng, fab, ev); err != nil {
+			return nil, fmt.Errorf("faults[%d] %s: %v", i, ev.Kind, err)
 		}
 	}
-	inj.lastClear = lastClear
 	return inj, nil
 }
 
-// armOne queues the actions of one occurrence of ev against one resolved
-// target. Point kinds under a recurrence pair up: the fault fires at
-// start and its restore at end.
-func (inj *Injector) armOne(eng *sim.Engine, fab Fabric, ev Event, target string, start, end int64, kindRng *sim.RNG) error {
-	switch ev.Kind {
-	case LinkDown, LinkUp:
-		port, err := fab.link(target)
-		if err != nil {
+// arm queues every occurrence of one validated event.
+func (inj *Injector) arm(eng *sim.Engine, rng *sim.RNG, fab Fabric, ev Event) error {
+	row, r := byKind[ev.Kind], ev.Recur
+	var evRng *sim.RNG
+	if row.rng || ev.Pick > 0 || (r != nil && r.Jitter > 0) {
+		evRng = rng.Fork()
+	}
+	var pool []string
+	if ev.Pick > 0 {
+		var err error
+		if pool, err = row.scope.pool(fab); err != nil {
 			return err
 		}
-		if ev.Recur == nil {
-			down := ev.Kind == LinkDown
-			slot := inj.slot(start)
-			port.Eng.At(start, func() {
-				port.SetDown(down)
-				inj.logf(slot, port.Eng, "%s %s", ev.Kind, port.Label)
-			})
-			return nil
+		if ev.Pick > len(pool) {
+			return fmt.Errorf("pick %d exceeds %d available targets (%s)", ev.Pick, len(pool), strings.Join(pool, ", "))
 		}
-		dn, up := inj.slot(start), inj.slot(end)
-		port.Eng.At(start, func() {
-			port.SetDown(true)
-			inj.logf(dn, port.Eng, "link-down %s", port.Label)
-		})
-		port.Eng.At(end, func() {
-			port.SetDown(false)
-			inj.logf(up, port.Eng, "link-up %s", port.Label)
-		})
-	case ProbeBlackout:
-		port, err := fab.link(target)
-		if err != nil {
-			return err
+	}
+	paired := row.Windowed || r != nil
+	count := 1
+	if r != nil {
+		count = r.Count
+	}
+	for oi := 0; oi < count; oi++ {
+		start, end := ev.At, ev.Until
+		if r != nil {
+			start = ev.At + int64(oi)*r.Interval
+			if r.Jitter > 0 {
+				start += evRng.Int63n(r.Jitter + 1)
+			}
+			end = start + r.Duration
 		}
-		on, off := inj.slot(start), inj.slot(end)
-		port.Eng.At(start, func() {
-			port.SetDropProbes(true)
-			inj.logf(on, port.Eng, "probe-blackout on %s", port.Label)
-		})
-		port.Eng.At(end, func() {
-			port.SetDropProbes(false)
-			inj.logf(off, port.Eng, "probe-blackout off %s", port.Label)
-		})
-	case ECNBlackhole:
-		strip, owner, err := fab.strip(target)
-		if err != nil {
-			return err
+		targets := []string{ev.Target}
+		if ev.Pick > 0 {
+			targets = pickTargets(pool, ev.Pick, evRng)
 		}
-		if owner == nil {
-			owner = eng
-		}
-		on, off := inj.slot(start), inj.slot(end)
-		owner.At(start, func() {
-			strip(true)
-			inj.logf(on, owner, "ecn-blackhole on")
-		})
-		owner.At(end, func() {
-			strip(false)
-			inj.logf(off, owner, "ecn-blackhole off")
-		})
-	case ShimCrash, ShimRestart:
-		shims, err := fab.shims(target)
-		if err != nil {
-			return err
-		}
-		crash := ev.Kind == ShimCrash
-		// One event per shim, in fabric order, each on the shim's owning
-		// engine. The event count — and therefore every shared setup
-		// sequence number drawn after Arm — must be a function of the
-		// fabric alone, never of the partition: grouping shims per owning
-		// engine here would arm a shard-count-dependent number of events
-		// and silently re-rank everything the workload arms afterwards.
-		for _, sh := range shims {
-			sh := sh
-			se := sh.Eng()
-			idx := shimIndex(fab.Shims, sh)
-			slot := inj.slot(start)
-			se.At(start, func() {
-				if crash {
-					sh.Crash()
-				} else {
-					sh.Restart()
+		for _, tgt := range targets {
+			// Effects running on different shards must not share a
+			// generator, or the order the shards run a window in would
+			// decide who draws what: one child per armed target unless
+			// this is the one-shot, fixed-target shape.
+			kindRng := evRng
+			if row.rng && (r != nil || ev.Pick > 0) {
+				kindRng = evRng.Fork()
+			}
+			els, err := row.scope.resolve(fab, tgt)
+			if err != nil {
+				return err
+			}
+			for _, el := range els {
+				if el.eng == nil {
+					el.eng = eng
 				}
-				inj.logf(slot, se, "%s shim%d", ev.Kind, idx)
-			})
-			if ev.Recur != nil {
-				restart := inj.slot(end)
-				se.At(end, func() {
-					sh.Restart()
-					inj.logf(restart, se, "shim-restart shim%d", idx)
-				})
+				on, off := row.effect(&arming{el, ev, kindRng, inj, fab})
+				inj.at(el.eng, start, on)
+				if paired {
+					inj.at(el.eng, end, off)
+				}
 			}
 		}
-	case BurstLoss:
-		port, err := fab.link(target)
-		if err != nil {
-			return err
+		if !paired {
+			end = start
 		}
-		ge := &netem.GilbertElliott{P: ev.GE, Rng: kindRng}
-		inj.channels = append(inj.channels, ge)
-		on, off := inj.slot(start), inj.slot(end)
-		port.Eng.At(start, func() {
-			port.SetLoss(func(*netem.Packet) bool { return ge.Drop() })
-			inj.logf(on, port.Eng, "burst-loss on %s", port.Label)
-		})
-		port.Eng.At(end, func() {
-			port.SetLoss(nil)
-			inj.logf(off, port.Eng, "burst-loss off %s (%d/%d dropped)", port.Label, ge.Drops, ge.Seen)
-		})
-	case Corrupt, Duplicate, Reorder, Jitter, RateLimit:
-		port, err := fab.link(target)
-		if err != nil {
-			return err
-		}
-		inj.armImpair(port, ev, start, end, kindRng)
+		inj.lastClear = max(inj.lastClear, end)
 	}
 	return nil
-}
-
-// armImpair queues the on/off pair of one impairment occurrence on the
-// port's own engine. Rate limiting always attaches egress (it paces the
-// transmitter); the other kinds follow Impair.Egress.
-func (inj *Injector) armImpair(port *netem.Port, ev Event, start, end int64, kindRng *sim.RNG) {
-	pr := ev.Impair
-	imp := port.Impair(pr.Egress || ev.Kind == RateLimit)
-	inj.addImp(imp)
-	on, off := inj.slot(start), inj.slot(end)
-	switch ev.Kind {
-	case Corrupt:
-		port.Eng.At(start, func() {
-			imp.SetCorrupt(pr.Prob, pr.DropFrac, kindRng)
-			inj.logf(on, port.Eng, "corrupt on %s (p=%v)", port.Label, pr.Prob)
-		})
-		port.Eng.At(end, func() {
-			imp.SetCorrupt(0, 0, nil)
-			st := imp.Stats()
-			inj.logf(off, port.Eng, "corrupt off %s (%d flipped, %d dropped)", port.Label, st.Corrupted, st.CorruptDrops)
-		})
-	case Duplicate:
-		port.Eng.At(start, func() {
-			imp.SetDuplicate(pr.Prob, pr.Copies, kindRng)
-			inj.logf(on, port.Eng, "duplicate on %s (p=%v)", port.Label, pr.Prob)
-		})
-		port.Eng.At(end, func() {
-			imp.SetDuplicate(0, 0, nil)
-			inj.logf(off, port.Eng, "duplicate off %s (%d copies)", port.Label, imp.Stats().Duplicated)
-		})
-	case Reorder:
-		port.Eng.At(start, func() {
-			imp.SetReorder(pr.Prob, pr.Hold, kindRng)
-			inj.logf(on, port.Eng, "reorder on %s (p=%v)", port.Label, pr.Prob)
-		})
-		port.Eng.At(end, func() {
-			imp.SetReorder(0, 0, nil)
-			inj.logf(off, port.Eng, "reorder off %s (%d held)", port.Label, imp.Stats().Reordered)
-		})
-	case Jitter:
-		dist := pr.dist()
-		port.Eng.At(start, func() {
-			imp.SetJitter(dist, kindRng)
-			inj.logf(on, port.Eng, "jitter on %s (%s)", port.Label, dist.Name())
-		})
-		port.Eng.At(end, func() {
-			imp.SetJitter(nil, nil)
-			inj.logf(off, port.Eng, "jitter off %s (%d delayed)", port.Label, imp.Stats().Jittered)
-		})
-	case RateLimit:
-		port.Eng.At(start, func() {
-			imp.SetRate(pr.RateBps, pr.Burst)
-			inj.logf(on, port.Eng, "rate-limit on %s (%d bps)", port.Label, pr.RateBps)
-		})
-		port.Eng.At(end, func() {
-			imp.SetRate(0, 0)
-			inj.logf(off, port.Eng, "rate-limit off %s (%d paced)", port.Label, imp.Stats().RateLimited)
-		})
-	}
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -312,22 +314,22 @@ func TestRecurringChaosShardParity(t *testing.T) {
 // reach the engine-ready schedule converted, not truncated.
 func TestRenderFaultsImpairAndRecurrence(t *testing.T) {
 	sched, err := RenderFaults([]FaultSpec{
-		{Kind: "reorder", AtMs: 10, UntilMs: 20, Prob: 0.1, HoldUs: 500},
+		{Kind: "reorder", AtMs: 10, UntilMs: 20, Prob: 0.1, HoldUs: 500, Egress: true},
 		{Kind: "jitter", AtMs: 30, UntilMs: 40, Dist: "pareto", DelayUs: 100, JitterUs: 50, Shape: 2},
-		{Kind: "rate-limit", AtMs: 50, UntilMs: 60, RateMbps: 500, BurstKB: 16, Egress: true},
+		{Kind: "rate-limit", AtMs: 50, UntilMs: 60, RateMbps: 500, BurstKB: 16},
 		{Kind: "link-down", AtMs: 80, Count: 4, EveryMs: 60, ForMs: 3, JitterMs: 8, Pick: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sched[0].Impair.Hold; got != 500*sim.Microsecond {
-		t.Fatalf("hold_us: %d", got)
+	if got := sched[0].Impair; got.Hold != 500*sim.Microsecond || !got.Egress {
+		t.Fatalf("reorder knobs lost: %+v", got)
 	}
 	if got := sched[1].Impair; got.Delay != 100*sim.Microsecond || got.Jitter != 50*sim.Microsecond ||
 		got.Dist != "pareto" || got.Shape != 2 {
 		t.Fatalf("jitter knobs lost: %+v", got)
 	}
-	if got := sched[2].Impair; got.RateBps != 500e6 || got.Burst != 16*1024 || !got.Egress {
+	if got := sched[2].Impair; got.RateBps != 500e6 || got.Burst != 16*1024 {
 		t.Fatalf("rate knobs lost: %+v", got)
 	}
 	r := sched[3].Recur
@@ -349,5 +351,90 @@ func TestRenderFaultsImpairAndRecurrence(t *testing.T) {
 		if _, err := RenderFaults(bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestEveryFaultFieldMovesTheRun walks FaultSpec's fields for every fault
+// kind. A field the kind's row lists must move the run when perturbed
+// from a valid base; any other field must be rejected with an error
+// naming the field and the kind. Accepted and ignored, a field would move
+// the content address of a run it does not change, and re-seed a spec
+// without a seed.
+func TestEveryFaultFieldMovesTheRun(t *testing.T) {
+	common := map[string]bool{"kind": true, "at_ms": true, "until_ms": true, "target": true,
+		"every_ms": true, "for_ms": true, "jitter_ms": true, "count": true, "pick": true}
+	// One valid event body per kind, and a valid new value per field.
+	const window = `"at_ms":20,"until_ms":120`
+	base := map[faults.Kind]string{
+		faults.LinkDown: `"at_ms":40`, faults.LinkUp: `"at_ms":40`,
+		faults.ShimCrash: `"at_ms":40`, faults.ShimRestart: `"at_ms":40`,
+		faults.ECNBlackhole: window, faults.ProbeBlackout: window,
+		faults.BurstLoss: window + `,"p_good_bad":0.05,"p_bad_good":0.5,"loss_bad":1`,
+		faults.Corrupt:   window + `,"prob":0.02,"drop_frac":0.5`,
+		faults.Duplicate: window + `,"prob":0.05,"copies":1`,
+		faults.Reorder:   window + `,"prob":0.05,"hold_us":2000`,
+		faults.Jitter:    window + `,"dist":"pareto","delay_us":100,"jitter_us":50`,
+		faults.RateLimit: window + `,"rate_mbps":2000,"burst_kb":32`,
+	}
+	perturb := map[string]string{
+		"p_good_bad": "0.3", "p_bad_good": "0.1", "loss_good": "0.05", "loss_bad": "0.5",
+		"prob": "0.3", "drop_frac": "1", "copies": "3", "hold_us": "500",
+		"dist": `"normal"`, "delay_us": "300", "jitter_us": "150", "shape": "3",
+		"rate_mbps": "500", "burst_kb": "4", "egress": "true",
+	}
+	parse := func(fault string) (*FileSpec, error) {
+		return ParseSpec([]byte(`{"kind":"dumbbell","scheme":"hwatch","long_sources":2,"short_sources":2,` +
+			`"duration_ms":150,"seed":5,"faults":[` + fault + `]}`))
+	}
+	digest := func(fault string) string {
+		t.Helper()
+		s, err := parse(fault)
+		if err != nil {
+			t.Fatalf("%s: %v", fault, err)
+		}
+		run, err := s.Scenario().RunContext(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", fault, err)
+		}
+		return run.DigestHex()
+	}
+
+	var fields []string
+	ft := reflect.TypeOf(FaultSpec{})
+	for i := 0; i < ft.NumField(); i++ {
+		if name, _, _ := strings.Cut(ft.Field(i).Tag.Get("json"), ","); !common[name] {
+			fields = append(fields, name)
+		}
+	}
+	for _, info := range faults.Infos() {
+		k := string(info.Kind)
+		for _, f := range info.Fields {
+			if !slices.Contains(fields, f) {
+				t.Errorf("%s lists %q, which is no optional FaultSpec field", k, f)
+			}
+		}
+		event := func(extra string) string { return `{"kind":"` + k + `",` + base[info.Kind] + extra + `}` }
+		var baseDigest string
+		for _, f := range fields {
+			probe := event(`,"` + f + `":` + perturb[f])
+			if !slices.Contains(info.Fields, f) {
+				_, err := parse(probe)
+				if err == nil || !strings.Contains(err.Error(), f) || !strings.Contains(err.Error(), k) {
+					t.Errorf("%s: error %v, want one naming %s and %s", probe, err, f, k)
+				}
+				continue
+			}
+			if baseDigest == "" {
+				baseDigest = digest(event(""))
+			}
+			if digest(probe) == baseDigest {
+				t.Errorf("%s: %s leaves the run at %s", k, f, baseDigest)
+			}
+		}
+	}
+	// shape shapes only the pareto distribution.
+	probe := `{"kind":"jitter",` + window + `,"dist":"normal","delay_us":100,"jitter_us":50,"shape":3}`
+	if _, err := parse(probe); err == nil || !strings.Contains(err.Error(), "shape") || !strings.Contains(err.Error(), "jitter") {
+		t.Errorf("%s: error %v, want one naming shape and jitter", probe, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"hwatch/internal/faults"
 	"hwatch/internal/netem"
@@ -22,9 +24,12 @@ import (
 //	]
 //
 // Target selects a fabric element ("" = the scenario default: the
-// bottleneck link, the core switch, every shim). The Gilbert–Elliott
-// knobs only apply to "burst-loss"; the impairment knobs to the netem
-// matrix kinds (corrupt, duplicate, reorder, jitter, rate-limit).
+// bottleneck link, the core switch, every shim). Beyond the fields every
+// kind takes (kind, at_ms, until_ms, target and the recurrence fields),
+// a kind reads only the fields its faults row lists — hwatchsim
+// -list-faults prints them — and a spec setting any other is rejected:
+// the Gilbert–Elliott knobs belong to "burst-loss", the impairment knobs
+// to the netem matrix kinds, each to the kinds that read it.
 //
 // Recurrence: "count" (with "every_ms"/"for_ms"/"jitter_ms") repeats the
 // event — occurrence i opens at at_ms + i*every_ms plus a uniform
@@ -101,10 +106,47 @@ func checkFaultSpecs(specs []FaultSpec) error {
 	return nil
 }
 
+// foreignFaultField rejects a set field the fault's kind does not read:
+// accepted, it would leave the run alone yet move its content address,
+// and re-seed a spec without a seed. An unknown kind is left to
+// faults.Schedule.Validate.
+func foreignFaultField(specs []FaultSpec) error {
+	for i := range specs {
+		f := &specs[i]
+		info, ok := faults.Info(faults.Kind(f.Kind))
+		if !ok {
+			continue
+		}
+		for _, k := range [...]struct {
+			name string
+			set  bool
+		}{
+			{"p_good_bad", f.PGoodBad != 0}, {"p_bad_good", f.PBadGood != 0},
+			{"loss_good", f.LossGood != 0}, {"loss_bad", f.LossBad != 0},
+			{"prob", f.Prob != 0}, {"drop_frac", f.DropFrac != 0}, {"copies", f.Copies != 0},
+			{"hold_us", f.HoldUs != 0}, {"dist", f.Dist != ""}, {"delay_us", f.DelayUs != 0},
+			{"jitter_us", f.JitterUs != 0}, {"shape", f.Shape != 0}, {"rate_mbps", f.RateMbps != 0},
+			{"burst_kb", f.BurstKB != 0}, {"egress", f.Egress},
+		} {
+			if k.set && !slices.Contains(info.Fields, k.name) {
+				reads := "only the common fields"
+				if len(info.Fields) > 0 {
+					reads = strings.Join(info.Fields, ", ")
+				}
+				return fmt.Errorf("faults[%d] %s: %s is not a %s field (%s reads %s)", i, f.Kind, k.name, f.Kind, f.Kind, reads)
+			}
+		}
+	}
+	return nil
+}
+
 // RenderFaults converts JSON fault specs to an engine-ready schedule
 // (ms → ns) and validates it.
 func RenderFaults(specs []FaultSpec) (faults.Schedule, error) {
 	if err := checkFaultSpecs(specs); err != nil {
+		return nil, err
+	}
+	if err := foreignFaultField(specs); err != nil {
 		return nil, err
 	}
 	sched := make(faults.Schedule, 0, len(specs))

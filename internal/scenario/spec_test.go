@@ -111,6 +111,13 @@ func TestParseSpecRejectsForeignKnobs(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { s.foreignKnob() }); n != 0 {
 			t.Errorf("%s: the knob check allocates %.0f times", kind, n)
 		}
+		if n := testing.AllocsPerRun(10, func() { _ = foreignFaultField(s.Faults) }); n != 0 {
+			t.Errorf("%s: the fault field check allocates %.0f times", kind, n)
+		}
+	}
+	faulted := []FaultSpec{{Kind: "jitter", AtMs: 1, UntilMs: 2, Dist: "pareto", DelayUs: 10, Shape: 2, Egress: true}}
+	if n := testing.AllocsPerRun(10, func() { _ = foreignFaultField(faulted) }); n != 0 {
+		t.Errorf("the fault field check allocates %.0f times on an accepted fault", n)
 	}
 }
 

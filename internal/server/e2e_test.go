@@ -385,6 +385,11 @@ func TestE2EErrorPaths(t *testing.T) {
 	if resp := post(`{"kind":"dumbbell","faults":[{"kind":"link-down","at_ms":100,"until_ms":120}]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("until_ms on link-down: status %d, want 400", resp.StatusCode)
 	}
+	// A fault field its kind does not read would likewise leave the run
+	// alone and move its content address.
+	if resp := post(`{"kind":"dumbbell","faults":[{"kind":"duplicate","at_ms":100,"until_ms":120,"prob":0.1,"hold_us":50}]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("hold_us on duplicate: status %d, want 400", resp.StatusCode)
+	}
 	// A body over the limit is refused as such; it used to be cut at the
 	// limit and reported as malformed JSON.
 	oversized := `{"kind":"dumbbell","scheme":"` + strings.Repeat("x", 1<<20+50_000) + `"}`
