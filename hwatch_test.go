@@ -7,60 +7,55 @@ import (
 	"strings"
 	"testing"
 
-	"hwatch/internal/sim"
+	"hwatch/internal/experiments"
 )
 
+// TestFacadeRunDumbbell runs one Spec through the facade: every flow is
+// measured, the HWatch shims report their work, Table renders the run,
+// and the target path (hwatchsim spec:<file>, hwatchd spec jobs) gives the
+// same run digest.
 func TestFacadeRunDumbbell(t *testing.T) {
-	p := PaperDumbbell(3, 3)
-	p.Duration = 200 * sim.Millisecond
-	p.Epochs = 1
-	p.FirstEpoch = 20 * sim.Millisecond
-	p.ByteBuffers = true
-	r, err := RunDumbbell(context.Background(), HWatch, p)
+	spec, err := ParseSpec([]byte(`{"kind":"dumbbell","scheme":"hwatch","long_sources":3,"short_sources":3,
+		"duration_ms":200,"epochs":1,"seed":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ShortDone != r.ShortAll || r.ShortAll != 3 {
-		t.Fatalf("short flows %d/%d", r.ShortDone, r.ShortAll)
+	ctx := context.Background()
+	run, err := RunSpec(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.ShimStats == nil || r.ShimStats.ProbesSent == 0 {
-		t.Fatal("HWatch run carries no shim statistics")
+	if run.ShortDone != run.ShortAll || run.ShortAll != 3 {
+		t.Errorf("short flows %d/%d, want 3/3", run.ShortDone, run.ShortAll)
 	}
-	if r.LongGoodputBps.N() != 3 {
-		t.Fatalf("long flows measured: %d", r.LongGoodputBps.N())
+	if run.LongGoodputBps.N() != 3 {
+		t.Errorf("long flows measured: %d, want 3", run.LongGoodputBps.N())
 	}
-}
-
-func TestFacadeSchemes(t *testing.T) {
-	if got := AllSchemes(); len(got) != 4 {
-		t.Fatalf("AllSchemes = %v", got)
+	if run.ShimStats == nil || run.ShimStats.ProbesSent == 0 || run.ShimStats.SynAcksStamped == 0 {
+		t.Errorf("HWatch run carries no shim statistics: %+v", run.ShimStats)
 	}
-	if HWatch.String() != "TCP-HWATCH" || DCTCP.String() != "DCTCP" {
-		t.Fatal("scheme labels broken")
+	if tbl := Table([]*Run{run}); !strings.Contains(tbl, "TCP-HWATCH") || !strings.Contains(tbl, "fct-p50ms") {
+		t.Errorf("table output: %q", tbl)
 	}
-}
-
-func TestFacadeConfigs(t *testing.T) {
-	tc := DefaultTCPConfig()
-	if tc.InitCwnd != 10 || tc.MinRTO != 200*sim.Millisecond {
-		t.Fatalf("unexpected TCP defaults: %+v", tc)
+	runs, _, err := SpecTarget("spec", "facade", spec).Run(ctx, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dc := DCTCPTCPConfig()
-	if !dc.ECN {
-		t.Fatal("DCTCP config must enable ECN")
-	}
-	sc := DefaultShimConfig(100_000)
-	if sc.ProbeCount != 10 || sc.ProbeWire > 38 {
-		t.Fatalf("shim defaults diverge from the paper: %+v", sc)
+	if got, want := runs[0].DigestHex(), run.DigestHex(); got != want {
+		t.Errorf("SpecTarget run digest %s, RunSpec %s", got, want)
 	}
 }
 
+// TestFacadeTableAndSave renders a DropTail run as a table and writes its
+// series as the figure CSVs.
 func TestFacadeTableAndSave(t *testing.T) {
-	p := PaperDumbbell(2, 2)
-	p.Duration = 500 * sim.Millisecond // room for RTO recovery of the shorts
-	p.Epochs = 1
-	p.FirstEpoch = 10 * sim.Millisecond
-	r, err := RunDumbbell(context.Background(), DropTail, p)
+	// 500 ms leaves room for RTO recovery of the shorts.
+	spec, err := ParseSpec([]byte(`{"kind":"dumbbell","scheme":"droptail","long_sources":2,"short_sources":2,
+		"duration_ms":500,"epochs":1,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunSpec(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +68,7 @@ func TestFacadeTableAndSave(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := SaveRun(dir, "t", r); err != nil {
+	if err := experiments.SaveRun(dir, "t", r); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"t_fct_cdf.csv", "t_goodput_cdf.csv", "t_queue_bytes.csv", "t_util.csv"} {

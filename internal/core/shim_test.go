@@ -642,3 +642,11 @@ func TestTombstonePruneAndCrashWipe(t *testing.T) {
 		t.Fatal("crash did not wipe tombstones")
 	}
 }
+
+// TestDefaultConfigMatchesThePaper pins the paper's probe train: 10 probes
+// of at most 38 bytes on the wire.
+func TestDefaultConfigMatchesThePaper(t *testing.T) {
+	if c := DefaultConfig(100 * sim.Microsecond); c.ProbeCount != 10 || c.ProbeWire > 38 {
+		t.Fatalf("DefaultConfig = %+v, want 10 probes of <= 38 B", c)
+	}
+}

@@ -193,14 +193,10 @@ func TestFig11ShapeTiny(t *testing.T) {
 	p.Parallel = 4
 	p.Epochs = 2
 	p.Duration = p.FirstEpoch + int64(p.Epochs)*p.EpochInterval
-	testbed := func(hwatch bool) *scenario.Run {
-		r, err := scenario.RunTestbed(context.Background(), hwatch, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	testbed := func(s scenario.Scheme) *scenario.Run {
+		return mustRun(t, &scenario.Spec{Kind: scenario.KindTestbed, Schemes: []scenario.Share{{Scheme: s}}, Testbed: p})
 	}
-	tcpRun, hwRun := testbed(false), testbed(true)
+	tcpRun, hwRun := testbed(scenario.DropTail), testbed(scenario.HWatch)
 
 	if hwRun.ShortDone != hwRun.ShortAll {
 		t.Errorf("HWatch testbed completed %d/%d", hwRun.ShortDone, hwRun.ShortAll)

@@ -49,7 +49,7 @@ func LookupFigure(name string) (Figure, error) {
 }
 
 // FigRuns executes one named figure under ctx; see Figure.Run. It is the
-// entry point bench/ and the library facade call.
+// entry point bench/ calls.
 func FigRuns(ctx context.Context, name string, scale float64) ([]*scenario.Run, error) {
 	f, err := LookupFigure(name)
 	if err != nil {

@@ -392,6 +392,10 @@ func (r Recurrence) validate() error {
 	if r.Jitter < 0 {
 		return fmt.Errorf("jitter = %d negative", r.Jitter)
 	}
+	if r.Count == 1 && r.Interval != 0 {
+		// Accepted, it would move a spec's content address, not its run.
+		return fmt.Errorf("interval = %d with count 1: a single occurrence never reads it (every_ms needs count > 1)", r.Interval)
+	}
 	if r.Count > 1 {
 		if r.Interval <= 0 {
 			return fmt.Errorf("interval = %d, need > 0 when count > 1", r.Interval)

@@ -197,6 +197,7 @@ func TestScheduleValidateChaos(t *testing.T) {
 		{"recurring flap ok", Schedule{{Kind: LinkDown, At: 1, Recur: rec(100, 10, 5, 3)}}, ""},
 		{"recurring pick ok", Schedule{{Kind: ShimCrash, At: 1, Pick: 2, Recur: rec(100, 10, 0, 2)}}, ""},
 		{"single occurrence needs no interval", Schedule{{Kind: LinkDown, At: 1, Recur: rec(0, 10, 0, 1)}}, ""},
+		{"single occurrence takes no interval", Schedule{{Kind: LinkDown, At: 1, Recur: rec(100, 10, 0, 1)}}, "never reads it"},
 		{"restore cannot recur", Schedule{{Kind: LinkUp, At: 1, Recur: rec(100, 10, 0, 2)}}, "restore kinds cannot recur"},
 		{"restore cannot pick", Schedule{{Kind: ShimRestart, At: 1, Pick: 1}}, "restore kinds cannot pick"},
 		{"until with recur", Schedule{{Kind: ECNBlackhole, At: 1, Until: 50, Recur: rec(100, 10, 0, 2)}}, "until must be zero"},

@@ -347,6 +347,8 @@ func TestRenderFaultsImpairAndRecurrence(t *testing.T) {
 		"bad dist":          {{Kind: "jitter", AtMs: 1, UntilMs: 2, Dist: "bimodal", DelayUs: 10}},
 		"until with recur":  {{Kind: "link-down", AtMs: 1, UntilMs: 2, Count: 2, EveryMs: 10, ForMs: 1}},
 		"target and pick":   {{Kind: "link-down", AtMs: 1, Target: "x", Pick: 1}},
+		"every_ms, count 0": {{Kind: "link-down", AtMs: 1, EveryMs: 10, ForMs: 1}},
+		"every_ms, count 1": {{Kind: "link-down", AtMs: 1, Count: 1, EveryMs: 10, ForMs: 1}},
 	} {
 		if _, err := RenderFaults(bad); err == nil {
 			t.Errorf("%s: accepted", name)

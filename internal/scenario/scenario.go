@@ -297,31 +297,6 @@ func (s *Spec) RunContext(ctx context.Context) (*Run, error) {
 	return run, nil
 }
 
-// RunDumbbell executes one scheme on the dumbbell under the given
-// parameters: the single-scheme shorthand for a Spec.
-func RunDumbbell(ctx context.Context, scheme Scheme, p DumbbellParams) (*Run, error) {
-	return (&Spec{
-		Kind:     KindDumbbell,
-		Schemes:  []Share{{Scheme: scheme}},
-		Dumbbell: p,
-	}).RunContext(ctx)
-}
-
-// RunTestbed executes the leaf-spine scenario with or without HWatch
-// (the paper's boolean comparison; any registered scheme can run on the
-// testbed through a Spec).
-func RunTestbed(ctx context.Context, hwatch bool, p TestbedParams) (*Run, error) {
-	scheme := DropTail
-	if hwatch {
-		scheme = HWatch
-	}
-	return (&Spec{
-		Kind:    KindTestbed,
-		Schemes: []Share{{Scheme: scheme}},
-		Testbed: p,
-	}).RunContext(ctx)
-}
-
 // materialize binds every scheme in the spec to env and expands the
 // share-weighted host pattern (host i runs pattern[i % len(pattern)]).
 // An explicit Spec.Guest replaces each scheme's guest stack only after

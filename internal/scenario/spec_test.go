@@ -65,6 +65,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"testbed buffer": `{"kind":"testbed","buffer_pkts":50}`,
 		"dumbbell racks": `{"kind":"dumbbell","racks":7}`,
 		"point until":    `{"kind":"dumbbell","faults":[{"kind":"link-down","at_ms":100,"until_ms":120}]}`,
+		"once, every_ms": `{"kind":"dumbbell","faults":[{"kind":"link-down","at_ms":100,"for_ms":5,"every_ms":60}]}`,
 	} {
 		if _, err := ParseSpec([]byte(raw)); err == nil {
 			t.Errorf("%s: no error", name)

@@ -138,17 +138,7 @@ func parseJob(req *JobRequest) (*parsedJob, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		p := &parsedJob{kind: "spec"}
-		p.run = func(ctx context.Context, progress func(int64, uint64)) ([]*scenario.Run, []string, error) {
-			sc := fs.Scenario()
-			sc.Progress = progress
-			r, err := sc.RunContext(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			return []*scenario.Run{r}, nil, nil
-		}
-		return p, digest, nil
+		return targetJob(experiments.SpecTarget("spec", "", fs), 1, nil), digest, nil
 	}
 	t, err := experiments.LookupTarget(kind, strings.ToLower(req.Name))
 	if err != nil {
@@ -166,11 +156,16 @@ func parseJob(req *JobRequest) (*parsedJob, string, error) {
 		}
 		schemes = req.Schemes
 	}
-	p := &parsedJob{kind: t.Kind, name: t.Name}
-	p.run = func(ctx context.Context, progress func(int64, uint64)) ([]*scenario.Run, []string, error) {
-		return t.Run(ctx, scale, set, progress)
-	}
-	return p, tupleDigest(t.Kind, t.Name, scale, schemes), nil
+	return targetJob(t, scale, set), tupleDigest(t.Kind, t.Name, scale, schemes), nil
+}
+
+// targetJob is the job that runs t at scale over set: spec jobs and table
+// jobs execute through the one Target.Run path hwatchsim takes.
+func targetJob(t experiments.Target, scale float64, set []scenario.Scheme) *parsedJob {
+	return &parsedJob{kind: t.Kind, name: t.Name,
+		run: func(ctx context.Context, progress func(int64, uint64)) ([]*scenario.Run, []string, error) {
+			return t.Run(ctx, scale, set, progress)
+		}}
 }
 
 // tupleDigest content-addresses a non-spec job by its canonical parameter

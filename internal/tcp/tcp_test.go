@@ -629,3 +629,14 @@ func (v *verifier) Outbound(p *netem.Packet) netem.Verdict {
 	v.check(p)
 	return netem.VerdictPass
 }
+
+// TestDefaultConfigs pins the guest defaults the paper's figures assume: a
+// Linux data-center stack (ICW 10, minRTO 200 ms), and DCTCP with ECN on.
+func TestDefaultConfigs(t *testing.T) {
+	if c := DefaultConfig(); c.InitCwnd != 10 || c.MinRTO != 200*sim.Millisecond {
+		t.Fatalf("DefaultConfig = %+v, want ICW 10 and minRTO 200 ms", c)
+	}
+	if c := DCTCPConfig(); !c.ECN {
+		t.Fatalf("DCTCPConfig = %+v, want ECN on", c)
+	}
+}
