@@ -80,9 +80,12 @@ bench-ladder-check:
 	@test -n "$(LADDER_BASELINE)" || { echo "no BENCH_LADDER_*.json baseline found"; exit 1; }
 	$(GO) run ./cmd/benchdiff -check -baseline $(LADDER_BASELINE) -out /tmp/bench_ladder_check.json
 
-# Short fuzz smoke over every fuzz target with a committed corpus.
+# Short fuzz smoke over every fuzz target with a committed corpus: one line
+# per internal/<pkg>/testdata/fuzz/<Name>, which TestFuzzSmokeCoversEveryCorpus
+# checks.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzBinaryReaderNoPanic -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzChecksumPatchChain -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzPacketPoolZeroed -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzFlowSlab -fuzztime 10s ./internal/core
@@ -91,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalDigest -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzNumberArrayDecode -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzAxisRoundTrip -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s ./internal/server
 
 # Chaos gate: the fault-injection goldens, the recurring-chaos shard
 # parity suite, and both example schedules under the recovery observer.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -22,7 +21,7 @@ import (
 type axis struct {
 	t0, dt int64 // dt > 0: the grid of n points t0, t0+dt, …
 	n      int
-	points []int64 // dt == 0: the points themselves
+	points ints // dt == 0: the points themselves
 }
 
 // axisOf is the wire form of the points ts: nil when there are none, a
@@ -64,69 +63,55 @@ func (a axis) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// UnmarshalJSON decodes either form. A grid only records its three numbers
-// here: how many points it names is checked against its paired value array
-// before any is materialised (see timeAxes).
+// UnmarshalJSON decodes either form.
 func (a *axis) UnmarshalJSON(data []byte) error {
-	data = trimJSONSpace(data)
-	if len(data) == 0 || data[0] != '{' {
-		var pts ints
-		err := pts.UnmarshalJSON(data)
-		*a = axis{points: pts}
-		return err
+	c := cursor{data: data}
+	v, err := c.axis()
+	if err == nil {
+		err = c.end()
 	}
-	g, err := decodeGrid(data)
 	if err != nil {
 		return err
 	}
-	*a = g
+	*a = *v
 	return nil
 }
 
-// decodeGrid decodes {"t0":…,"dt":…,"n":…}: those three members, each
-// once, in any order, each a JSON integer, and nothing else. It refuses
-// what is not a grid — n < 2, dt ≤ 0 — and a grid whose last point
-// t0+(n−1)·dt overflows int64, so no body can name a point it could never
-// hold.
-func decodeGrid(data []byte) (axis, error) {
-	bad := func(why string) (axis, error) {
-		return axis{}, fmt.Errorf("json: cannot decode %.32q as a time axis: %s", data, why)
+// axis reads a time axis in either form. A grid is {"t0":…,"dt":…,"n":…}:
+// those three members, each once, in any order, each a JSON integer, and
+// nothing else. It only records its three numbers here: how many points
+// it names is checked against its paired value array before any is
+// materialised (see timeAxes). What is not a grid — n < 2, dt ≤ 0 — is
+// refused, and so is a grid whose last point t0+(n−1)·dt overflows int64,
+// so no body can name a point it could never hold.
+func (c *cursor) axis() (*axis, error) {
+	if c.ws() != '{' {
+		pts, err := numbers(c, intOf)
+		return &axis{points: pts}, err
 	}
-	if len(data) < 2 || data[0] != '{' || data[len(data)-1] != '}' {
-		return bad("not an object")
+	start := c.off
+	bad := func(why string, args ...any) (*axis, error) {
+		return nil, fmt.Errorf("json: offset %d: not a time axis: "+why, append([]any{start}, args...)...)
 	}
-	var vals [3]int64 // t0, dt, n
-	var seen [3]bool
-	for rest, more := data[1:len(data)-1], true; more; {
-		var member []byte
-		member, rest, more = bytes.Cut(rest, []byte{','})
-		key, val, ok := bytes.Cut(member, []byte{':'})
-		i := -1
-		switch string(trimJSONSpace(key)) {
-		case `"t0"`:
-			i = 0
-		case `"dt"`:
-			i = 1
-		case `"n"`:
-			i = 2
+	var v [3]int64 // t0, dt, n
+	got := 0
+	err := c.object(gridMembers, func(name string) (err error) {
+		i := slices.Index(gridMembers, name)
+		if i < 0 {
+			return fmt.Errorf("unknown member %q", name)
 		}
-		if !ok || i < 0 || seen[i] {
-			return bad("want the members t0, dt and n, each once")
-		}
-		val = trimJSONSpace(val)
-		if !validNumber(val) {
-			return bad("a member is not a number")
-		}
-		v, err := strconv.ParseInt(string(val), 10, 64)
-		if err != nil {
-			return bad(err.Error())
-		}
-		vals[i], seen[i] = v, true
+		v[i], err = c.integer(64)
+		got++
+		return err
+	})
+	const want = "want the members t0, dt and n, each once, each an integer"
+	switch {
+	case err != nil:
+		return bad(want+": %w", err)
+	case got < len(v):
+		return bad(want)
 	}
-	if seen != [3]bool{true, true, true} {
-		return bad("want the members t0, dt and n, each once")
-	}
-	t0, dt, n := vals[0], vals[1], vals[2]
+	t0, dt, n := v[0], v[1], v[2]
 	if n < 2 || dt <= 0 || n > math.MaxInt {
 		return bad("a grid has n ≥ 2 points and dt > 0")
 	}
@@ -136,8 +121,10 @@ func decodeGrid(data []byte) (axis, error) {
 	if _, carry := bits.Add64(uint64(t0)^(1<<63), span, 0); hi != 0 || carry != 0 {
 		return bad("its last point overflows int64")
 	}
-	return axis{t0: t0, dt: dt, n: int(n)}, nil
+	return &axis{t0: t0, dt: dt, n: int(n)}, nil
 }
+
+var gridMembers = []string{"t0", "dt", "n"}
 
 // last is a grid's last point.
 func (a axis) last() int64 { return a.t0 + int64(a.n-1)*a.dt }

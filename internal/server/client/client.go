@@ -145,16 +145,19 @@ func (c *Client) do(req *http.Request, out any) error {
 		}
 		return apiErr
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case *server.Result:
+		// A result decodes in one pass: json.Unmarshal would first scan
+		// the whole body once more only to validate it.
+		if err := out.UnmarshalJSON(body); err != nil {
+			return err
+		}
+		out.Cached = resp.Header.Get(server.CacheHeader) == "hit"
 		return nil
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return err
-	}
-	if res, ok := out.(*server.Result); ok {
-		res.Cached = resp.Header.Get(server.CacheHeader) == "hit"
-	}
-	return nil
+	return json.Unmarshal(body, out)
 }
 
 // retryError signals a 429: retry after the server's suggested delay.

@@ -15,7 +15,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"hwatch/internal/scenario"
 )
@@ -202,119 +206,566 @@ func (w *RunWire) run(t [3][]int64) (*scenario.Run, error) {
 
 // floats and ints are the number arrays of a RunWire: its value arrays,
 // and the points of a time axis that is not a grid. They encode as plain
-// JSON arrays; decoding is their own, because encoding/json grows a
-// slice by doubling, through reflection, one element at a time, and for a
-// figure's series that allocates several times what the decoded arrays
-// hold. These count the elements, allocate once at the final length and
-// parse each element with the call encoding/json itself makes
-// (strconv.ParseFloat at 64 bits, strconv.ParseInt in base 10), so every
-// value is bit-identical — which RunWire.Run's digest recomputation checks
-// on every transfer. null and [] decode to nil and to an empty slice, as
-// they do for a plain slice; a null element, which encoding/json reads as
-// zero, is rejected: WireRun never writes one.
+// JSON arrays and decode with cursor.numbers, which allocates once at the
+// final length and gives every value the bits encoding/json gives it. null
+// and [] decode to nil and to an empty slice, as they do for a plain slice;
+// a null element, which encoding/json reads as zero, is refused: WireRun
+// never writes one.
 type (
 	floats []float64
 	ints   []int64
 )
 
 func (f *floats) UnmarshalJSON(data []byte) (err error) {
-	*f, err = decodeNumbers(data, func(tok []byte) (float64, error) {
-		return strconv.ParseFloat(string(tok), 64)
-	})
+	c := cursor{data: data}
+	if *f, err = numbers(&c, floatOf); err == nil {
+		err = c.end()
+	}
 	return err
 }
 
 func (n *ints) UnmarshalJSON(data []byte) (err error) {
-	*n, err = decodeNumbers(data, func(tok []byte) (int64, error) {
-		return strconv.ParseInt(string(tok), 10, 64)
-	})
+	c := cursor{data: data}
+	if *n, err = numbers(&c, intOf); err == nil {
+		err = c.end()
+	}
 	return err
 }
 
-// decodeNumbers decodes a JSON array of numbers, or null. It does not
-// rely on data having been validated: an element that is not a number by
-// the JSON grammar — a string, a nested array split at its commas, "+1",
-// "0x10" — is an error, whatever strconv would make of it.
-func decodeNumbers[T float64 | int64](data []byte, parse func(tok []byte) (T, error)) ([]T, error) {
-	data = trimJSONSpace(data)
-	if string(data) == "null" {
-		return nil, nil
+// UnmarshalJSON decodes a result in one pass over data, with no
+// encoding/json validation pass ahead of it. null leaves res as it was.
+func (res *Result) UnmarshalJSON(data []byte) error {
+	c := cursor{data: data}
+	if c.null() {
+		return c.end()
 	}
-	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
-		return nil, fmt.Errorf("json: cannot decode %.32q as an array of numbers", data)
-	}
-	rest := trimJSONSpace(data[1 : len(data)-1])
-	if len(rest) == 0 {
-		return []T{}, nil
-	}
-	out := make([]T, bytes.Count(rest, []byte{','})+1)
-	for i := range out {
-		var tok []byte
-		tok, rest, _ = bytes.Cut(rest, []byte{','})
-		tok = trimJSONSpace(tok)
-		if !validNumber(tok) {
-			return nil, fmt.Errorf("json: array element %d: %.32q is not a number", i, tok)
+	var r Result
+	err := c.object(resultMembers, func(name string) (err error) {
+		switch name {
+		case "kind":
+			r.Kind, err = c.text()
+		case "name":
+			r.Name, err = c.text()
+		case "digest":
+			r.Digest, err = c.text()
+		case "version":
+			r.Version, err = c.text()
+		case "runs":
+			r.Runs = []*RunWire{}
+			err = c.array(func() error {
+				w, err := c.run()
+				r.Runs = append(r.Runs, w)
+				return err
+			})
+			r.Runs = slices.Clip(r.Runs)
+		case "rows":
+			r.Rows, err = c.texts()
+		default:
+			err = c.skip()
 		}
-		v, err := parse(tok)
+		return err
+	})
+	if err == nil {
+		err = c.end()
+	}
+	if err != nil {
+		return err
+	}
+	*res = r
+	return nil
+}
+
+// run decodes one RunWire object.
+func (c *cursor) run() (*RunWire, error) {
+	w := new(RunWire)
+	return w, c.object(runMembers, func(name string) (err error) {
+		switch name {
+		case "label":
+			w.Label, err = c.text()
+		case "digest":
+			w.Digest, err = c.text()
+		case "short_fct_ms":
+			w.ShortFCTms, err = numbers(c, floatOf)
+		case "per_source_avg_ms":
+			w.PerSourceAvgMs, err = numbers(c, floatOf)
+		case "per_source_var_ms":
+			w.PerSourceVarMs, err = numbers(c, floatOf)
+		case "short_retrans":
+			w.ShortRetrans, err = numbers(c, floatOf)
+		case "long_goodput_bps":
+			w.LongGoodputBps, err = numbers(c, floatOf)
+		case "long_fairness":
+			w.LongFairness, err = c.float()
+		case "queue_pkts_t":
+			w.QueuePktsT, err = c.axis()
+		case "queue_pkts_v":
+			w.QueuePktsV, err = numbers(c, floatOf)
+		case "queue_bytes_t":
+			w.QueueBytesT, err = c.axis()
+		case "queue_bytes_v":
+			w.QueueBytesV, err = numbers(c, floatOf)
+		case "utilization_t":
+			w.UtilizationT, err = c.axis()
+		case "utilization_v":
+			w.UtilizationV, err = numbers(c, floatOf)
+		case "drops":
+			w.Drops, err = c.integer(64)
+		case "marks":
+			w.Marks, err = c.integer(64)
+		case "timeouts":
+			w.Timeouts, err = c.integer(64)
+		case "short_done":
+			var n int64
+			n, err = c.integer(strconv.IntSize)
+			w.ShortDone = int(n)
+		case "short_all":
+			var n int64
+			n, err = c.integer(strconv.IntSize)
+			w.ShortAll = int(n)
+		case "wall_ns":
+			w.WallNs, err = c.integer(64)
+		case "events":
+			w.Events, err = c.unsigned()
+		case "invariant_violations":
+			w.InvariantViolations, err = c.texts()
+		default:
+			err = c.skip()
+		}
+		return err
+	})
+}
+
+// resultMembers and runMembers are the member names of Result and
+// RunWire, read from the same tags encoding/json reads.
+var (
+	resultMembers = memberNames(reflect.TypeFor[Result]())
+	runMembers    = memberNames(reflect.TypeFor[RunWire]())
+)
+
+func memberNames(t reflect.Type) []string {
+	var names []string
+	for i := range t.NumField() {
+		if name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); name != "-" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// cursor reads a JSON body left to right, once. It checks the JSON grammar
+// as it goes, so what it reads needs no encoding/json validation pass
+// first, and every value it accepts is the value encoding/json reads from
+// the same bytes (FuzzDecodeResult holds it to that). Where encoding/json
+// is lenient in ways the wire never uses it refuses instead: a member
+// name that matches only after unescaping or case folding, a member given
+// twice, a null element.
+type cursor struct {
+	data  []byte
+	off   int
+	depth int // of skip's nesting
+}
+
+// maxDepth bounds how deeply skip nests: far below encoding/json's own
+// limit, far above anything the wire writes.
+const maxDepth = 1000
+
+func (c *cursor) errorf(format string, args ...any) error {
+	return fmt.Errorf("json: offset %d: %s", c.off, fmt.Sprintf(format, args...))
+}
+
+// ws skips whitespace and returns the next byte, or 0 at the end.
+func (c *cursor) ws() byte {
+	for ; c.off < len(c.data); c.off++ {
+		switch b := c.data[c.off]; b {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return b
+		}
+	}
+	return 0
+}
+
+// end checks that only whitespace follows.
+func (c *cursor) end() error {
+	if c.ws(); c.off < len(c.data) {
+		return c.errorf("%q after the value", c.data[c.off])
+	}
+	return nil
+}
+
+// literal consumes lit if it comes next.
+func (c *cursor) literal(lit string) bool {
+	c.ws()
+	if len(c.data)-c.off < len(lit) || string(c.data[c.off:c.off+len(lit)]) != lit {
+		return false
+	}
+	c.off += len(lit)
+	return true
+}
+
+func (c *cursor) null() bool { return c.literal("null") }
+
+// object reads an object. Each member named in names may appear once,
+// spelled exactly; member is called on its value and consumes it, unless
+// the value is null, which leaves the field as it was. Any other member
+// goes to member under its own name, to skip or refuse — but one whose
+// name encoding/json would match to names after unescaping or case
+// folding is refused, or the two decoders would put it in different
+// places. With no member (skip's case), every value is checked and
+// skipped.
+func (c *cursor) object(names []string, member func(name string) error) error {
+	if c.ws() != '{' {
+		return c.errorf("want an object")
+	}
+	c.off++
+	if c.ws() == '}' {
+		c.off++
+		return nil
+	}
+	var seen uint64
+	for {
+		if c.ws() != '"' {
+			return c.errorf("want a member name")
+		}
+		start := c.off
+		key, plain, err := c.quoted()
 		if err != nil {
-			return nil, fmt.Errorf("json: array element %d: %w", i, err)
+			return err
 		}
-		out[i] = v
+		i := -1
+		for j, name := range names {
+			if plain && string(key) == name {
+				i = j
+				break
+			}
+		}
+		if i >= 0 {
+			if seen&(1<<i) != 0 {
+				return c.errorf("member %q given twice", key)
+			}
+			seen |= 1 << i
+		} else if len(names) > 0 {
+			if !plain {
+				var s string
+				if err := json.Unmarshal(c.data[start:c.off], &s); err != nil {
+					return err
+				}
+				key = []byte(s)
+			}
+			for _, name := range names {
+				if bytes.EqualFold(key, []byte(name)) {
+					return c.errorf("member %q reads as %q only after unescaping or case folding", c.data[start:c.off], name)
+				}
+			}
+		}
+		if c.ws() != ':' {
+			return c.errorf("want ':' after a member name")
+		}
+		c.off++
+		switch {
+		case i >= 0 && c.null():
+		case i >= 0:
+			if err = member(names[i]); err != nil {
+				err = fmt.Errorf("%s: %w", names[i], err)
+			}
+		case member != nil:
+			err = member(string(key))
+		default:
+			err = c.skip()
+		}
+		if err != nil {
+			return err
+		}
+		switch c.ws() {
+		case ',':
+			c.off++
+		case '}':
+			c.off++
+			return nil
+		default:
+			return c.errorf("want ',' or '}' after an object member")
+		}
 	}
-	return out, nil
 }
 
-// trimJSONSpace trims the four bytes JSON counts as whitespace.
-func trimJSONSpace(b []byte) []byte {
-	space := func(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-	for len(b) > 0 && space(b[0]) {
-		b = b[1:]
+// array reads an array, calling elem on each element to consume it.
+func (c *cursor) array(elem func() error) error {
+	if c.ws() != '[' {
+		return c.errorf("want an array")
 	}
-	for len(b) > 0 && space(b[len(b)-1]) {
-		b = b[:len(b)-1]
+	c.off++
+	if c.ws() == ']' {
+		c.off++
+		return nil
 	}
-	return b
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		switch c.ws() {
+		case ',':
+			c.off++
+		case ']':
+			c.off++
+			return nil
+		default:
+			return c.errorf("want ',' or ']' after an array element")
+		}
+	}
 }
 
-// validNumber reports whether s is a number by the JSON grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func validNumber(s []byte) bool {
-	digits := func(s []byte) []byte {
-		for len(s) > 0 && '0' <= s[0] && s[0] <= '9' {
-			s = s[1:]
+// quoted scans the string at the cursor and returns the bytes between its
+// quotes. plain is false when they hold an escape or are not UTF-8: then
+// the string is what encoding/json makes of them, not the bytes.
+func (c *cursor) quoted() (body []byte, plain bool, err error) {
+	c.off++ // the opening quote
+	start, ascii := c.off, true
+	plain = true
+	for c.off < len(c.data) {
+		switch b := c.data[c.off]; {
+		case b == '"':
+			body = c.data[start:c.off]
+			c.off++
+			return body, plain && (ascii || utf8.Valid(body)), nil
+		case b == '\\':
+			plain = false
+			if c.off+1 == len(c.data) {
+				return nil, false, c.errorf("unterminated string")
+			}
+			switch c.data[c.off+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				c.off += 2
+			case 'u':
+				if c.off+6 > len(c.data) {
+					return nil, false, c.errorf("unterminated string")
+				}
+				if _, err := strconv.ParseUint(string(c.data[c.off+2:c.off+6]), 16, 16); err != nil {
+					return nil, false, c.errorf(`bad \u escape`)
+				}
+				c.off += 6
+			default:
+				return nil, false, c.errorf("bad escape %q", c.data[c.off+1])
+			}
+		case b < 0x20:
+			return nil, false, c.errorf("control character %q in a string", b)
+		default:
+			ascii = ascii && b < utf8.RuneSelf
+			c.off++
 		}
-		return s
 	}
-	if len(s) > 0 && s[0] == '-' {
-		s = s[1:]
+	return nil, false, c.errorf("unterminated string")
+}
+
+// text reads a string value. A plain one is copied as it stands; one
+// with escapes goes to encoding/json, for that token alone.
+func (c *cursor) text() (string, error) {
+	if c.ws() != '"' {
+		return "", c.errorf("want a string")
+	}
+	start := c.off
+	body, plain, err := c.quoted()
+	if err != nil || plain {
+		return string(body), err
+	}
+	var s string
+	return s, json.Unmarshal(c.data[start:c.off], &s)
+}
+
+// texts reads an array of strings.
+func (c *cursor) texts() ([]string, error) {
+	out := []string{}
+	err := c.array(func() error {
+		s, err := c.text()
+		out = append(out, s)
+		return err
+	})
+	return slices.Clip(out), err
+}
+
+// skip checks and passes over one value of any kind.
+func (c *cursor) skip() (err error) {
+	if c.depth++; c.depth > maxDepth {
+		return c.errorf("nested more than %d deep", maxDepth)
+	}
+	switch c.ws() {
+	case '{':
+		err = c.object(nil, nil)
+	case '[':
+		err = c.array(c.skip)
+	case '"':
+		_, _, err = c.quoted()
+	case 't', 'f', 'n':
+		if !c.literal("true") && !c.literal("false") && !c.null() {
+			err = c.errorf("want a value")
+		}
+	default:
+		_, _, _, err = c.number()
+	}
+	c.depth--
+	return err
+}
+
+// maxExp caps the exponent number reads; strconv parses anything past it.
+const maxExp = 1000
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// number scans one number by the JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
+// Along the way it gathers the digits into an integer mantissa m and a
+// power of ten e; when m < 2^53 and |e| ≤ 22 both are exact float64s and
+// one multiplication or division rounds their value correctly (Clinger's
+// fast path, PLDI 1990), so f is the value strconv.ParseFloat returns and
+// exact is true. Otherwise the caller parses tok.
+func (c *cursor) number() (tok []byte, f float64, exact bool, err error) {
+	c.ws()
+	d, i := c.data, c.off
+	var m uint64
+	nd, e := 0, 0 // significant digits in m (20: some were dropped); the power of ten scaling m
+	x := 0        // the written exponent's magnitude, capped at maxExp
+	neg := i < len(d) && d[i] == '-'
+	if neg {
+		i++
 	}
 	switch {
-	case len(s) == 0:
-		return false
-	case s[0] == '0':
-		s = s[1:]
-	case '1' <= s[0] && s[0] <= '9':
-		s = digits(s)
+	case i == len(d) || d[i] < '0' || d[i] > '9':
+		return nil, 0, false, c.errorf("not a number")
+	case d[i] == '0':
+		i++
 	default:
-		return false
-	}
-	if len(s) > 0 && s[0] == '.' {
-		frac := digits(s[1:])
-		if len(frac) == len(s)-1 {
-			return false
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			if nd < 19 {
+				m, nd = m*10+uint64(d[i]-'0'), nd+1
+			} else {
+				nd = 20
+			}
 		}
-		s = frac
 	}
-	if len(s) > 0 && (s[0] == 'e' || s[0] == 'E') {
-		s = s[1:]
-		if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-			s = s[1:]
+	if i < len(d) && d[i] == '.' {
+		i++
+		if i == len(d) || d[i]-'0' > 9 {
+			return nil, 0, false, c.errorf("want a digit after the decimal point")
 		}
-		exp := digits(s)
-		if len(exp) == len(s) {
-			return false
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			if nd < 19 {
+				m, e = m*10+uint64(d[i]-'0'), e-1
+				if m != 0 {
+					nd++ // a leading zero is not significant
+				}
+			} else {
+				nd = 20
+			}
 		}
-		s = exp
 	}
-	return len(s) == 0
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
+		sign := 1
+		if i < len(d) && d[i] == '-' {
+			sign = -1
+		}
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		if i == len(d) || d[i]-'0' > 9 {
+			return nil, 0, false, c.errorf("want a digit in the exponent")
+		}
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			x = min(x*10+int(d[i]-'0'), maxExp)
+		}
+		e += sign * x
+	}
+	tok, c.off = d[c.off:i], i
+	// A capped exponent says nothing of e: leading fraction zeros lower e
+	// without bound, so 0.000…05e1005 could land e back inside ±22.
+	if nd > 19 || m>>53 != 0 || e < -22 || e > 22 || x == maxExp {
+		return tok, 0, false, nil
+	}
+	if f = float64(m); neg {
+		f = -f
+	}
+	if e < 0 {
+		return tok, f / pow10[-e], true, nil
+	}
+	return tok, f * pow10[e], true, nil
+}
+
+func floatOf(tok []byte, f float64, exact bool) (float64, error) {
+	if exact {
+		return f, nil
+	}
+	return strconv.ParseFloat(string(tok), 64)
+}
+
+func intOf(tok []byte, _ float64, _ bool) (int64, error) {
+	return strconv.ParseInt(string(tok), 10, 64)
+}
+
+// float reads a number as a float64.
+func (c *cursor) float() (float64, error) {
+	tok, f, exact, err := c.number()
+	if err != nil {
+		return 0, err
+	}
+	return floatOf(tok, f, exact)
+}
+
+// integer reads a number as a signed integer of the given bits.
+func (c *cursor) integer(bits int) (int64, error) {
+	tok, _, _, err := c.number()
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseInt(string(tok), 10, bits)
+}
+
+// unsigned reads a number as a uint64.
+func (c *cursor) unsigned() (uint64, error) {
+	tok, _, _, err := c.number()
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseUint(string(tok), 10, 64)
+}
+
+// numbers reads an array of numbers, or null, and converts each element
+// with conv. It allocates once: the commas up to the first ']' count the
+// elements — at most one per byte, so a malformed array can cost twice
+// what a valid one as long could — then one scan checks and converts them.
+func numbers[T float64 | int64](c *cursor, conv func(tok []byte, f float64, exact bool) (T, error)) ([]T, error) {
+	if c.null() {
+		return nil, nil
+	}
+	if c.ws() != '[' {
+		return nil, c.errorf("want an array of numbers")
+	}
+	c.off++
+	if c.ws() == ']' {
+		c.off++
+		return []T{}, nil
+	}
+	n := bytes.IndexByte(c.data[c.off:], ']')
+	if n < 0 {
+		return nil, c.errorf("unterminated array")
+	}
+	out := make([]T, bytes.Count(c.data[c.off:c.off+n], []byte{','})+1)
+	for i := range out {
+		tok, f, exact, err := c.number()
+		if err == nil {
+			out[i], err = conv(tok, f, exact)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("array element %d: %w", i, err)
+		}
+		want := byte(',')
+		if i == len(out)-1 {
+			want = ']'
+		}
+		if c.ws() != want {
+			return nil, c.errorf("array element %d: want %q after it", i, want)
+		}
+		c.off++
+	}
+	return out, nil
 }

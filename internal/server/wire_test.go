@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -301,5 +303,260 @@ func TestTimeAxesShareOneArrayPerChain(t *testing.T) {
 				t.Fatalf("an append to run %d axis %d changed another series", i, k)
 			}
 		}
+	}
+}
+
+// FuzzDecodeResult holds Result's one-pass decoder to encoding/json as the
+// oracle, reading the same body into resultMirror's plain slices. Whatever
+// body the decoder accepts, the oracle accepts and reads to the same bits.
+// Every body json.Marshal writes for a Result — here one built out of the
+// input's bytes — the decoder accepts, with cap == len on every array. No
+// input panics it, or ScenarioRuns after it.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeResult(t, body, false)
+		enc, err := json.Marshal(resultFrom(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecodeResult(t, enc, true)
+	})
+}
+
+func checkDecodeResult(t *testing.T, body []byte, mustAccept bool) {
+	t.Helper()
+	var got Result
+	if err := got.UnmarshalJSON(body); err != nil {
+		if mustAccept {
+			t.Fatalf("json.Marshal wrote %.200q, the decoder refuses it: %v", body, err)
+		}
+		return
+	}
+	_, _ = got.ScenarioRuns() // may refuse the runs (most digests are made up); must not panic
+	if err := capIsLen(reflect.ValueOf(got)); err != nil {
+		t.Fatalf("%.200q: %v", body, err)
+	}
+	var want resultMirror
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatalf("the decoder accepts %.200q, encoding/json refuses it: %v", body, err)
+	}
+	// json.Marshal tells every two float64s apart (-0 from 0 too), nil
+	// from empty, and a missing axis from an empty one.
+	g, err := json.Marshal(mirrorOf(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%.200q decodes to\n%.300s\nencoding/json reads\n%.300s", body, g, w)
+	}
+}
+
+// resultMirror is Result as encoding/json reads it with no help: plain
+// slices, and a time axis as either of its forms.
+type resultMirror struct {
+	Kind    string       `json:"kind"`
+	Name    string       `json:"name"`
+	Digest  string       `json:"digest"`
+	Version string       `json:"version"`
+	Runs    []*runMirror `json:"runs"`
+	Rows    []string     `json:"rows"`
+}
+
+type runMirror struct {
+	Label          string      `json:"label"`
+	Digest         string      `json:"digest"`
+	ShortFCTms     []float64   `json:"short_fct_ms"`
+	PerSourceAvgMs []float64   `json:"per_source_avg_ms"`
+	PerSourceVarMs []float64   `json:"per_source_var_ms"`
+	ShortRetrans   []float64   `json:"short_retrans"`
+	LongGoodputBps []float64   `json:"long_goodput_bps"`
+	LongFairness   float64     `json:"long_fairness"`
+	QueuePktsT     *axisMirror `json:"queue_pkts_t"`
+	QueuePktsV     []float64   `json:"queue_pkts_v"`
+	QueueBytesT    *axisMirror `json:"queue_bytes_t"`
+	QueueBytesV    []float64   `json:"queue_bytes_v"`
+	UtilizationT   *axisMirror `json:"utilization_t"`
+	UtilizationV   []float64   `json:"utilization_v"`
+	Drops          int64       `json:"drops"`
+	Marks          int64       `json:"marks"`
+	Timeouts       int64       `json:"timeouts"`
+	ShortDone      int         `json:"short_done"`
+	ShortAll       int         `json:"short_all"`
+	WallNs         int64       `json:"wall_ns"`
+	Events         uint64      `json:"events"`
+	Violations     []string    `json:"invariant_violations"`
+}
+
+type axisMirror struct {
+	Grid   *struct{ T0, Dt, N int64 }
+	Points []int64
+}
+
+func (a *axisMirror) UnmarshalJSON(data []byte) error {
+	if data[0] != '{' {
+		return json.Unmarshal(data, &a.Points)
+	}
+	return json.Unmarshal(data, &a.Grid)
+}
+
+// mirrorOf copies a decoded Result into resultMirror, field by field in
+// order; a RunWire field the mirror lacks is a panic, not a blind spot.
+func mirrorOf(res *Result) *resultMirror {
+	m := &resultMirror{Kind: res.Kind, Name: res.Name, Digest: res.Digest, Version: res.Version, Rows: res.Rows}
+	if res.Runs != nil {
+		m.Runs = []*runMirror{}
+	}
+	for _, w := range res.Runs {
+		rm := new(runMirror)
+		src, dst := reflect.ValueOf(w).Elem(), reflect.ValueOf(rm).Elem()
+		if src.NumField() != dst.NumField() {
+			panic("runMirror does not mirror RunWire")
+		}
+		for i := range src.NumField() {
+			switch s := src.Field(i).Interface().(type) {
+			case *axis:
+				if s != nil {
+					a := &axisMirror{Points: s.points}
+					if s.dt > 0 {
+						a = &axisMirror{Grid: &struct{ T0, Dt, N int64 }{s.t0, s.dt, int64(s.n)}}
+					}
+					dst.Field(i).Set(reflect.ValueOf(a))
+				}
+			default:
+				dst.Field(i).Set(src.Field(i).Convert(dst.Field(i).Type()))
+			}
+		}
+		m.Runs = append(m.Runs, rm)
+	}
+	return m
+}
+
+// capIsLen reports a slice anywhere in v with room past its end.
+func capIsLen(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return capIsLen(v.Elem())
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if err := capIsLen(v.Field(i)); err != nil {
+				return fmt.Errorf("%s: %w", v.Type().Field(i).Name, err)
+			}
+		}
+	case reflect.Slice:
+		if v.Cap() != v.Len() {
+			return fmt.Errorf("len %d, cap %d", v.Len(), v.Cap())
+		}
+		for i := range v.Len() {
+			if err := capIsLen(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// resultFrom builds a Result out of data: the bytes themselves as strings,
+// and each 8-byte word as a float value (unless NaN or ±Inf, which JSON
+// cannot carry) and as a counter and a time point.
+func resultFrom(data []byte) *Result {
+	var fs [8]floats
+	var ws []int64
+	for i := 0; i+8 <= len(data); i += 8 {
+		u := binary.LittleEndian.Uint64(data[i:])
+		if f := math.Float64frombits(u); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			fs[i/8%8] = append(fs[i/8%8], f)
+		}
+		ws = append(ws, int64(u))
+	}
+	word := func(k int) int64 {
+		if k >= len(ws) {
+			return int64(k)
+		}
+		return ws[k]
+	}
+	grid := make([]int64, len(ws)%5+2)
+	for i := range grid {
+		grid[i] = word(0) + int64(i)*(word(1)&0xffff+1)
+	}
+	s := string(data)
+	run := &RunWire{
+		Label: s, Digest: s,
+		ShortFCTms: fs[0], PerSourceAvgMs: fs[1], PerSourceVarMs: fs[2], ShortRetrans: fs[3], LongGoodputBps: fs[4],
+		LongFairness: math.Float64frombits(uint64(word(2)) &^ (0x7ff << 52)), // finite
+		QueuePktsT:   axisOf(ws), QueuePktsV: fs[5],
+		QueueBytesT: axisOf(grid), QueueBytesV: fs[6],
+		UtilizationV: fs[7],
+		Drops:        word(3), Marks: -word(4), Timeouts: word(5),
+		ShortDone: int(word(6)), ShortAll: len(data),
+		WallNs: word(7), Events: uint64(word(8)),
+		InvariantViolations: strings.Fields(s),
+	}
+	return &Result{Kind: "spec", Name: s, Digest: s, Version: s, Runs: []*RunWire{run, {}}, Rows: strings.Split(s, ",")}
+}
+
+// BenchmarkDecodeResultFig8 reads the Fig. 8@0.1 result, the body of
+// service_hit's large cache hit, the way the client does: one decode, then
+// every run rebuilt and its digest re-verified.
+func BenchmarkDecodeResultFig8(b *testing.B) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeResult/fig8_scale0.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	quoted, ok := bytes.CutPrefix(raw, []byte("go test fuzz v1\n[]byte("))
+	text, err := strconv.Unquote(string(bytes.TrimSuffix(quoted, []byte(")\n"))))
+	if !ok || err != nil {
+		b.Fatalf("not a []byte corpus entry: %v", err)
+	}
+	body := []byte(text)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var res Result
+		if err := res.UnmarshalJSON(body); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.ScenarioRuns(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeResultRefusesWhatItCannotMirror: a member name that reads as a
+// known one only after unescaping or case folding, a member given twice,
+// a null number or run, and trailing bytes are errors, where encoding/json
+// would file, merge or zero them. -0 stays -0.
+func TestDecodeResultRefusesWhatItCannotMirror(t *testing.T) {
+	const esc = "\\" + "u" // a JSON escape: esc + "006b" is k
+	for _, c := range []struct{ body, want string }{
+		{`{"Kind":"spec"}`, `"\"Kind\"" reads as "kind"`},
+		{`{"` + esc + `006bind":"spec"}`, `reads as "kind"`},
+		{"{\"\u212aind\":\"spec\"}", `reads as "kind"`}, // the Kelvin sign folds to k
+		{`{"runs":[{"label":"x","` + esc + `0064rops":1}]}`, `reads as "drops"`},
+		{`{"kind":"a","kind":"b"}`, `"kind" given twice`},
+		{`{"runs":[{"short_fct_ms":[1,null]}]}`, "array element 1: json: offset 28: not a number"},
+		{`{"runs":[null]}`, "want an object"},
+		{`{"kind":"spec"} {}`, `'{' after the value`},
+		{`{"runs":[{"drops":1.5}]}`, "invalid syntax"},
+		{`{"x":` + strings.Repeat(`[{"y":`, 600) + `0`, "nested more than 1000 deep"},
+	} {
+		var res Result
+		if err := res.UnmarshalJSON([]byte(c.body)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error saying %s", c.body, err, c.want)
+		}
+	}
+	var res Result
+	body := `{"runs":[{"short_fct_ms":[-0,-0.0e3],"long_fairness":-0},{}],"rows":[],"xx":{"a":[true,false,null]}}`
+	if err := res.UnmarshalJSON([]byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	w := res.Runs[0]
+	if len(res.Runs) != 2 || res.Rows == nil || !math.Signbit(w.LongFairness) || !math.Signbit(w.ShortFCTms[0]) || !math.Signbit(w.ShortFCTms[1]) {
+		t.Errorf("%s decoded to %+v, rows %#v", body, *w, res.Rows)
 	}
 }
