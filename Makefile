@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventSlab -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzReorderBuffer -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalDigest -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzRunDigests -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzNumberArrayDecode -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzAxisRoundTrip -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s ./internal/server

@@ -75,25 +75,47 @@ type Run struct {
 // utilization sample, every FCT, retransmit and per-source statistic, the
 // drop/mark/timeout totals — into one FNV-64 value. Two runs of the same
 // spec and seed digest identically at any parallelism; timing metadata is
-// deliberately excluded.
-func (r *Run) Digest() uint64 {
-	d := harness.NewDigest()
-	d.String(r.Label)
-	d.Floats(r.ShortFCTms.Values())
-	d.Floats(r.PerSourceAvgMs.Values())
-	d.Floats(r.PerSourceVarMs.Values())
-	d.Floats(r.ShortRetrans.Values())
-	d.Floats(r.LongGoodputBps.Values())
-	d.Float64(r.LongFairness)
-	d.Series(r.QueuePkts.T, r.QueuePkts.V)
-	d.Series(r.QueueBytes.T, r.QueueBytes.V)
-	d.Series(r.Utilization.T, r.Utilization.V)
-	d.Int64(r.Drops)
-	d.Int64(r.Marks)
-	d.Int64(r.Timeouts)
-	d.Int(r.ShortDone)
-	d.Int(r.ShortAll)
-	return d.Sum()
+// deliberately excluded. Digests states the fold order.
+func (r *Run) Digest() uint64 { return Digests(r)[0] }
+
+// Digests returns every run's Digest, in order. It is the one statement
+// of the fold order: the label, the five samples, the fairness index, the
+// three bottleneck series, then the totals. The runs' bottleneck series
+// are folded side by side (harness.SeriesLanes), so verifying a figure's
+// runs together costs less than verifying each alone; the values are the
+// same either way.
+func Digests(runs ...*Run) []uint64 {
+	ds := make([]harness.Digest, len(runs))
+	for i, r := range runs {
+		d := &ds[i]
+		*d = *harness.NewDigest()
+		d.String(r.Label)
+		d.Floats(r.ShortFCTms.Values())
+		d.Floats(r.PerSourceAvgMs.Values())
+		d.Floats(r.PerSourceVarMs.Values())
+		d.Floats(r.ShortRetrans.Values())
+		d.Floats(r.LongGoodputBps.Values())
+		d.Float64(r.LongFairness)
+	}
+	ts, vs := make([][]int64, len(runs)), make([][]float64, len(runs))
+	for k := 0; k < 3; k++ {
+		for i, r := range runs {
+			s := [3]*stats.TimeSeries{&r.QueuePkts, &r.QueueBytes, &r.Utilization}[k]
+			ts[i], vs[i] = s.T, s.V
+		}
+		harness.SeriesLanes(ds, ts, vs)
+	}
+	sums := make([]uint64, len(runs))
+	for i, r := range runs {
+		d := &ds[i]
+		d.Int64(r.Drops)
+		d.Int64(r.Marks)
+		d.Int64(r.Timeouts)
+		d.Int(r.ShortDone)
+		d.Int(r.ShortAll)
+		sums[i] = d.Sum()
+	}
+	return sums
 }
 
 // DigestHex renders Digest the way golden files and -digest output print it.

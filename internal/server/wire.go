@@ -134,21 +134,24 @@ func WireRun(r *scenario.Run) *RunWire {
 }
 
 // Run reconstructs the scenario.Run and verifies that its recomputed
-// digest matches the recorded one — the wire format cannot silently drop
-// or reorder a sample without failing here. The run's grid axes share one
-// materialised array (see timeAxes).
+// digest matches the recorded one, as ScenarioRuns does for a result of
+// this one run.
 func (w *RunWire) Run() (*scenario.Run, error) {
-	ts, err := timeAxes([]*RunWire{w})
+	runs, err := (&Result{Runs: []*RunWire{w}}).ScenarioRuns()
 	if err != nil {
 		return nil, err
 	}
-	return w.run(ts[0])
+	return runs[0], nil
 }
 
-// ScenarioRuns reconstructs every run of the result as RunWire.Run does,
-// digest check included, but materialises each distinct time grid once
-// for all of them: the four runs of a figure sampled on one grid carry
-// one timestamp array between them.
+// ScenarioRuns reconstructs every run of the result and verifies that
+// each recomputed digest matches the recorded one — the wire format
+// cannot silently drop or reorder a sample without failing here. Each
+// distinct time grid is materialised once for all the runs (see
+// timeAxes): the four runs of a figure sampled on one grid carry one
+// timestamp array between them. The runs are verified together, with one
+// scenario.Digests call, and the first run whose digest does not match
+// is the error.
 func (res *Result) ScenarioRuns() ([]*scenario.Run, error) {
 	ts, err := timeAxes(res.Runs)
 	if err != nil {
@@ -156,16 +159,19 @@ func (res *Result) ScenarioRuns() ([]*scenario.Run, error) {
 	}
 	runs := make([]*scenario.Run, len(res.Runs))
 	for i, w := range res.Runs {
-		if runs[i], err = w.run(ts[i]); err != nil {
-			return nil, err
+		runs[i] = w.run(ts[i])
+	}
+	for i, sum := range scenario.Digests(runs...) {
+		if w, got := res.Runs[i], fmt.Sprintf("%016x", sum); got != w.Digest {
+			return nil, fmt.Errorf("run %q: reconstructed digest %s does not match recorded %s", w.Label, got, w.Digest)
 		}
 	}
 	return runs, nil
 }
 
 // run reconstructs the run on the time axes t (queue packets, queue
-// bytes, utilization) and checks its digest.
-func (w *RunWire) run(t [3][]int64) (*scenario.Run, error) {
+// bytes, utilization), unverified.
+func (w *RunWire) run(t [3][]int64) *scenario.Run {
 	r := &scenario.Run{
 		Label:        w.Label,
 		LongFairness: w.LongFairness,
@@ -197,11 +203,7 @@ func (w *RunWire) run(t [3][]int64) (*scenario.Run, error) {
 	r.QueuePkts.T, r.QueuePkts.V = t[0], w.QueuePktsV
 	r.QueueBytes.T, r.QueueBytes.V = t[1], w.QueueBytesV
 	r.Utilization.T, r.Utilization.V = t[2], w.UtilizationV
-
-	if got := r.DigestHex(); got != w.Digest {
-		return nil, fmt.Errorf("run %q: reconstructed digest %s does not match recorded %s", w.Label, got, w.Digest)
-	}
-	return r, nil
+	return r
 }
 
 // floats and ints are the number arrays of a RunWire: its value arrays,

@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"hwatch/internal/scenario"
 )
 
 // FuzzNumberArrayDecode holds the RunWire array decoders to encoding/json
@@ -500,20 +502,27 @@ func resultFrom(data []byte) *Result {
 	return &Result{Kind: "spec", Name: s, Digest: s, Version: s, Runs: []*RunWire{run, {}}, Rows: strings.Split(s, ",")}
 }
 
-// BenchmarkDecodeResultFig8 reads the Fig. 8@0.1 result, the body of
-// service_hit's large cache hit, the way the client does: one decode, then
-// every run rebuilt and its digest re-verified.
-func BenchmarkDecodeResultFig8(b *testing.B) {
+// fig8Body is the committed Fig. 8@0.1 result body, the FuzzDecodeResult
+// seed fig8_scale0.1: four runs sampled on one grid.
+func fig8Body(tb testing.TB) []byte {
+	tb.Helper()
 	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeResult/fig8_scale0.1")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	quoted, ok := bytes.CutPrefix(raw, []byte("go test fuzz v1\n[]byte("))
 	text, err := strconv.Unquote(string(bytes.TrimSuffix(quoted, []byte(")\n"))))
 	if !ok || err != nil {
-		b.Fatalf("not a []byte corpus entry: %v", err)
+		tb.Fatalf("not a []byte corpus entry: %v", err)
 	}
-	body := []byte(text)
+	return []byte(text)
+}
+
+// BenchmarkDecodeResultFig8 reads the Fig. 8@0.1 result, the body of
+// service_hit's large cache hit, the way the client does: one decode, then
+// every run rebuilt and its digest re-verified.
+func BenchmarkDecodeResultFig8(b *testing.B) {
+	body := fig8Body(b)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -523,6 +532,84 @@ func BenchmarkDecodeResultFig8(b *testing.B) {
 		}
 		if _, err := res.ScenarioRuns(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunDigestsFig8 times the digest re-verification of a cache hit
+// alone, on the Fig. 8@0.1 runs already decoded: once as ScenarioRuns
+// verifies them, with one scenario.Digests call over all four, and once
+// run by run, as RunWire.Run verifies each.
+func BenchmarkRunDigestsFig8(b *testing.B) {
+	var res Result
+	if err := res.UnmarshalJSON(fig8Body(b)); err != nil {
+		b.Fatal(err)
+	}
+	runs, err := res.ScenarioRuns()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Digests", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			digestSink += scenario.Digests(runs...)[0]
+		}
+	})
+	b.Run("PerRun", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, r := range runs {
+				digestSink += r.Digest()
+			}
+		}
+	})
+}
+
+var digestSink uint64
+
+// TestTamperedSampleFailsItsRun: flipping one mantissa bit of one sample
+// of any bottleneck series of the Fig. 8@0.1 result, on the way over the
+// wire, fails verification for that run and names it, and no other run:
+// verifying the runs side by side cannot hide a changed sample or blame
+// a neighbour for it.
+func TestTamperedSampleFailsItsRun(t *testing.T) {
+	body := fig8Body(t)
+	var clean Result
+	if err := clean.UnmarshalJSON(body); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.ScenarioRuns(); err != nil {
+		t.Fatalf("the committed body does not verify: %v", err)
+	}
+	for k, w := range clean.Runs {
+		for s, name := range []string{"queue_pkts_v", "queue_bytes_v", "utilization_v"} {
+			var res Result
+			if err := res.UnmarshalJSON(body); err != nil {
+				t.Fatal(err)
+			}
+			vs := [3]floats{res.Runs[k].QueuePktsV, res.Runs[k].QueueBytesV, res.Runs[k].UtilizationV}[s]
+			j := (3*k + s + 1) * 211 % len(vs)
+			vs[j] = math.Float64frombits(math.Float64bits(vs[j]) ^ 1)
+			tampered, err := json.Marshal(&res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got Result
+			if err := got.UnmarshalJSON(tampered); err != nil {
+				t.Fatalf("run %d %s[%d]: %v", k, name, j, err)
+			}
+			_, err = got.ScenarioRuns()
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(w.Label)) {
+				t.Fatalf("run %d %s[%d] flipped: ScenarioRuns error %v, want one naming %q", k, name, j, err, w.Label)
+			}
+			for i, other := range got.Runs {
+				if i != k && strings.Contains(err.Error(), strconv.Quote(other.Label)) {
+					t.Fatalf("run %d %s[%d] flipped: error names run %d too: %v", k, name, j, i, err)
+				}
+				if _, err := other.Run(); (err != nil) != (i == k) {
+					t.Fatalf("run %d %s[%d] flipped: RunWire.Run of run %d: %v", k, name, j, i, err)
+				}
+			}
 		}
 	}
 }
