@@ -63,12 +63,18 @@ type Port struct {
 	// busy: a completion event is in the queue. late: the completion of
 	// the packet on the wire is only reserved, because its queue was
 	// empty after the dequeue; the first Enqueue while it is still owed
-	// inserts it (see injectQueue). twoEvent, a test switch, keeps the
-	// two-event path on every hop.
+	// inserts it (see injectQueue). lateTx is where every hop reserves its
+	// completion, and it is meaningful only while late. twoEvent, a test
+	// switch, keeps the two-event path on every hop.
 	busy     bool
 	late     bool
 	lateTx   sim.Reservation
 	twoEvent bool
+
+	// The last SerializationDelay: the delay of serSize bytes at serRate.
+	serSize  int
+	serRate  int64
+	serDelay int64
 
 	// remote is the engine owning the peer when the link crosses a shard
 	// boundary (nil for a same-shard link). Delivery is then a cross-shard
@@ -133,8 +139,14 @@ func (p *Port) BindRemote(dst *sim.Engine) {
 func (p *Port) Stats() PortStats { return p.stats }
 
 // SerializationDelay returns the time to clock size bytes onto the wire.
+// A port mostly carries one packet size, so it keeps the last answer and
+// divides only when the size or RateBps differs from the last call's.
 func (p *Port) SerializationDelay(size int) int64 {
-	return int64(size) * 8 * sim.Second / p.RateBps
+	if size != p.serSize || p.RateBps != p.serRate {
+		p.serSize, p.serRate = size, p.RateBps
+		p.serDelay = int64(size) * 8 * sim.Second / p.RateBps
+	}
+	return p.serDelay
 }
 
 // SetDown fails or restores the link. While down, every packet offered to
@@ -263,17 +275,18 @@ func (p *Port) transmitNext() {
 		p.Eng.ScheduleArg(txTime, p.txDoneFn, pkt)
 		return
 	}
-	r := p.Eng.Reserve(txTime)
+	r := &p.lateTx
+	p.Eng.Reserve(r, txTime)
 	if p.remote != nil {
-		p.Eng.ScheduleRemoteChildArg(p.remote, &r, 0, p.Delay, p.deliverFn, pkt)
+		p.Eng.ScheduleRemoteChildArg(p.remote, r, 0, p.Delay, p.deliverFn, pkt)
 	} else {
-		p.Eng.ScheduleChildArg(&r, 0, p.Delay, p.deliverFn, pkt)
+		p.Eng.ScheduleChildArg(r, 0, p.Delay, p.deliverFn, pkt)
 	}
 	if p.Q.Len() > 0 {
-		p.Eng.InsertReserved(&r, txNext, p)
+		p.Eng.InsertReserved(r, txNext, p)
 		p.busy = true
 	} else {
-		p.lateTx, p.late = r, true
+		p.late = true
 	}
 }
 

@@ -109,6 +109,23 @@ func TestSerializationDelayExact(t *testing.T) {
 	}
 }
 
+// TestSerializationDelayMemo holds the port's one-entry memo to the plain
+// division over a sweep of sizes, each asked again at once, after another
+// size, and after RateBps is reassigned between two calls of one size.
+func TestSerializationDelayMemo(t *testing.T) {
+	p := NewPort(sim.New(), &unboundedQ{}, 10e9, 0)
+	for size := 0; size <= 9000; size += 1 + size/7 {
+		for _, rate := range []int64{10e9, 1e9, 3, 40e9 + 7, 10e9} {
+			p.RateBps = rate
+			for _, sz := range []int{size, size, MinProbeSize, size} {
+				if got, want := p.SerializationDelay(sz), int64(sz)*8*sim.Second/rate; got != want {
+					t.Fatalf("%d B at %d b/s: %d ns, want %d", sz, rate, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestUnconnectedPortPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -232,10 +232,12 @@ func TestChainBoundaryCases(t *testing.T) {
 	}
 }
 
-// TestSortDueMatchesSortFunc: the agenda sort — insertion pass up to 48
-// events, natural run merge beyond — orders any agenda exactly as a
-// comparison sort by eventBefore does, and leaves no event pinned in its
-// scratch buffer.
+// TestSortDueMatchesSortFunc: the agenda sort — sub-tick spread and
+// insertion pass up to 48 events, natural run merge beyond — orders any
+// agenda exactly as a comparison sort by eventBefore does, and leaves no
+// event pinned in its scratch buffers. Every agenda lies in one tick, as a
+// staged one does; half the rounds crowd it into a few nanoseconds, half
+// spread it over the tick's sub-ticks, both with heavy ties.
 func TestSortDueMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	e := New()
@@ -245,10 +247,15 @@ func TestSortDueMatchesSortFunc(t *testing.T) {
 		if round >= 200 {
 			n = rng.Intn(400)
 		}
+		tick := rng.Int63n(1 << 30)
 		evs := make([]*event, n)
 		for i := range evs {
 			// Heavy Time and sched ties; seq keeps the order total.
-			evs[i] = &event{Time: rng.Int63n(4), sched: rng.Int63n(3), rank: uint64(rng.Intn(4)), seq: uint64(i)}
+			at := rng.Int63n(4)
+			if round%8 >= 4 {
+				at = rng.Int63n(24) * (1<<tickBits - 1) / 23
+			}
+			evs[i] = &event{Time: tick<<tickBits + at, sched: rng.Int63n(3), rank: uint64(rng.Intn(4)), seq: uint64(i)}
 		}
 		cmp := func(a, b *event) int {
 			switch {
@@ -279,11 +286,61 @@ func TestSortDueMatchesSortFunc(t *testing.T) {
 		if !slices.Equal(e.due, want) {
 			t.Fatalf("round %d: %d events out of order", round, n)
 		}
-		for i, ev := range e.mergeBuf[:cap(e.mergeBuf)] {
+		for i, ev := range append(e.mergeBuf[:cap(e.mergeBuf)], e.spread[:]...) {
 			if ev != nil {
-				t.Fatalf("round %d: merge scratch still holds an event at %d", round, i)
+				t.Fatalf("round %d: sort scratch still holds an event at %d", round, i)
 			}
 		}
 	}
 	e.due = nil
+}
+
+// TestSkippedMatchesIdle holds Skipped's closed form to idle's walk on
+// random parked chains: off the grid, on it, outside dispatch, and on the
+// grid inside dispatch with the firing event sorting before and after the
+// boundary tick in sched and, at equal sched, in rank.
+func TestSkippedMatchesIdle(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	sides := map[string]int{}
+	for i := 0; i < 20000; i++ {
+		e := New()
+		period := 1 + rng.Int63n(1000)
+		p := NewPeriodic(e, period, func(any) {})
+		c := Chain{parked: true, at: rng.Int63n(1 << 20), rank: rng.Uint64()}
+		n := rng.Int63n(40)
+		e.now = c.at + n*period
+		if rng.Intn(3) == 0 {
+			e.now += 1 + rng.Int63n(period) // may land on the next grid point
+		}
+		if rng.Intn(4) > 0 {
+			e.inDispatch = true
+			// The boundary tick's identity, as idle computes it.
+			sched, rank := e.now-period, c.rank
+			for k := int64(1); k < (e.now-c.at)/period; k++ {
+				rank = mix64(rank)
+			}
+			e.firingSched, e.firingRank = sched+rng.Int63n(3)-1, rank+uint64(rng.Intn(3))-1
+			if c.at+n*period == e.now && n > 0 {
+				switch {
+				case e.firingSched != sched:
+					sides[map[bool]string{true: "older sched", false: "younger sched"}[e.firingSched < sched]]++
+				case e.firingRank != rank:
+					sides[map[bool]string{true: "lower rank", false: "higher rank"}[e.firingRank < rank]]++
+				}
+			}
+		}
+		want, _ := p.idle(&c)
+		if got := p.Skipped(&c); got != want {
+			t.Fatalf("period %d, parked at %d, now %d, dispatch %v (sched %d rank %d): Skipped %d, idle %d",
+				period, c.at, e.now, e.inDispatch, e.firingSched, e.firingRank, got, want)
+		}
+	}
+	if len(sides) != 4 {
+		t.Fatalf("the on-grid boundary was not hit from every side: %v", sides)
+	}
+	var stopped Chain
+	p := NewPeriodic(New(), 10, func(any) {})
+	if n := p.Skipped(&stopped); n != 0 {
+		t.Fatalf("a chain that is not parked skipped %d", n)
+	}
 }

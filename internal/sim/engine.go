@@ -9,11 +9,12 @@
 // bit-for-bit reproducible, at any shard count (see Group) and GOMAXPROCS.
 //
 // The scheduler is a calendar queue: a timer wheel of power-of-two tick
-// slots covers the near future (~1 ms at 4.096 µs per tick), and a binary
-// heap holds the far-future overflow. Events for the tick being drained sit
-// in a sorted agenda so the (Time, sched, rank, seq) total order — and
-// therefore every golden digest — is identical to the plain-heap scheduler,
-// which remains available via Options.NoWheel as the test oracle.
+// slots covers the near future (~1 ms at 4.096 µs per tick), and a typed
+// 4-ary heap holds the far-future overflow. Events for the tick being
+// drained sit in a sorted agenda so the (Time, sched, rank, seq) total
+// order — and therefore every golden digest — is identical to the
+// plain-heap scheduler, which remains available via Options.NoWheel as the
+// test oracle.
 //
 // Events occupy per-engine slots that are recycled as soon as their event
 // fires or is cancelled, so a steady-state run allocates nothing per event.
@@ -23,8 +24,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -67,6 +68,14 @@ const idxStaged = -1
 // of the scheduled event currently occupying it. Model code never sees a
 // slot, only a Handle to one occupancy of it.
 type event struct {
+	// next chains the events of one wheel slot, and links vacant slots into
+	// the engine's free list; it is stale while the event sits in the
+	// agenda or the overflow heap. It leads the order key: 96-byte events
+	// in a slab start at two offsets 32 bytes apart within a cache line (8
+	// and 40, after the runtime's allocation header), and at both, next,
+	// Time and sched — all that the slot walk and most compares read —
+	// share one line.
+	next *event
 	Time int64 // absolute firing time, ns
 	// sched is the clock value at scheduling time. Same-instant events fire
 	// oldest-cause first: an event armed earlier (a port's tx-completion, a
@@ -100,14 +109,15 @@ type event struct {
 	// bumps it, which is what turns every outstanding Handle stale before
 	// the slot can be handed out again.
 	gen uint64
-	// next chains the events of one wheel slot in arrival order, and links
-	// vacant slots into the engine's free list; it is stale while the
-	// event sits in the agenda or the overflow heap.
-	next *event
 }
 
-// slotList is one wheel slot: a FIFO list of events chained through next.
-type slotList struct{ head, tail *event }
+// slotList is one wheel slot: a LIFO list of its n events chained through
+// next, newest first. Pushing at the head writes only the event being
+// staged; refillDue lays the list out back to front, in arrival order.
+type slotList struct {
+	head *event
+	n    int
+}
 
 // callFunc adapts a plain func() to the internal func(any) representation.
 // Func values are pointer-shaped, so storing fn in the arg slot does not
@@ -155,7 +165,7 @@ func (h Handle) Cancel() {
 	e := ev.eng
 	e.live--
 	if ev.idx >= 0 {
-		heap.Remove(&e.pq, int(ev.idx))
+		e.pq.remove(int(ev.idx))
 		e.release(ev)
 	}
 }
@@ -163,7 +173,7 @@ func (h Handle) Cancel() {
 // Options tunes engine internals. The zero value is the production
 // configuration: timer wheel and slab event allocation enabled.
 type Options struct {
-	// NoWheel selects the plain binary-heap scheduler (the historical
+	// NoWheel selects the plain heap scheduler (the historical
 	// implementation). It is kept as the oracle for equivalence tests and
 	// as an escape hatch; event ordering is identical either way.
 	NoWheel bool
@@ -217,10 +227,13 @@ type Engine struct {
 	due     []*event
 	dueIdx  int
 
-	// sortDue's scratch: merge buffer (cleared after use, so it pins no
-	// slot) and run boundaries.
+	// sortDue's scratch: merge buffer and spread buffer (both cleared
+	// after use, so they pin no slot), run boundaries, and the Times of a
+	// short agenda.
 	mergeBuf []*event
 	runs     []int
+	spread   [insertionMax]*event
+	keys     [insertionMax]int64
 
 	// slots hold events for ticks in (curTick, curTick+numSlots], one
 	// tick per slot, each an intrusive list that costs no allocation;
@@ -507,7 +520,7 @@ func (e *Engine) release(ev *event) {
 
 func (e *Engine) insert(ev *event) {
 	if e.noWheel {
-		heap.Push(&e.pq, ev)
+		e.pq.push(ev)
 		return
 	}
 	tick := ev.Time >> tickBits
@@ -521,23 +534,18 @@ func (e *Engine) insert(ev *event) {
 	case tick <= e.curTick+numSlots:
 		e.slotAppend(tick, ev)
 	default:
-		heap.Push(&e.pq, ev)
+		e.pq.push(ev)
 	}
 }
 
-// slotAppend stages ev at the tail of its tick's slot, so a slot drains in
-// arrival order.
+// slotAppend stages ev in its tick's slot.
 func (e *Engine) slotAppend(tick int64, ev *event) {
 	ev.idx = idxStaged
-	ev.next = nil
 	s := int(tick & slotMask)
 	l := &e.slots[s]
-	if l.tail == nil {
-		l.head = ev
-	} else {
-		l.tail.next = ev
-	}
-	l.tail = ev
+	ev.next = l.head
+	l.head = ev
+	l.n++
 	e.occupied[s>>6] |= 1 << uint(s&63)
 	e.wheelCount++
 }
@@ -566,7 +574,9 @@ func sortsBefore(a *event, t, sched int64, rank, seq uint64) bool {
 }
 
 // dueInsert places ev into the unconsumed agenda suffix, keeping it sorted
-// by (Time, sched, rank, seq).
+// by (Time, sched, rank, seq). The entries on the shorter side of its
+// place move: the later ones up, or the earlier ones down into the agenda
+// entry the last fired event vacated.
 func (e *Engine) dueInsert(ev *event) {
 	lo, hi := e.dueIdx, len(e.due)
 	for lo < hi {
@@ -576,6 +586,12 @@ func (e *Engine) dueInsert(ev *event) {
 		} else {
 			hi = mid
 		}
+	}
+	if e.dueIdx > 0 && lo-e.dueIdx < len(e.due)-lo {
+		copy(e.due[e.dueIdx-1:], e.due[e.dueIdx:lo])
+		e.dueIdx--
+		e.due[lo-1] = ev
+		return
 	}
 	e.due = append(e.due, nil)
 	copy(e.due[lo+1:], e.due[lo:])
@@ -607,17 +623,21 @@ func (e *Engine) refillDue(horizon int64) bool {
 		}
 		e.curTick = next
 		s := int(e.curTick & slotMask)
-		for ev := e.slots[s].head; ev != nil; ev = ev.next {
-			e.due = append(e.due, ev)
+		l := &e.slots[s]
+		e.due = slices.Grow(e.due, l.n)[:l.n]
+		i := l.n
+		for ev := l.head; ev != nil; ev = ev.next {
+			i--
+			e.due[i] = ev
 		}
-		e.slots[s] = slotList{}
+		e.wheelCount -= l.n
+		*l = slotList{}
 		e.occupied[s>>6] &^= 1 << uint(s&63)
-		e.wheelCount -= len(e.due)
 	}
 	// Promote: after this loop the heap only holds ticks beyond the new
 	// window, which keeps the slot scan above sufficient on later refills.
 	for len(e.pq) > 0 && e.pq[0].Time>>tickBits <= e.curTick+numSlots {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pq.remove(0)
 		if tick := ev.Time >> tickBits; tick == e.curTick {
 			e.due = append(e.due, ev)
 		} else {
@@ -644,20 +664,47 @@ func (e *Engine) nextOccupiedTick() int64 {
 	panic("sim: wheel events present but no occupied slot")
 }
 
+// Agendas up to insertionMax events are sorted by insertion; from
+// spreadMin on, they are spread by sub-tick first. Most agendas of a
+// lightly loaded engine hold one to three events, where the spread's fixed
+// cost would exceed the shifts it saves.
+const (
+	insertionMax = 48
+	spreadMin    = 16
+)
+
+// subBits splits a tick into 1<<subBits sub-ticks for spreadDue.
+const subBits = 5
+
+// subTick is the sub-tick of its tick that Time t falls in.
+func subTick(t int64) int { return int(t>>(tickBits-subBits)) & (1<<subBits - 1) }
+
 // sortDue orders the agenda by (Time, sched, rank, seq). A slot is appended
-// in sched order and each delay class is in Time order within it, so the
-// agenda arrives as a few ascending runs: a short one gets a linear
-// insertion pass, a long one a merge of its runs through mergeBuf.
+// in sched order, so a busy tick's Times arrive all but shuffled. A short
+// agenda is sorted by insertion, and one of spreadMin events or more is
+// first spread by sub-tick, which leaves the insertion pass little to
+// shift; that pass moves the Times in keys alongside the events, so a
+// compare loads no event unless two Times tie. A long agenda is merged
+// from its ascending runs through mergeBuf.
 func (e *Engine) sortDue() {
 	evs := e.due
-	if len(evs) <= 48 {
-		for i := 1; i < len(evs); i++ {
-			ev := evs[i]
+	if n := len(evs); n <= insertionMax {
+		if n >= spreadMin {
+			e.spreadDue()
+		}
+		keys := e.keys[:n]
+		for i, ev := range evs {
+			keys[i] = ev.Time
+		}
+		for i := 1; i < n; i++ {
+			ev, t := evs[i], keys[i]
 			j := i - 1
-			for j >= 0 && eventBefore(ev, evs[j]) {
+			for j >= 0 && (keys[j] > t || keys[j] == t && eventBefore(ev, evs[j])) {
+				keys[j+1] = keys[j]
 				evs[j+1] = evs[j]
 				j--
 			}
+			keys[j+1] = t
 			evs[j+1] = ev
 		}
 		return
@@ -677,6 +724,27 @@ func (e *Engine) sortDue() {
 	}
 	e.mergeRuns(0, len(e.runs)-1)
 	clear(e.mergeBuf[:len(evs)])
+}
+
+// spreadDue reorders a short agenda by sub-tick: a stable counting sort
+// through spread, which is cleared after use so it pins no slot.
+func (e *Engine) spreadDue() {
+	var count [1 << subBits]uint8
+	for _, ev := range e.due {
+		count[subTick(ev.Time)]++
+	}
+	var sum uint8
+	for b, c := range count {
+		count[b], sum = sum, sum+c
+	}
+	spread := e.spread[:len(e.due)]
+	for _, ev := range e.due {
+		b := subTick(ev.Time)
+		spread[count[b]] = ev
+		count[b]++
+	}
+	copy(e.due, spread)
+	clear(spread)
 }
 
 // mergeRuns sorts runs lo..hi-1 of the agenda: each half first, then the
@@ -790,7 +858,7 @@ func (e *Engine) runHeap(horizon int64) {
 		if ev.Time > horizon {
 			return
 		}
-		heap.Pop(&e.pq)
+		e.pq.remove(0)
 		if ev.postponed {
 			e.refile(ev)
 			continue
@@ -834,28 +902,73 @@ func (e *Engine) fire(ev *event) {
 	e.Processed++
 }
 
-// eventHeap orders by (Time, sched, rank, seq): earliest first,
-// oldest-cause then causal rank within an instant.
+// eventHeap is a 4-ary min-heap in (Time, sched, rank, seq) order. Each
+// entry's idx is its position, which is what lets Cancel remove a
+// far-future event eagerly. Four children per node halve the depth of a
+// binary heap, and the sift loops call eventBefore directly rather than
+// through container/heap's interface.
 type eventHeap []*event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventBefore(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = int32(i)
-	h[j].idx = int32(j)
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = int32(len(*h))
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes out and returns the entry at position i: 0 is the earliest.
+// The last entry fills the hole and sifts whichever way restores order.
+func (h *eventHeap) remove(i int) *event {
+	n := len(*h) - 1
+	ev, last := (*h)[i], (*h)[n]
+	(*h)[n] = nil
+	*h = (*h)[:n]
+	if i < n {
+		if i > 0 && eventBefore(last, (*h)[(i-1)/4]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
 	ev.idx = idxStaged
-	*h = old[:n-1]
 	return ev
+}
+
+// up places ev at position i or above it, moving later parents down.
+func (h eventHeap) up(i int, ev *event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		pe := h[p]
+		if !eventBefore(ev, pe) {
+			break
+		}
+		h[i] = pe
+		pe.idx = int32(i)
+		i = p
+	}
+	h[i] = ev
+	ev.idx = int32(i)
+}
+
+// down places ev at position i or below it, moving earlier children up.
+func (h eventHeap) down(i int, ev *event) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m, me := c, h[c]
+		for j := c + 1; j < min(c+4, n); j++ {
+			if eventBefore(h[j], me) {
+				m, me = j, h[j]
+			}
+		}
+		if !eventBefore(me, ev) {
+			break
+		}
+		h[i] = me
+		me.idx = int32(i)
+		i = m
+	}
+	h[i] = ev
+	ev.idx = int32(i)
 }

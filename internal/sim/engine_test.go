@@ -5,7 +5,25 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventLayout pins the layout the event store's cost rests on.
+func TestEventLayout(t *testing.T) {
+	var ev event
+	if end := unsafe.Offsetof(ev.next) + unsafe.Sizeof(ev.next); end > 64 {
+		t.Errorf("event.next ends at byte %d: the slot walk in refillDue reads next and sortDue reads the order key, so both belong in the event's first 64 bytes", end)
+	}
+	if end := unsafe.Offsetof(ev.seq) + unsafe.Sizeof(ev.seq); end > 64 {
+		t.Errorf("the order key ends at byte %d: eventBefore must read (Time, sched, rank, seq) from the event's first 64 bytes", end)
+	}
+	if end := max(unsafe.Offsetof(ev.next), unsafe.Offsetof(ev.Time), unsafe.Offsetof(ev.sched)) + 8; end > 24 {
+		t.Errorf("next, Time and sched end at byte %d: slab events start 32 bytes apart within a cache line, and only the first 24 bytes share one line at both offsets", end)
+	}
+	if sz := unsafe.Sizeof(ev); sz != 96 {
+		t.Errorf("event is %d B, want 96: slabSize events of 96 B plus the runtime's 8 B header fill the 24 KiB size class", sz)
+	}
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	e := New()

@@ -22,14 +22,16 @@ type Reservation struct {
 	kids      uint32 // children already placed
 }
 
-// Reserve takes the identity ScheduleArg(delay, …) would give an event now,
-// consuming the same child index and seq, and inserts nothing.
-func (e *Engine) Reserve(delay int64) Reservation {
+// Reserve takes into r the identity ScheduleArg(delay, …) would give an
+// event now, consuming the same child index and seq, and inserts nothing.
+// It fills r in place: a port reserves straight into the one Reservation it
+// keeps, so no copy of it is stored and then read back on every hop.
+func (e *Engine) Reserve(r *Reservation, delay int64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
 	seq := e.nextSeq()
-	return Reservation{t: e.now + delay, sched: e.now, rank: e.nextRank(seq), seq: seq}
+	r.t, r.sched, r.rank, r.seq, r.kids = e.now+delay, e.now, e.nextRank(seq), seq, 0
 }
 
 // child returns the (Time, sched, rank) of the reserved event's idx-th

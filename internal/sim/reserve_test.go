@@ -82,17 +82,18 @@ func (w *resvWorld) start() {
 		w.eng.ScheduleArg(txTime, w.done, id)
 		return
 	}
-	r := w.eng.Reserve(txTime)
+	r := &w.r
+	w.eng.Reserve(r, txTime)
 	if w.dst != w.eng {
-		w.eng.ScheduleRemoteChildArg(w.dst, &r, 0, w.prop, w.deliver, id)
+		w.eng.ScheduleRemoteChildArg(w.dst, r, 0, w.prop, w.deliver, id)
 	} else {
-		w.eng.ScheduleChildArg(&r, 0, w.prop, w.deliver, id)
+		w.eng.ScheduleChildArg(r, 0, w.prop, w.deliver, id)
 	}
 	if w.q > 0 {
-		w.eng.InsertReserved(&r, w.next, nil)
+		w.eng.InsertReserved(r, w.next, nil)
 		w.busy = true
 	} else {
-		w.r, w.late = r, true
+		w.late = true
 	}
 }
 
@@ -242,7 +243,7 @@ func TestOwedBoundary(t *testing.T) {
 	e := New()
 	var r Reservation
 	got := map[string]bool{}
-	e.At(100, func() { r = e.Reserve(at - 100) })  // sched 100
+	e.At(100, func() { e.Reserve(&r, at-100) })    // sched 100
 	e.At(at, func() { got["older"] = e.Owed(&r) }) // sched 0
 	e.At(at/2, func() { e.Schedule(at/2, func() { got["younger"] = e.Owed(&r) }) })
 	e.RunUntil(at - 1)

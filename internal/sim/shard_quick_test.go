@@ -196,7 +196,8 @@ func TestCrossShardSendBelowLookaheadPanics(t *testing.T) {
 			src.ScheduleRemoteArg(dst, delay, func(any) {}, nil)
 		},
 		"ScheduleRemoteChildArg": func(src, dst *Engine, delay int64) {
-			r := src.Reserve(0)
+			var r Reservation
+			src.Reserve(&r, 0)
 			src.ScheduleRemoteChildArg(dst, &r, 0, delay, func(any) {}, nil)
 		},
 	}

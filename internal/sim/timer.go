@@ -158,9 +158,19 @@ func (p *Periodic) Resume(c *Chain, arg any) int64 {
 	return n
 }
 
-// Skipped reports the ticks a parked chain has skipped up to now.
+// Skipped reports the ticks a parked chain has skipped up to now. Only a
+// grid point exactly at now, inside dispatch, may or may not have fired,
+// and only then does it need idle's walk to the rank that decides it.
 func (p *Periodic) Skipped(c *Chain) int64 {
-	n, _ := p.idle(c)
+	if !c.parked {
+		return 0
+	}
+	e := p.eng
+	n := (e.now - c.at) / p.period
+	if n == 0 || !e.inDispatch || c.at+n*p.period != e.now {
+		return n
+	}
+	n, _ = p.idle(c)
 	return n
 }
 
